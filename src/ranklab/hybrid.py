@@ -8,18 +8,20 @@ F_q-combinations of the first r coordinates onto the last ``a``; a correct
 bet zeroes those coordinates, after which shortening drops them together
 with ``a`` code dimensions (RD) or ``a m`` linear variables (MinRank).
 
-Drivers come in a deterministic flavour (enumerate all guesses, then
-rerandomize and retry if the independence assumption fails) and a
-probabilistic one (fresh right-rerandomization per trial, betting
-directly); both verify every lifted candidate against the original
-instance before accepting it, so spurious inner decodings are harmless.
+One driver loop serves RD and MinRank alike, in a deterministic flavour
+(enumerate all guesses, then rerandomize and retry if the independence
+assumption fails) and a probabilistic one (fresh right-rerandomization per
+trial, betting directly).  Only reduction, rerandomization, the inner solve
+with its lift, and the validity check depend on the problem; every lifted
+candidate is verified against the original instance before it is accepted,
+so spurious inner decodings are harmless.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from itertools import islice
+from typing import Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -33,13 +35,11 @@ __all__ = [
     "GuessMatrix",
     "RdReduction",
     "MinRankReduction",
-    "FeasibilityReport",
     "HybridResult",
     "enumerate_guesses",
     "p_matrix",
     "reduce_rd",
     "reduce_minrank",
-    "feasibility_probe",
     "rerandomize_rd",
     "rerandomize_minrank",
     "assumption_holds_rd",
@@ -212,45 +212,8 @@ def _invert(fld: FiniteField, mat: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# feasibility and rerandomization
+# rerandomization
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Outcome of the structural checks that make every guess shortenable."""
-
-    case: str                      # "within-dimension" | "beyond-dimension"
-    feasible_all: bool
-    bad_guesses: int               # exhaustively counted in the second case
-    bound_log2: float              # first-moment bound on a bad word existing
-
-
-def feasibility_probe(rd: RdInstance, a: int) -> FeasibilityReport:
-    """Check that all q^(a r) guesses lead to full-size shortenings.
-
-    For r + a <= k it suffices that the first r positions together with the
-    last a extend to an information set; beyond that the tail positions of
-    the small auxiliary code are searched exhaustively for a bad dual word,
-    and the analytic probability bound is reported alongside.
-    """
-    fld = rd.field
-    q = rd.q
-    n, k, r = rd.n, rd.k, rd.r
-    head = list(range(r)) + list(range(n - a, n))
-    bound = (rd.m + r) * a - rd.m * k
-    if r + a <= k:
-        rank = ml.echelonize(fld, rd.gen[:, head]).rank
-        return FeasibilityReport("within-dimension", rank == r + a, 0,
-                                 bound * log2(q))
-    bad = 0
-    g_head = rd.gen[:, :r]
-    g_tail = rd.gen[:, n - a:]
-    for guess in enumerate_guesses(a, r, q):
-        cand = fld.sub_arr(g_tail, ml.matmul(fld, g_head, guess.a))
-        if ml.echelonize(fld, cand).rank < a:
-            bad += 1
-    return FeasibilityReport("beyond-dimension", bad == 0, bad, bound * log2(q))
-
 
 def rerandomize_rd(rd: RdInstance, seed: int) -> Tuple[RdInstance, np.ndarray]:
     """Right-multiply by a uniform invertible base-field matrix; returns P."""
@@ -307,143 +270,91 @@ class HybridResult:
     transcript: Tuple[str, ...]
 
 
-def hybrid_solve_rd(rd: RdInstance, a: int,
-                    inner: Optional[Callable[[RdInstance], sv.RdSolution]] = None,
-                    seed: int = 0, max_rounds: int = 4) -> HybridResult:
-    """Deterministic guess enumeration with rerandomized retries.
-
-    Every lifted candidate is verified on the original instance; exhausting
-    the guesses signals that the independence assumption fails for the
-    current presentation, so the driver rerandomizes and retries.
-    """
-    fld = rd.field
-    inner = inner or (lambda ri: sv.decode_rd(ri))
-    transcript: List[str] = []
-    current, p_total = rd, None
-    for round_no in range(max_rounds + 1):
-        tried = skipped = 0
-        for guess in enumerate_guesses(a, rd.r, rd.q):
-            tried += 1
-            red = reduce_rd(current, guess, a)
-            if red is None:
-                skipped += 1
-                transcript.append(f"round {round_no} guess {guess.code}: infeasible")
-                continue
-            try:
-                inner_sol = inner(red.instance)
-            except sv.Unsolved:
-                continue
-            e_cur = red.lift_error(inner_sol.error)
-            if p_total is not None:
-                p_inv = _invert(fld.base, p_total)
-                e_orig = ml.matmul(fld, e_cur[None, :], p_inv)[0]
-            else:
-                e_orig = e_cur
-            sol = _verify_rd(rd, e_orig)
-            if sol is not None:
-                transcript.append(
-                    f"round {round_no} guess {guess.code}: verified")
-                return HybridResult(sol, tried, skipped, round_no, 0,
-                                    tuple(transcript))
-            transcript.append(f"round {round_no} guess {guess.code}: lift rejected")
-        transcript.append(f"round {round_no}: guesses exhausted, rerandomizing")
-        current, p_total = rerandomize_rd(rd, seed + 7 * round_no + 1)
-    raise sv.Unsolved(transcript)
+def hybrid_solve_rd(rd: RdInstance, a: int, seed: int = 0,
+                    max_rounds: int = 4) -> HybridResult:
+    """Deterministic guess enumeration with rerandomized retries."""
+    return _drive(rd, a, seed, True, max_rounds)
 
 
-def _verify_rd(rd: RdInstance, e: np.ndarray) -> Optional[sv.RdSolution]:
-    fld = rd.field
-    weight = ml.rank_weight(fld, e)
-    if weight > rd.r:
-        return None
-    c = fld.sub_arr(rd.received, e)
-    msg = ml.solve_right(fld, rd.gen.T, c)
-    if msg is None:
-        return None
-    return sv.RdSolution(c, e, msg, weight, ("hybrid lift verified",))
-
-
-def probabilistic_solve_rd(rd: RdInstance, a: int,
-                           inner: Optional[Callable] = None,
-                           seed: int = 0, max_trials: int = 4096) -> HybridResult:
+def probabilistic_solve_rd(rd: RdInstance, a: int, seed: int = 0,
+                           max_trials: int = 4096) -> HybridResult:
     """Fresh rerandomization per trial, betting the tail is already zero."""
-    inner = inner or (lambda ri: sv.decode_rd(ri))
-    fld = rd.field
-    zero_guess = GuessMatrix(np.zeros((rd.r, a), dtype=np.int64), 0)
-    skipped = 0
-    for trial in range(1, max_trials + 1):
-        cur, p = rerandomize_rd(rd, seed * 65537 + trial)
-        red = reduce_rd(cur, zero_guess, a)
-        if red is None:
-            skipped += 1
-            continue
-        try:
-            inner_sol = inner(red.instance)
-        except sv.Unsolved:
-            continue
-        e_cur = red.lift_error(inner_sol.error)
-        p_inv = _invert(fld.base, p)
-        e_orig = ml.matmul(fld, e_cur[None, :], p_inv)[0]
-        sol = _verify_rd(rd, e_orig)
-        if sol is not None:
-            return HybridResult(sol, trial, skipped, 0, trial,
-                                (f"trial {trial}: verified",))
-    raise sv.Unsolved((f"no success in {max_trials} trials",))
+    return _drive(rd, a, seed, False, max_trials)
 
 
-def hybrid_solve_minrank(inst: MinRankInstance, a: int,
-                         inner: Optional[Callable] = None,
-                         seed: int = 0, max_rounds: int = 4) -> HybridResult:
-    inner = inner or (lambda mi: sv.solve_minrank_linearized(mi))
+def hybrid_solve_minrank(inst: MinRankInstance, a: int, seed: int = 0,
+                         max_rounds: int = 4) -> HybridResult:
+    """Deterministic guess enumeration with rerandomized retries."""
+    return _drive(inst, a, seed, True, max_rounds)
+
+
+def probabilistic_solve_minrank(inst: MinRankInstance, a: int, seed: int = 0,
+                                max_trials: int = 4096) -> HybridResult:
+    """Fresh rerandomization per trial, betting the tail is already zero."""
+    return _drive(inst, a, seed, False, max_trials)
+
+
+def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
+           deterministic: bool, limit: int) -> HybridResult:
+    """Try guesses on presentations of ``inst`` until a lift verifies.
+
+    Deterministic mode tries all q^(a r) guesses on ``inst`` itself, then on
+    up to ``limit`` rerandomizations; probabilistic mode tries only the zero
+    guess, on ``limit`` fresh rerandomizations.  Every lifted candidate is
+    verified on ``inst``, so a spurious inner solution is never returned.
+    """
+    is_rd = isinstance(inst, RdInstance)
     fld = inst.field
+    if deterministic:
+        seeds = [None] + [seed + 7 * i + 1 for i in range(limit)]
+    else:
+        seeds = [seed * 65537 + t for t in range(1, limit + 1)]
+    q = inst.q if is_rd else fld.order
+    guesses = None if deterministic else 1          # all, or the zero guess only
     transcript: List[str] = []
-    current, p_total = inst, None
-    for round_no in range(max_rounds + 1):
-        tried = skipped = 0
-        for guess in enumerate_guesses(a, inst.r, fld.order):
+    tried = skipped = 0
+    for number, pres_seed in enumerate(seeds):
+        label = f"round {number}" if deterministic else f"trial {number + 1}"
+        if pres_seed is None:
+            current, p = inst, None
+        elif is_rd:
+            current, p = rerandomize_rd(inst, pres_seed)
+        else:
+            current, p = rerandomize_minrank(inst, pres_seed)
+        p_inv = None
+        for guess in islice(enumerate_guesses(a, inst.r, q), guesses):
             tried += 1
-            red = reduce_minrank(current, guess, a)
+            tag = f"{label} guess {guess.code}"
+            if is_rd:
+                red = reduce_rd(current, guess, a)
+            else:
+                red = reduce_minrank(current, guess, a)
             if red is None:
                 skipped += 1
-                transcript.append(f"round {round_no} guess {guess.code}: infeasible")
+                transcript.append(f"{tag}: infeasible")
                 continue
-            x_red = inner(red.instance)
-            if not isinstance(x_red, np.ndarray):
-                continue
-            x = red.lift_x(x_red)
-            # guesses and rerandomizations act on columns only, so x carries
-            # over to the original matrices unchanged
-            e = inst.low_rank_matrix(x)
-            if ml.echelonize(fld, e).rank <= inst.r:
-                transcript.append(f"round {round_no} guess {guess.code}: verified")
-                return HybridResult(x, tried, skipped, round_no, 0,
+            if is_rd:
+                try:
+                    e = red.lift_error(sv.decode_rd(red.instance).error)
+                except sv.Unsolved:
+                    continue
+                if p is not None:       # rerandomization maps an error e to e P
+                    p_inv = _invert(fld.base, p) if p_inv is None else p_inv
+                    e = ml.matmul(fld, e[None, :], p_inv)[0]
+                sol = sv.verify_rd(inst, e, inst.r, transcript, tag)
+            else:
+                x_red = sv.solve_minrank_linearized(red.instance)
+                if not isinstance(x_red, np.ndarray):
+                    continue
+                # guesses and rerandomizations act on columns only, so x
+                # carries over to the original matrices unchanged
+                x = red.lift_x(x_red)
+                sol = x if sv.verify_minrank(inst, x) is not None else None
+                transcript.append(f"{tag}: " + ("lift rejected" if sol is None
+                                                else "verified"))
+            if sol is not None:
+                rounds, trials = (number, 0) if deterministic else (0, number + 1)
+                return HybridResult(sol, tried, skipped, rounds, trials,
                                     tuple(transcript))
-            transcript.append(f"round {round_no} guess {guess.code}: lift rejected")
-        transcript.append(f"round {round_no}: guesses exhausted, rerandomizing")
-        current, p_total = rerandomize_minrank(inst, seed + 7 * round_no + 1)
+    transcript.append(f"no lift verified on {len(seeds)} presentations")
     raise sv.Unsolved(transcript)
-
-
-def probabilistic_solve_minrank(inst: MinRankInstance, a: int,
-                                inner: Optional[Callable] = None,
-                                seed: int = 0, max_trials: int = 4096
-                                ) -> HybridResult:
-    inner = inner or (lambda mi: sv.solve_minrank_linearized(mi))
-    fld = inst.field
-    zero_guess = GuessMatrix(np.zeros((inst.r, a), dtype=np.int64), 0)
-    skipped = 0
-    for trial in range(1, max_trials + 1):
-        cur, _p = rerandomize_minrank(inst, seed * 65537 + trial)
-        red = reduce_minrank(cur, zero_guess, a)
-        if red is None:
-            skipped += 1
-            continue
-        x_red = inner(red.instance)
-        if not isinstance(x_red, np.ndarray):
-            continue
-        x = red.lift_x(x_red)
-        if ml.echelonize(fld, cur.low_rank_matrix(x)).rank <= inst.r:
-            if ml.echelonize(fld, inst.low_rank_matrix(x)).rank <= inst.r:
-                return HybridResult(x, trial, skipped, 0, trial,
-                                    (f"trial {trial}: verified",))
-    raise sv.Unsolved((f"no success in {max_trials} trials",))

@@ -121,9 +121,9 @@ def gen_rd(q: int, m: int, n: int, k: int, r: int, seed: int) -> RdInstance:
         coeffs = ml.random_full_rank(base, r, n, rng)
         e = _error_from_support(fld, support, coeffs)
     y = fld.add_arr(fld.neg_arr(ml.matmul(fld, x[None, :], gen)[0]), e)
-    inst = RdInstance(fld, n, k, r, gen, y, RdWitness(x, support, coeffs, e))
-    assert ml.rank_weight(fld, e) == r
-    return inst
+    if ml.rank_weight(fld, e) != r:
+        raise InstanceError("planted error does not have rank weight r")
+    return RdInstance(fld, n, k, r, gen, y, RdWitness(x, support, coeffs, e))
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +225,18 @@ def canonicalize(rd: RdInstance, perm_seed: Optional[int] = None) -> CanonicalRd
 
 def _check_canonical(can: CanonicalRd) -> None:
     fld = can.field
-    assert not ml.matmul(fld, can.gen, can.h_y.T).any(), "G . H_y^T != 0"
-    assert not ml.matmul(fld, can.received[None, :], can.h_y.T).any(), "y . H_y^T != 0"
-    assert not ml.matmul(fld, can.gen, can.h[:, None]).any(), "h not in the dual"
-    ydoth = ml.matmul(fld, can.received[None, :], can.h[:, None])[0, 0]
-    assert int(ydoth) == 1, "y . h^T != 1"
+    if ml.matmul(fld, can.gen, can.h_y.T).any():
+        raise InstanceError("canonical form: G . H_y^T != 0")
+    if ml.matmul(fld, can.received[None, :], can.h_y.T).any():
+        raise InstanceError("canonical form: y . H_y^T != 0")
+    if ml.matmul(fld, can.gen, can.h[:, None]).any():
+        raise InstanceError("canonical form: h not in the dual")
+    if int(ml.matmul(fld, can.received[None, :], can.h[:, None])[0, 0]) != 1:
+        raise InstanceError("canonical form: y . h^T != 1")
     if can.witness is not None:
         e = fld.add_arr(can.received, ml.matmul(fld, can.witness.x[None, :], can.gen)[0])
-        assert (e == can.witness.error).all()
+        if (e != can.witness.error).any():
+            raise InstanceError("canonical form: witness does not transport")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +361,8 @@ def gen_minrank(q: int, m: int, n: int, K: int, r: int, seed: int) -> MinRankIns
         if xi:
             m0 = fld.sub_arr(m0, fld.mul_arr(int(xi), mats[i]))
     inst = MinRankInstance(fld, m, n, K, r, tuple([m0] + mats), x)
-    assert inst.verify_witness()
+    if not inst.verify_witness():
+        raise InstanceError("planted combination does not have rank r")
     return inst
 
 
@@ -403,8 +408,8 @@ def minrank_systematic(inst: MinRankInstance) -> Tuple[MinRankGenMatrix, MinRank
             [transform, ml.identity(inst.K)], axis=1)).rref[:, inst.K:]
         witness = fld.add_arr(ml.matmul(fld, inst.witness[None, :], tinv)[0], red)
     out = MinRankInstance(fld, inst.m, inst.n, inst.K, inst.r, new_mats, witness)
-    if witness is not None:
-        assert out.verify_witness()
+    if witness is not None and not out.verify_witness():
+        raise InstanceError("witness does not transport to the systematic form")
     return MinRankGenMatrix(gen, piv, transform), out
 
 
@@ -432,6 +437,6 @@ def rd_to_minrank(rd: RdInstance) -> MinRankInstance:
         grid = [c for xj in rd.witness.x for c in fld.coeffs(int(xj))]
         witness = np.array(grid, dtype=np.int64)
     out = MinRankInstance(base, m, n, k * m, rd.r, tuple(mats), witness)
-    if witness is not None:
-        assert out.verify_witness()
+    if witness is not None and not out.verify_witness():
+        raise InstanceError("witness does not transport to the MinRank instance")
     return out

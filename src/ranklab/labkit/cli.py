@@ -118,20 +118,24 @@ def _cmd_attack(args) -> int:
 
 
 def _run_attack(args, inst, t0) -> int:
-    if isinstance(inst, RdInstance):
-        if args.a > 0:
-            if args.probabilistic:
-                res = hy.probabilistic_solve_rd(inst, args.a, seed=args.seed)
-            else:
-                res = hy.hybrid_solve_rd(inst, args.a, seed=args.seed)
-            sol = res.solution
-            meta = {"guesses_tried": res.guesses_tried, "rounds": res.rounds,
-                    "trials": res.trials,
-                    "infeasible_skipped": res.infeasible_skipped}
-        else:
-            cfg = sv.DecodeConfig(modeling=args.modeling, b_max=args.b_max)
-            sol = sv.decode_rd(inst, cfg)
-            meta = {}
+    kind = "rd" if isinstance(inst, RdInstance) else "minrank"
+    meta = {}
+    if args.a > 0:
+        mode = "probabilistic" if args.probabilistic else "hybrid"
+        res = getattr(hy, f"{mode}_solve_{kind}")(inst, args.a, seed=args.seed)
+        sol = res.solution
+        meta = {"guesses_tried": res.guesses_tried, "rounds": res.rounds,
+                "trials": res.trials,
+                "infeasible_skipped": res.infeasible_skipped}
+    elif kind == "rd":
+        cfg = sv.DecodeConfig(modeling=args.modeling, b_max=args.b_max)
+        sol = sv.decode_rd(inst, cfg)
+    else:
+        sol = sv.solve_minrank_linearized(inst)
+        if not isinstance(sol, np.ndarray):
+            _emit(args, {"kind": "minrank", "outcome": str(sol)})
+            return 1
+    if kind == "rd":
         report = {
             "kind": "rd",
             "weight": sol.weight,
@@ -144,24 +148,9 @@ def _run_attack(args, inst, t0) -> int:
             **meta,
         }
     else:
-        if args.a > 0:
-            if args.probabilistic:
-                res = hy.probabilistic_solve_minrank(inst, args.a, seed=args.seed)
-            else:
-                res = hy.hybrid_solve_minrank(inst, args.a, seed=args.seed)
-            x = res.solution
-            meta = {"guesses_tried": res.guesses_tried, "rounds": res.rounds,
-                    "trials": res.trials}
-        else:
-            x = sv.solve_minrank_linearized(inst)
-            meta = {}
-            if not isinstance(x, np.ndarray):
-                _emit(args, {"kind": "minrank", "outcome": str(x)})
-                return 1
-        from .. import matlin as ml
-        rank = ml.echelonize(inst.field, inst.low_rank_matrix(x)).rank
-        report = {"kind": "minrank", "x": x.tolist(), "achieved_rank": rank,
-                  "verified": rank <= inst.r,
+        rank = sv.verify_minrank(inst, sol)
+        report = {"kind": "minrank", "x": sol.tolist(), "achieved_rank": rank,
+                  "verified": rank is not None,
                   "elapsed_s": round(time.perf_counter() - t0, 4), **meta}
     _emit(args, report)
     return 0

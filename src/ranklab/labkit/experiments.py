@@ -253,8 +253,7 @@ def _check_hybrid_minrank(params, seed, a: int = 1):
         mri, _ = hy.rerandomize_minrank(mri, seed * 37 + attempt)
         attempt += 1
     res = hy.hybrid_solve_minrank(mri, a=a, seed=seed)
-    e = mri.low_rank_matrix(res.solution)
-    ok = (ml.echelonize(mri.field, e).rank <= r
+    ok = (sv.verify_minrank(mri, res.solution) is not None
           and res.guesses_tried <= q ** (a * r) and res.rounds == 0)
     return bool(ok), (res.guesses_tried,), (q ** (a * r),), ""
 

@@ -39,6 +39,8 @@ __all__ = [
     "reconstruct_support_matrix",
     "decode_rd",
     "solve_minrank_linearized",
+    "verify_rd",
+    "verify_minrank",
     "rd_solutions_brute",
     "expected_spurious_decodings",
     "gaussian_binomial",
@@ -287,19 +289,18 @@ def _finish_from_minors(rd: RdInstance, can: CanonicalRd, minors, r_prime: int,
     if e_can is None:
         transcript.append(f"{tag}: support matrix does not explain the syndrome")
         return None
-    return _verified_solution(rd, can, e_can, r_prime, transcript, tag)
+    return verify_rd(rd, can.error_to_origin(e_can), r_prime, transcript, tag)
 
 
 def _error_from_support_matrix(can: CanonicalRd, cmat: np.ndarray,
                                r_prime: int) -> Optional[np.ndarray]:
-    """Solve y + x G = s C for (x, s) given the support matrix C."""
+    """Solve y = x G + s C for (x, s) given the support matrix C; e = s C."""
     fld = can.field
     stack = np.concatenate([can.gen, cmat], axis=0)      # (k + r') x n
     z = ml.solve_right(fld, stack.T, can.received)
     if z is None:
         return None
-    s = fld.neg_arr(z[can.k:])
-    return ml.matmul(fld, s[None, :], cmat)[0]
+    return ml.matmul(fld, z[None, can.k:], cmat)[0]
 
 
 def _try_sm_plus(rd: RdInstance, can: CanonicalRd, mm, mmq, r_prime: int,
@@ -332,7 +333,7 @@ def _try_sm_plus(rd: RdInstance, can: CanonicalRd, mm, mmq, r_prime: int,
             continue
         c_full, x = extracted
         e_can = fld_error_from_x(can, x)
-        sol = _verified_solution(rd, can, e_can, r_prime, transcript, tag)
+        sol = verify_rd(rd, can.error_to_origin(e_can), r_prime, transcript, tag)
         if sol is not None:
             return sol
     return None
@@ -343,15 +344,15 @@ def fld_error_from_x(can: CanonicalRd, x: np.ndarray) -> np.ndarray:
     return fld.add_arr(can.received, ml.matmul(fld, x[None, :], can.gen)[0])
 
 
-def _verified_solution(rd: RdInstance, can: CanonicalRd, e_can: np.ndarray,
-                       r_prime: int, transcript: List[str], tag: str
-                       ) -> Optional[RdSolution]:
+def verify_rd(rd: RdInstance, e: np.ndarray, bound: int, transcript: List[str],
+              tag: str) -> Optional[RdSolution]:
+    """The solution with error e if its rank weight is <= bound and y - e is
+    in the code, else None; the outcome is logged under ``tag``."""
     fld = rd.field
-    weight = ml.rank_weight(fld, e_can)
-    if weight > r_prime:
+    weight = ml.rank_weight(fld, e)
+    if weight > bound:
         transcript.append(f"{tag}: candidate error has weight {weight}")
         return None
-    e = can.error_to_origin(e_can)
     c = fld.sub_arr(rd.received, e)
     msg = ml.solve_right(fld, rd.gen.T, c)
     if msg is None:
@@ -379,17 +380,22 @@ def solve_minrank_linearized(inst: MinRankInstance, b_max: int = 1
         mac = md.macaulay(sm, b, multipliers="upto")
         outcome = solve_linearized(mac)
         if isinstance(outcome, MonomialAssignment):
-            fld = inst.field
             x = np.zeros(inst.K, dtype=np.int64)
             pivot_col = outcome.pivot[1]
             for u in range(inst.K):
                 x[u] = outcome.values.get(((u,), pivot_col), 0)
-            if ml.echelonize(fld, inst.low_rank_matrix(x)).rank <= inst.r:
+            if verify_minrank(inst, x) is not None:
                 return x
             last = Indeterminate(1)
         else:
             last = outcome
     return last
+
+
+def verify_minrank(inst: MinRankInstance, x: np.ndarray) -> Optional[int]:
+    """Rank of M_0 + sum x_i M_i if it is at most r, else None."""
+    rank = ml.echelonize(inst.field, inst.low_rank_matrix(x)).rank
+    return rank if rank <= inst.r else None
 
 
 # ---------------------------------------------------------------------------

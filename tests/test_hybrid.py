@@ -1,4 +1,5 @@
-"""Guess enumeration, reductions, lifting, feasibility, drivers."""
+"""Guess enumeration, reductions, lifting, and the guess driver behind the
+four hybrid entry points."""
 
 import numpy as np
 import pytest
@@ -60,29 +61,13 @@ def test_reduce_rd_rank_preserved():
     assert ml.rank_weight(p.field, p.witness.error) == rd.r
 
 
-def test_feasibility_probe_within_dimension():
+def test_rd_feasible_for_all_guesses_within_dimension():
+    # r + a <= k and the first r positions with the last a extend to an
+    # information set: every guess then shortens to full size
     rd = inst.gen_rd(2, 7, 12, 5, 2, seed=1)
-    rep = hy.feasibility_probe(rd, 0)
-    assert rep.feasible_all
-    rep1 = hy.feasibility_probe(rd, 1)
-    assert rep1.case == "within-dimension" and rep1.feasible_all
-    # matching exhaustive check: every guess reduces
+    assert ml.echelonize(rd.field, rd.gen[:, [0, 1, 11]]).rank == rd.r + 1
     for g in hy.enumerate_guesses(1, rd.r, rd.q):
         assert hy.reduce_rd(rd, g, 1) is not None
-
-
-def test_feasibility_probe_beyond_dimension():
-    rd = inst.gen_rd(2, 7, 8, 4, 2, seed=1)
-    rep = hy.feasibility_probe(rd, 3)          # r + a = 5 > k = 4
-    assert rep.case == "beyond-dimension"
-    assert rep.bad_guesses >= 0
-
-
-def test_feasibility_bound_value():
-    # (m, r, a, k) = (7, 2, 1, 4): exponent (m + r) a - m k = 9 - 28 = -19
-    rd = inst.gen_rd(2, 7, 8, 4, 2, seed=2)
-    rep = hy.feasibility_probe(rd, 1)
-    assert rep.bound_log2 == -19.0
 
 
 def test_rerandomize_assumption_rate():
@@ -195,3 +180,43 @@ def test_reduce_validation():
     mi = inst.gen_minrank(2, 6, 8, 14, 2, seed=1)
     with pytest.raises(inst.InstanceError):
         hy.reduce_minrank(mi, next(hy.enumerate_guesses(3, 2, 2)), 3)
+
+
+# (driver, seed, (guesses_tried, infeasible_skipped, rounds, trials)) on
+# instances that are not rerandomized first, with the instance seed as the
+# driver seed; the RD seeds 1 and 2 and the MinRank seed 17 need rounds >= 1.
+# guesses_tried counts the whole search, so a deterministic run that ends in
+# round i includes q^(a r) = 4 guesses for each earlier round.
+GOLDEN = [
+    ("hybrid_solve_rd", 0, (2, 0, 0, 0)),
+    ("hybrid_solve_rd", 1, (9, 0, 2, 0)),
+    ("hybrid_solve_rd", 2, (6, 0, 1, 0)),
+    ("probabilistic_solve_rd", 1, (1, 0, 0, 1)),
+    ("probabilistic_solve_rd", 6, (4, 0, 0, 4)),
+    ("hybrid_solve_minrank", 2, (1, 0, 0, 0)),
+    ("hybrid_solve_minrank", 17, (5, 0, 1, 0)),
+    ("probabilistic_solve_minrank", 1, (3, 1, 0, 3)),
+    ("probabilistic_solve_minrank", 8, (2, 0, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("driver,seed,counts", GOLDEN,
+                         ids=[f"{d}-{s}" for d, s, _ in GOLDEN])
+def test_driver_golden(driver, seed, counts):
+    if driver.endswith("_rd"):
+        problem = inst.gen_rd(2, 7, 12, 5, 2, seed)
+        res = getattr(hy, driver)(problem, 1, seed=seed)
+        assert (res.solution.error == problem.witness.error).all()
+    else:
+        problem = inst.gen_minrank(2, 6, 8, 14, 2, seed)
+        res = getattr(hy, driver)(problem, 1, seed=seed)
+        assert (res.solution == problem.witness).all()
+    assert (res.guesses_tried, res.infeasible_skipped, res.rounds, res.trials) == counts
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_rd_drivers_odd_characteristic(seed):
+    rd = inst.gen_rd(3, 4, 7, 3, 1, seed)
+    for res in (hy.hybrid_solve_rd(rd, 1, seed=seed),
+                hy.probabilistic_solve_rd(rd, 1, seed=seed, max_trials=64)):
+        assert (res.solution.error == rd.witness.error).all()

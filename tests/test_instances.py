@@ -1,5 +1,7 @@
 """Instance generation, canonical forms, shortening, conversions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,14 @@ def test_canonicalize_rejects_codeword():
     rd = inst.gen_rd(2, 3, 6, 2, 0, seed=2)
     with pytest.raises(inst.InstanceError):
         inst.canonicalize(rd)
+
+
+def test_check_canonical_rejects_tampered_form():
+    can = inst.canonicalize(inst.gen_rd(2, 7, 8, 4, 2, seed=1))
+    h = np.array(can.h)
+    h[0] = can.field.add(int(h[0]), 1)          # h leaves the dual of the code
+    with pytest.raises(inst.InstanceError):
+        inst._check_canonical(dataclasses.replace(can, h=h))
 
 
 def test_shorten_trivial_cases():

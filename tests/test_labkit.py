@@ -143,6 +143,7 @@ def test_cli_attack_hybrid_minrank(tmp_path, capsys):
     assert main(["attack", path, "--a", "1", "--report", "machine"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verified"] and doc["achieved_rank"] <= 2
+    assert doc["infeasible_skipped"] == 0 and doc["guesses_tried"] >= 1
 
 
 def test_cli_estimate_preset(capsys):

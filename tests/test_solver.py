@@ -120,9 +120,16 @@ def test_decode_weight_zero():
     assert sol.weight == 0 and (sol.codeword == rd.received).all()
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_decode_mm_path(seed):
-    rd = inst.gen_rd(2, 7, 10, 3, 2, seed=seed)
+@pytest.mark.parametrize("params,seed", [
+    pytest.param((2, 7, 10, 3, 2), 1, id="1"),
+    pytest.param((2, 7, 10, 3, 2), 2, id="2"),
+    pytest.param((2, 7, 10, 3, 2), 3, id="3"),
+    pytest.param((3, 5, 8, 3, 2), 1, id="q3"),
+    pytest.param((5, 3, 6, 2, 1), 1, id="q5"),
+    pytest.param((9, 3, 6, 2, 1), 1, id="q9"),
+])
+def test_decode_mm_path(params, seed):
+    rd = inst.gen_rd(*params, seed=seed)
     sol = sv.decode_rd(rd)
     assert (sol.error == rd.witness.error).all()
     assert " mm" in sol.transcript[-1]
