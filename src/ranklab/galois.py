@@ -465,17 +465,19 @@ def _prime_field(p: int) -> FiniteField:
     return FiniteField(p, None, (0, 1))
 
 
+_ORDER_LIMIT = 1 << 22  # log/antilog tables; experiments are desk scale
+
+
 @functools.lru_cache(maxsize=None)
 def make_base_field(q: int) -> FiniteField:
     """F_q for q = p^s a prime power, with deterministic modulus choice."""
+    if q > _ORDER_LIMIT:
+        raise ValueError(f"field order {q} exceeds the table limit ({_ORDER_LIMIT})")
     p, s = prime_power(q)
     if s == 1:
         return _prime_field(p)
     fp = _prime_field(p)
     return FiniteField(p, fp, _lowest_irreducible(fp, s))
-
-
-_ORDER_LIMIT = 1 << 22  # log/antilog tables; experiments are desk scale
 
 
 @functools.lru_cache(maxsize=None)

@@ -106,7 +106,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    inst = io.read_instance(args.path)
+    try:
+        inst = io.read_instance(args.path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"ranklab attack: {args.path}: {exc}")
     t0 = time.perf_counter()
     try:
         return _run_attack(args, inst, t0)

@@ -18,16 +18,18 @@ Instance files are JSON documents with exactly these keys:
   witness      optional; rd: {x, support, coeffs}; minrank: {x}
 
 Element codes are the base-q little-endian packings used everywhere in the
-package.  Parsers reject unknown keys, and moduli must match the package's
-deterministic field construction (fields are not reconstructed from
-arbitrary moduli).
+package.  Parsers reject unknown or missing keys, and moduli must match the
+package's deterministic field construction (fields are not reconstructed
+from arbitrary moduli).  Shapes, code ranges, 0 < k < n and the bounds on r
+are checked before any field arithmetic runs; a rejected file raises
+ValueError with a one-line reason.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -92,8 +94,11 @@ def write_instance(path: str, inst: Union[RdInstance, MinRankInstance]) -> None:
 
 
 def read_instance(path: str) -> Union[RdInstance, MinRankInstance]:
+    """Parse and validate an instance file; ValueError names the first fault."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("instance file must hold a JSON object")
     kind = doc.get("kind")
     if kind not in ("rd", "minrank"):
         raise ValueError(f"unknown instance kind {kind!r}")
@@ -101,40 +106,83 @@ def read_instance(path: str) -> Union[RdInstance, MinRankInstance]:
     unknown = set(doc) - allowed
     if unknown:
         raise ValueError(f"unknown fields in instance file: {sorted(unknown)}")
-    q = doc["q_char"] ** doc["q_deg"]
-    base = make_base_field(q)
+    missing = allowed - {"witness"} - set(doc)
+    if missing:
+        raise ValueError(f"missing fields in instance file: {sorted(missing)}")
+    for key in ("q_char", "q_deg", "m", "n", "k_or_K", "r"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+    m, n, k, r = doc["m"], doc["n"], doc["k_or_K"], doc["r"]
+    # field tables stop at 2^22 elements, so no larger exponent is worth computing
+    if not (doc["q_char"] >= 2 and 1 <= doc["q_deg"] <= 22 and m >= 1 and n >= 1):
+        raise ValueError("need q_char >= 2, 1 <= q_deg <= 22, m >= 1 and n >= 1")
+    if kind == "rd" and m > 22:
+        raise ValueError(f"extension degree {m} exceeds the field table limit")
+    base = make_base_field(doc["q_char"] ** doc["q_deg"])
+    if base.char != doc["q_char"]:
+        raise ValueError(f"q_char {doc['q_char']} is not a prime")
+    q = base.order
     base_mod = [0, 1] if base.base is None else list(base.modulus)
-    if list(doc["q_modulus"]) != base_mod:
+    if doc["q_modulus"] != base_mod:
         raise ValueError("base-field modulus does not match the deterministic choice")
     if kind == "rd":
-        ext = make_ext_field(q, doc["m"])
-        if list(doc["ext_modulus"]) != list(ext.modulus):
+        if not 0 < k < n:
+            raise ValueError(f"need 0 < k < n, got k = {k}, n = {n}")
+        if not 0 <= r <= min(m, n):
+            raise ValueError(f"need 0 <= r <= min(m, n), got r = {r}")
+        ext = make_ext_field(q, m)
+        if doc["ext_modulus"] != list(ext.modulus):
             raise ValueError("extension modulus does not match the deterministic choice")
-        gen = np.array(doc["generator"], dtype=np.int64)
-        received = np.array(doc["received"], dtype=np.int64)
+        gen = _codes(doc["generator"], (k, n), ext.order, "generator")
+        received = _codes(doc["received"], (n,), ext.order, "received")
         witness = None
         if "witness" in doc:
-            w = doc["witness"]
-            x = np.array(w["x"], dtype=np.int64)
-            support = np.array(w["support"], dtype=np.int64)
-            coeffs = np.array(w["coeffs"], dtype=np.int64).reshape(doc["r"], doc["n"])
-            error = ml.matmul(ext, support[None, :], coeffs)[0] if doc["r"] \
-                else np.zeros(doc["n"], dtype=np.int64)
+            w = _witness_doc(doc, {"x", "support", "coeffs"})
+            x = _codes(w["x"], (k,), ext.order, "witness x")
+            support = _codes(w["support"], (r,), ext.order, "witness support")
+            coeffs = _codes(w["coeffs"], (r, n), q, "witness coeffs")
+            error = ml.matmul(ext, support[None, :], coeffs)[0] if r \
+                else np.zeros(n, dtype=np.int64)
             witness = RdWitness(x, support, coeffs, error)
-        inst = RdInstance(ext, doc["n"], doc["k_or_K"], doc["r"], gen, received,
-                          witness)
+        inst = RdInstance(ext, n, k, r, gen, received, witness)
         if witness is not None and not inst.verify_witness():
             raise ValueError("witness does not verify against the instance")
         return inst
-    mats = tuple(np.array(mi, dtype=np.int64) for mi in doc["matrices"])
-    if len(mats) != doc["k_or_K"] + 1:
+    if k < 1:
+        raise ValueError(f"need K >= 1, got K = {k}")
+    if not 0 < r <= min(m, n):
+        raise ValueError(f"need 0 < r <= min(m, n), got r = {r}")
+    if not isinstance(doc["matrices"], list) or len(doc["matrices"]) != k + 1:
         raise ValueError("matrix count does not match k_or_K + 1")
-    witness = np.array(doc["witness"]["x"], dtype=np.int64) if "witness" in doc else None
-    inst = MinRankInstance(base, doc["m"], doc["n"], doc["k_or_K"], doc["r"],
-                           mats, witness)
+    mats = tuple(_codes(mi, (m, n), q, f"matrix {i}") for i, mi in enumerate(doc["matrices"]))
+    witness = None
+    if "witness" in doc:
+        witness = _codes(_witness_doc(doc, {"x"})["x"], (k,), q, "witness x")
+    inst = MinRankInstance(base, m, n, k, r, mats, witness)
     if witness is not None and not inst.verify_witness():
         raise ValueError("witness does not verify against the instance")
     return inst
+
+
+def _witness_doc(doc: Dict, keys) -> Dict:
+    w = doc["witness"]
+    if not isinstance(w, dict) or set(w) != keys:
+        raise ValueError(f"witness must hold exactly the keys {sorted(keys)}")
+    return w
+
+
+def _codes(value, shape: Tuple[int, ...], order: int, name: str) -> np.ndarray:
+    """Element codes as an int64 array of the given shape, each in [0, order)."""
+    arr = np.asarray(value)
+    if arr.size == 0 and 0 in shape:
+        return np.zeros(shape, dtype=np.int64)
+    if arr.shape != shape:
+        raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} holds codes that are not integers")
+    if ((arr < 0) | (arr >= order)).any():
+        raise ValueError(f"{name} holds codes outside [0, {order})")
+    return arr.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ rank/unrank bijection used to label minor variables, and the expansion of
 extension-field vectors into coordinate matrices over the base field.
 
 Row reduction has two interchangeable backends: a generic table-driven one
-for any field and a bit-packed one for GF(2); ``echelonize`` picks the
-packed path automatically for binary fields (behaviour is identical and is
-cross-checked in the test suite).
+for any field and a bit-packed one for GF(2) (behaviour is identical and is
+cross-checked in the test suite).  The GF(2) kernel is one eliminator over
+stacks of matrices whose rows are packed into uint64 words: its batched
+entry point :func:`rref_gf2_batch` reduces a (B, rows, words) stack in
+step, and ``echelonize`` uses its single-matrix entry point automatically
+for binary fields.
 """
 
 from __future__ import annotations
@@ -28,6 +31,10 @@ __all__ = [
     "EchelonResult",
     "echelonize",
     "right_kernel",
+    "kernel_from_rref",
+    "pack_gf2",
+    "unpack_gf2",
+    "rref_gf2_batch",
     "solve_right",
     "matmul",
     "matrix_from_rows",
@@ -112,41 +119,76 @@ def _rref_generic(fld: FiniteField, mat: np.ndarray) -> Tuple[np.ndarray, List[i
     return a, pivots
 
 
-def _rref_gf2_packed(mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Bit-packed GF(2) reduction; rows live in uint64 words."""
-    nrows, ncols = mat.shape
-    nwords = (ncols + 63) // 64
-    packed = np.zeros((nrows, nwords), dtype=np.uint64)
-    for w in range(nwords):
-        chunk = mat[:, 64 * w: 64 * (w + 1)].astype(np.uint64)
-        for b in range(chunk.shape[1]):
-            packed[:, w] |= chunk[:, b] << np.uint64(b)
-    pivots: List[int] = []
-    rr = 0
-    for c in range(ncols):
-        if rr == nrows:
-            break
-        w, b = divmod(c, 64)
-        bits = (packed[:, w] >> np.uint64(b)) & np.uint64(1)
-        nz = np.nonzero(bits[rr:])[0]
-        if nz.size == 0:
+def pack_gf2(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a 0/1 array into uint64 words.
+
+    Column c lands in word c // 64 at bit c % 64; trailing bits are zero.
+    """
+    bits = np.asarray(bits)
+    ncols = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (64 * ((ncols + 63) // 64),), dtype=np.uint8)
+    padded[..., :ncols] = bits
+    octets = np.packbits(padded, axis=-1, bitorder="little")
+    return octets.view("<u8").astype(np.uint64, copy=False)
+
+
+def unpack_gf2(packed: np.ndarray, ncols: int) -> np.ndarray:
+    """Inverse of :func:`pack_gf2`: the first ``ncols`` bits as int64 0/1."""
+    octets = np.ascontiguousarray(packed, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=-1, count=ncols, bitorder="little").astype(np.int64)
+
+
+_BITS = [np.uint64(1 << b) for b in range(64)]     # the bit of each column in its word
+
+
+def rref_gf2_batch(packed: np.ndarray, ncols: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduce each matrix of a (B, rows, words) stack of packed GF(2) rows.
+
+    The C-contiguous stack is brought to reduced row-echelon form in place,
+    all B matrices in step, one column at a time.  A pivot row stays where
+    it is while the columns are swept; the rows are put in echelon order
+    once at the end.  Returns the ranks (B,) and a (B, ncols) boolean mask
+    of the pivot columns.
+    """
+    if not packed.flags.c_contiguous:
+        raise ValueError("the packed stack must be C-contiguous")
+    nb, nrows, nwords = packed.shape
+    rows = packed.reshape(nb * nrows, nwords)
+    first = np.arange(nb) * nrows                   # flat index of each row 0
+    free = np.ones((nb, nrows), dtype=bool)         # rows holding no pivot yet
+    pivot_src = np.zeros((ncols, nb), dtype=np.intp)
+    is_pivot = np.zeros((ncols, nb), dtype=bool)
+    for c in range(ncols if nrows else 0):
+        hit = (packed[..., c // 64] & _BITS[c % 64]) != 0
+        cand = hit & free
+        src = first + cand.argmax(axis=1)
+        has = cand.reshape(-1)[src]
+        found = np.count_nonzero(has)
+        if found == 0:
             continue
-        pr = rr + int(nz[0])
-        if pr != rr:
-            packed[[rr, pr]] = packed[[pr, rr]]
-        bits = (packed[:, w] >> np.uint64(b)) & np.uint64(1)
-        bits[rr] = 0
-        mask = bits.astype(bool)
-        if mask.any():
-            packed[mask] ^= packed[rr]
-        pivots.append(c)
-        rr += 1
-    out = np.zeros((nrows, ncols), dtype=np.int64)
-    for w in range(nwords):
-        width = min(64, ncols - 64 * w)
-        for b in range(width):
-            out[:, 64 * w + b] = ((packed[:, w] >> np.uint64(b)) & np.uint64(1)).astype(np.int64)
-    return out, pivots
+        if found < nb:
+            hit &= has[:, None]                     # matrices without a pivot stay as they are
+        hit.reshape(-1)[src] = False
+        packed ^= rows[src][:, None, :] * hit[:, :, None]
+        free.reshape(-1)[src[has]] = False
+        pivot_src[c] = src - first
+        is_pivot[c] = has
+        if c + 1 >= nrows and not free.any():
+            break
+    # pivot rows by pivot column, then the rows left free, which are zero
+    key = np.tile(np.arange(ncols, ncols + nrows), (nb, 1))
+    cols, mats = np.nonzero(is_pivot)
+    key[mats, pivot_src[cols, mats]] = cols
+    packed[:] = packed[np.arange(nb)[:, None], np.argsort(key, axis=1)]
+    return is_pivot.sum(axis=0), is_pivot.T
+
+
+def _rref_gf2_packed(mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Single-matrix entry point of :func:`rref_gf2_batch`."""
+    ncols = mat.shape[1]
+    packed = pack_gf2(mat)[None]
+    _, pivots = rref_gf2_batch(packed, ncols)
+    return unpack_gf2(packed[0], ncols), np.flatnonzero(pivots[0]).tolist()
 
 
 def echelonize(fld: FiniteField, mat: np.ndarray, force_generic: bool = False) -> EchelonResult:
@@ -158,19 +200,20 @@ def echelonize(fld: FiniteField, mat: np.ndarray, force_generic: bool = False) -
         rref, pivots = _rref_gf2_packed(mat)
     else:
         rref, pivots = _rref_generic(fld, mat)
-    kernel = _kernel_from_rref(fld, rref, pivots)
+    kernel = kernel_from_rref(fld, rref, pivots)
     return EchelonResult(len(pivots), rref, tuple(pivots), kernel)
 
 
-def _kernel_from_rref(fld: FiniteField, rref: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+def kernel_from_rref(fld: FiniteField, rref: np.ndarray, pivots: Sequence[int]) -> np.ndarray:
+    """Right-kernel basis of a matrix in RREF, one row per free column."""
     ncols = rref.shape[1]
+    pivots = list(pivots)
     piv_set = set(pivots)
     free = [c for c in range(ncols) if c not in piv_set]
     kernel = np.zeros((len(free), ncols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        kernel[i, fc] = 1
-        for row, pc in enumerate(pivots):
-            kernel[i, pc] = fld.neg(int(rref[row, fc]))
+    if free:
+        kernel[range(len(free)), free] = 1
+        kernel[:, pivots] = fld.neg_arr(rref[:len(pivots), free].T)
     return kernel
 
 

@@ -285,15 +285,14 @@ def _finish_from_minors(rd: RdInstance, can: CanonicalRd, minors, r_prime: int,
     except PluckerError as exc:
         transcript.append(f"{tag}: {exc}")
         return None
-    e_can = _error_from_support_matrix(can, cmat, r_prime)
+    e_can = _error_from_support_matrix(can, cmat)
     if e_can is None:
         transcript.append(f"{tag}: support matrix does not explain the syndrome")
         return None
     return verify_rd(rd, can.error_to_origin(e_can), r_prime, transcript, tag)
 
 
-def _error_from_support_matrix(can: CanonicalRd, cmat: np.ndarray,
-                               r_prime: int) -> Optional[np.ndarray]:
+def _error_from_support_matrix(can: CanonicalRd, cmat: np.ndarray) -> Optional[np.ndarray]:
     """Solve y = x G + s C for (x, s) given the support matrix C; e = s C."""
     fld = can.field
     stack = np.concatenate([can.gen, cmat], axis=0)      # (k + r') x n
@@ -430,11 +429,11 @@ def gen_rd_unique(q: int, m: int, n: int, k: int, r: int, seed: int,
     from .instances import gen_rd
 
     if expected_spurious_decodings(q, m, n, k, r) < threshold:
-        return gen_rd(q, m, n, k, r, seed)
+        return _read_only(gen_rd(q, m, n, k, r, seed))
     for attempt in range(max_tries):
         rd = gen_rd(q, m, n, k, r, seed * 1_000_003 + attempt)
         if len(rd_solutions_brute(rd, stop_after=1)) == 1:
-            return rd
+            return _read_only(rd)
     raise RuntimeError("could not hit the unique-decoding envelope")
 
 
@@ -476,22 +475,39 @@ def gen_rd_generic(q: int, m: int, n: int, k: int, r: int, seed: int,
             continue
         dim = sm_plus_kernel_dim(rd)
         if dim is None or dim == 1:
-            return rd
+            return _read_only(rd)
     raise RuntimeError("could not hit the generic instance envelope")
 
 
-def _subspace_bases(q: int, m: int, r: int):
-    """All r x m RREF matrices over F_q: canonical bases of r-subspaces."""
+def _read_only(rd: RdInstance) -> RdInstance:
+    """rd with its arrays made read-only: a cached instance is shared by
+    every caller, so none of them may write to it."""
+    arrays = [rd.gen, rd.received]
+    if rd.witness is not None:
+        w = rd.witness
+        arrays += [w.x, w.support, w.coeffs, w.error]
+    for arr in arrays:
+        arr.setflags(write=False)
+    return rd
+
+
+def _subspace_bases(q: int, m: int, r: int) -> np.ndarray:
+    """All r x m RREF matrices over F_q, stacked (S, r, m): canonical bases
+    of the r-subspaces.  Ordered by pivot columns, then by the free entries
+    read as base-q digits, the first entry most significant."""
+    tables = []
     for pivots in itertools.combinations(range(m), r):
         free_pos = [(i, j) for i in range(r) for j in range(m)
                     if j > pivots[i] and j not in pivots]
-        for fill in itertools.product(range(q), repeat=len(free_pos)):
-            basis = np.zeros((r, m), dtype=np.int64)
-            for i, p in enumerate(pivots):
-                basis[i, p] = 1
-            for (i, j), v in zip(free_pos, fill):
-                basis[i, j] = v
-            yield basis
+        nfree = len(free_pos)
+        block = np.zeros((q ** nfree, r, m), dtype=np.int64)
+        block[:, np.arange(r), list(pivots)] = 1
+        if free_pos:
+            rows, cols = zip(*free_pos)
+            digits = q ** np.arange(nfree - 1, -1, -1)
+            block[:, list(rows), list(cols)] = (np.arange(q ** nfree)[:, None] // digits) % q
+        tables.append(block)
+    return np.concatenate(tables)
 
 
 def rd_solutions_brute(rd: RdInstance, cap: int = 64,
@@ -502,118 +518,97 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
     syndrome condition is a small base-field linear system.  Independent of
     the algebraic attack path; intended for desk-scale oracles only.
     ``stop_after`` returns early once more than that many distinct errors
-    are known (uniqueness screening).
+    are known (uniqueness screening).  A consistent support whose solution
+    family has more than ``cap`` members raises ValueError.
     """
     fld = rd.field
     base = fld.base
-    q, m = base.order, fld.degree
-    n, k, r = rd.n, rd.k, rd.r
+    n, r = rd.n, rd.r
     parity = ml.echelonize(fld, rd.gen).kernel      # (n-k) x n, dual basis
     synd = ml.matmul(fld, parity, rd.received[:, None])[:, 0]
-    synd_bits = ml.mat_of(fld, synd).T.reshape(-1)
     found: Dict[Tuple[int, ...], np.ndarray] = {}
     if not synd.any():
         found[tuple([0] * n)] = np.zeros(n, dtype=np.int64)
-    fast_gf2 = q == 2
-    for basis in _subspace_bases(q, m, r):
-        s = np.array([fld.from_coeffs(basis[i].tolist()) for i in range(r)],
-                     dtype=np.int64)
-        # unknowns C[u, j]; equations: sum_{u,j} (s_u parity[i,j]) C[u,j] = synd_i
-        blocks = []
-        for u in range(r):
-            prod = fld.mul_arr(int(s[u]), parity)        # (n-k) x n
-            bits = np.stack([(prod >> l) & 1 for l in range(m)], axis=1) if fast_gf2 \
-                else _coeff_block(fld, prod)
-            blocks.append(bits.reshape(m * (n - k), n))
-        a = np.concatenate(blocks, axis=1)               # m(n-k) x (r n)
-        sols = (_affine_solutions_gf2(a, synd_bits, cap) if fast_gf2
-                else _affine_solutions_generic(base, a, synd_bits, cap, q))
-        for vec in sols:
-            cmat = vec.reshape(r, n)
-            e = ml.matmul(fld, s[None, :], cmat)[0]
+    systems = _consistent_systems_gf2 if base.order == 2 else _consistent_systems
+    for basis, rref, pivots in systems(fld, parity, synd, r):
+        s = np.array([fld.from_coeffs(row) for row in basis.tolist()], dtype=np.int64)
+        for vec in _solution_family(base, rref, pivots, cap):
+            e = ml.matmul(fld, s[None, :], vec.reshape(r, n))[0]
             found.setdefault(tuple(int(v) for v in e), e)
         if stop_after is not None and len(found) > stop_after:
             break
     return list(found.values())
 
 
-def _coeff_block(fld: FiniteField, prod: np.ndarray) -> np.ndarray:
-    """(rows, m, cols) coordinate expansion of a matrix of codes."""
-    q = fld.base.order
+# Unknowns C[u, j] sit in column u n + j of a support's system, the
+# right-hand side in the last column; row i m + l is coordinate l of
+# parity equation i.  The coefficient of C[u, j] is s_u H[i, j].
+
+_ORACLE_CHUNK = 256     # supports eliminated together; bounds the temporaries
+
+
+def _consistent_systems_gf2(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, r: int):
+    """(basis, RREF of [A | b], pivots) for each support with a solution, q = 2.
+
+    With s_u = sum_t basis[u, t] z^t, each packed row of a support's system
+    is an XOR of the packed rows of z^t H placed at block u, so all systems
+    are built from one table and eliminated a chunk of supports at a time.
+    """
     m = fld.degree
-    pw = q ** np.arange(m, dtype=np.int64)
-    return (prod[:, None, :] // pw[None, :, None]) % q
+    nk, n = parity.shape
+    nrows, ncols = m * nk, r * n + 1
+    zh = _coeff_block(fld, fld.mul_arr(np.array(fld.basis)[:, None, None], parity))
+    placed = np.zeros((m, r, nrows, ncols), dtype=np.int64)
+    for u in range(r):
+        placed[:, u, :, u * n:(u + 1) * n] = zh.reshape(m, nrows, n)
+    words = ml.pack_gf2(placed)                      # (m, r, rows, words)
+    rhs = np.zeros((nrows, ncols), dtype=np.int64)
+    rhs[:, -1] = _coeff_block(fld, synd[:, None]).reshape(-1)
+    rhs_words = ml.pack_gf2(rhs)
+    bases = _subspace_bases(2, m, r)
+    for start in range(0, len(bases), _ORACLE_CHUNK):
+        chunk = bases[start:start + _ORACLE_CHUNK]
+        stack = np.repeat(rhs_words[None], len(chunk), axis=0)
+        for t in range(m):
+            for u in range(r):
+                stack ^= words[t, u] * (chunk[:, u, t] != 0)[:, None, None]
+        _, pivots = ml.rref_gf2_batch(stack, ncols)
+        for b in np.flatnonzero(~pivots[:, -1]):
+            yield chunk[b], ml.unpack_gf2(stack[b], ncols), np.flatnonzero(pivots[b]).tolist()
 
 
-def _affine_solutions_gf2(a: np.ndarray, rhs: np.ndarray, cap: int) -> List[np.ndarray]:
-    """Solutions of a x = rhs over GF(2); int-packed rows for speed."""
-    nrows, ncols = a.shape
-    weights = (np.int64(1) << np.arange(ncols + 1, dtype=np.int64))
-    rows = (a * weights[:ncols]).sum(axis=1) + rhs.astype(np.int64) * weights[ncols]
-    rows = rows.tolist()
-    pivots: List[int] = []
-    rr = 0
-    for c in range(ncols):
-        bit = 1 << c
-        piv = next((i for i in range(rr, nrows) if rows[i] & bit), None)
-        if piv is None:
-            continue
-        rows[rr], rows[piv] = rows[piv], rows[rr]
-        prow = rows[rr]
-        for i in range(nrows):
-            if i != rr and rows[i] & bit:
-                rows[i] ^= prow
-        pivots.append(c)
-        rr += 1
-        if rr == nrows:
-            break
-    for i in range(rr, nrows):
-        if rows[i]:  # all coefficient bits are cleared: a surviving rhs bit
-            return []  # means the system is inconsistent
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    if 2 ** len(free) > cap:
+def _consistent_systems(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, r: int):
+    """As :func:`_consistent_systems_gf2`, one support at a time, any q."""
+    base = fld.base
+    m = fld.degree
+    nk, n = parity.shape
+    rhs = _coeff_block(fld, synd[:, None]).reshape(-1, 1)
+    for basis in _subspace_bases(base.order, m, r):
+        blocks = [_coeff_block(fld, fld.mul_arr(fld.from_coeffs(row), parity)).reshape(m * nk, n)
+                  for row in basis.tolist()]
+        res = ml.echelonize(base, np.concatenate(blocks + [rhs], axis=1))
+        if r * n not in res.pivots:
+            yield basis, res.rref, list(res.pivots)
+
+
+def _coeff_block(fld: FiniteField, prod: np.ndarray) -> np.ndarray:
+    """(..., rows, m, cols) coordinate expansion of a (..., rows, cols) array of codes."""
+    q = fld.base.order
+    pw = q ** np.arange(fld.degree, dtype=np.int64)
+    return (prod[..., None, :] // pw[:, None]) % q
+
+
+def _solution_family(base: FiniteField, rref: np.ndarray, pivots: List[int], cap: int):
+    """Every solution of a consistent system, from the RREF of [A | b]."""
+    nvar = rref.shape[1] - 1
+    kernel = ml.kernel_from_rref(base, rref[:, :nvar], pivots)
+    if base.order ** kernel.shape[0] > cap:
         raise ValueError("solution family too large to enumerate")
-    base_sol = np.zeros(ncols, dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        base_sol[pc] = (rows[i] >> ncols) & 1
-    kernel = []
-    for fc in free:
-        vec = np.zeros(ncols, dtype=np.int64)
-        vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (rows[i] >> fc) & 1
-        kernel.append(vec)
-    out = []
-    for mask in range(2 ** len(free)):
-        vec = base_sol.copy()
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                vec ^= kernel[idx]
-            mm >>= 1
-            idx += 1
-        out.append(vec)
-    return out
-
-
-def _affine_solutions_generic(base: FiniteField, a: np.ndarray, rhs: np.ndarray,
-                              cap: int, q: int) -> List[np.ndarray]:
-    aug = np.concatenate([a, rhs[:, None]], axis=1)
-    res = ml.echelonize(base, aug)
-    if a.shape[1] in res.pivots:
-        return []
-    part_sol = np.zeros(a.shape[1], dtype=np.int64)
-    for row, pc in enumerate(res.pivots):
-        part_sol[pc] = res.rref[row, a.shape[1]]
-    kernel = ml.echelonize(base, a).kernel
-    if q ** kernel.shape[0] > cap:
-        raise ValueError("solution family too large to enumerate")
-    out = []
-    for coeffs in itertools.product(range(q), repeat=kernel.shape[0]):
-        vec = np.array(part_sol)
+    part = np.zeros(nvar, dtype=np.int64)
+    part[pivots] = rref[:len(pivots), nvar]
+    for coeffs in itertools.product(range(base.order), repeat=kernel.shape[0]):
+        vec = part
         for c, krow in zip(coeffs, kernel):
             if c:
                 vec = base.add_arr(vec, base.mul_arr(c, krow))
-        out.append(vec)
-    return out
+        yield vec

@@ -72,6 +72,74 @@ def test_reader_rejects_bad_witness(tmp_path):
         io.read_instance(str(path))
 
 
+def tampered_file(tmp_path, inst_obj, edit):
+    path = tmp_path / "t.inst"
+    io.write_instance(str(path), inst_obj)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    pytest.param(lambda d: d.update(generator=d["generator"][:2]),
+                 r"generator has shape \(2, 8\), expected \(4, 8\)", id="short-generator"),
+    pytest.param(lambda d: d["received"].__setitem__(0, -1),
+                 r"received holds codes outside \[0, 128\)", id="negative-code"),
+    pytest.param(lambda d: d["generator"][1].__setitem__(3, 128),
+                 r"generator holds codes outside", id="code-too-large"),
+    pytest.param(lambda d: d.update(received=d["received"][:7]),
+                 r"received has shape \(7,\)", id="short-received"),
+    pytest.param(_set("k_or_K", 8), r"need 0 < k < n", id="k-equals-n"),
+    pytest.param(_set("k_or_K", 0), r"need 0 < k < n", id="k-zero"),
+    pytest.param(_set("r", 8), r"need 0 <= r <= min\(m, n\)", id="r-above-m"),
+    pytest.param(_set("r", -1), r"need 0 <= r", id="r-negative"),
+    pytest.param(_set("n", 8.0), r"n must be an integer", id="float-n"),
+    pytest.param(lambda d: d.pop("received"), r"missing fields", id="missing-received"),
+    pytest.param(_set("q_char", 4), r"q_char 4 is not a prime", id="composite-char"),
+    pytest.param(_set("q_char", 8388617), r"exceeds the table limit", id="huge-field"),
+    pytest.param(lambda d: d["witness"]["coeffs"][0].__setitem__(0, 2),
+                 r"witness coeffs holds codes outside \[0, 2\)", id="witness-coeff"),
+    pytest.param(lambda d: d["witness"].pop("coeffs"), r"witness must hold exactly the keys",
+                 id="witness-keys"),
+])
+def test_reader_rejects_malformed_rd(tmp_path, edit, reason):
+    path = tampered_file(tmp_path, inst.gen_rd(2, 7, 8, 4, 2, seed=1), edit)
+    with pytest.raises(ValueError, match=reason):
+        io.read_instance(path)
+
+
+@pytest.mark.parametrize("edit,reason", [
+    pytest.param(lambda d: d["matrices"][2].pop(), r"matrix 2 has shape \(5, 8\)",
+                 id="short-matrix"),
+    pytest.param(lambda d: d["matrices"][0][0].__setitem__(0, 2), r"matrix 0 holds codes outside",
+                 id="code-too-large"),
+    pytest.param(_set("r", 0), r"need 0 < r", id="r-zero"),
+    pytest.param(_set("k_or_K", 0), r"need K >= 1", id="K-zero"),
+    pytest.param(lambda d: d["matrices"].pop(), r"matrix count", id="missing-matrix"),
+])
+def test_reader_rejects_malformed_minrank(tmp_path, edit, reason):
+    path = tampered_file(tmp_path, inst.gen_minrank(2, 6, 8, 14, 2, seed=3), edit)
+    with pytest.raises(ValueError, match=reason):
+        io.read_instance(path)
+
+
+def test_cli_attack_rejects_malformed_file(tmp_path):
+    path = tampered_file(tmp_path, inst.gen_rd(2, 7, 8, 4, 2, seed=1),
+                         lambda d: d.update(generator=d["generator"][:2]))
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", path])
+    message = str(exc.value.code)
+    assert "generator has shape (2, 8), expected (4, 8)" in message
+    assert "\n" not in message
+    with pytest.raises(SystemExit, match="No such file"):
+        main(["attack", str(tmp_path / "absent.rdi")])
+
+
 def test_report_reproducible():
     a = experiments.verify("mm-rank", (2, 3, 5, 2, 1), trials=4, seed=3)
     b = experiments.verify("mm-rank", (2, 3, 5, 2, 1), trials=4, seed=3)

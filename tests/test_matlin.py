@@ -33,6 +33,29 @@ def test_packed_matches_generic_gf2(bits, rows, cols):
     assert packed.rank == generic.rank
     assert (packed.rref == generic.rref).all()
     assert packed.pivots == generic.pivots
+    # the batched entry point, on a stack whose first member is mat
+    stack = np.concatenate([mat[None], rng.integers(0, 2, (4, rows, cols))])
+    assert_batch_matches_generic(stack)
+
+
+def assert_batch_matches_generic(stack):
+    packed = ml.pack_gf2(stack)
+    ranks, pivots = ml.rref_gf2_batch(packed, stack.shape[2])
+    for mat, words, rank, piv in zip(stack, packed, ranks, pivots):
+        generic = ml.echelonize(F2, mat, force_generic=True)
+        assert rank == generic.rank
+        assert (ml.unpack_gf2(words, stack.shape[2]) == generic.rref).all()
+        assert tuple(np.flatnonzero(piv)) == generic.pivots
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 64), (5, 65), (70, 130), (130, 70), (0, 5), (4, 0)])
+def test_packed_batch_across_words(rows, cols):
+    rng = np.random.default_rng(rows * cols)
+    stack = rng.integers(0, 2, (3, rows, cols))
+    stack[1, :, :cols // 2] = 0                  # leading columns without pivots
+    stack[2, rows // 2:] = stack[2, :rows - rows // 2]   # repeated rows
+    assert_batch_matches_generic(stack)
+    assert (ml.unpack_gf2(ml.pack_gf2(stack), cols) == stack).all()
 
 
 @pytest.mark.parametrize("fld", [F2, F4, F8, F9], ids=str)

@@ -1,5 +1,6 @@
 """Linearization solving, reconstruction, end-to-end decoding."""
 
+import itertools
 from math import comb
 
 import numpy as np
@@ -146,6 +147,14 @@ def test_decode_smplus_path(seed):
     assert "smplus b=1" in sol.transcript[-1]
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_decode_smplus_path_odd_q(seed):
+    rd = inst.gen_rd(3, 7, 10, 5, 2, seed=seed)
+    sol = sv.decode_rd(rd)
+    assert (sol.error == rd.witness.error).all()
+    assert "smplus b=1" in sol.transcript[-1]
+
+
 def test_decode_mm_only_mode_reports_underdetermined():
     rd = sv.gen_rd_generic(2, 7, 8, 4, 2, seed=1)
     with pytest.raises(sv.Unsolved) as exc:
@@ -170,6 +179,66 @@ def test_brute_oracle_finds_planted():
     for e in sols:
         assert ml.rank_weight(fld, e) <= rd.r
         assert ml.solve_right(fld, rd.gen.T, fld.sub_arr(rd.received, e)) is not None
+
+
+def decodings_by_codewords(rd):
+    """Every y - c of rank weight <= r, over all q^{mk} codewords c = x G."""
+    fld = rd.field
+    out = set()
+    for x in itertools.product(range(fld.order), repeat=rd.k):
+        c = ml.matmul(fld, np.array(x, dtype=np.int64)[None, :], rd.gen)[0]
+        e = fld.sub_arr(rd.received, c)
+        if ml.rank_weight(fld, e) <= rd.r:
+            out.add(tuple(int(v) for v in e))
+    return out
+
+
+@pytest.mark.parametrize("params,seed,count", [
+    ((2, 3, 5, 2, 1), 1, 1),
+    ((2, 3, 5, 2, 1), 5, 3),
+    ((2, 3, 5, 2, 1), 12, 3),
+    ((2, 4, 6, 2, 1), 1, 1),
+    ((2, 4, 6, 2, 1), 2, 1),
+    ((2, 3, 6, 2, 2), 1, 6),
+    ((3, 2, 4, 2, 1), 1, 4),
+    ((3, 2, 4, 2, 1), 5, 12),
+    ((3, 2, 5, 2, 1), 5, 1),
+    ((4, 2, 4, 2, 1), 1, 5),
+    ((4, 2, 4, 2, 1), 6, 20),
+    ((4, 2, 5, 2, 1), 1, 1),
+])
+def test_oracle_matches_codeword_enumeration(params, seed, count):
+    rd = inst.gen_rd(*params, seed=seed)
+    expected = decodings_by_codewords(rd)
+    sols = sv.rd_solutions_brute(rd)
+    found = {tuple(int(v) for v in e) for e in sols}
+    assert len(found) == len(sols) == count
+    assert found == expected
+    first = sv.rd_solutions_brute(rd, stop_after=1)
+    assert (len(first) == 1) == (count == 1)
+    assert {tuple(int(v) for v in e) for e in first} <= expected
+
+
+@pytest.mark.parametrize("params,cap", [
+    ((2, 4, 6, 4, 3), 64),       # 18 unknowns, 8 equations per support
+    ((3, 2, 4, 2, 2), 64),       # 8 unknowns, 4 equations per support
+    ((2, 3, 6, 2, 2), 1),
+])
+def test_oracle_cap_on_solution_family(params, cap):
+    with pytest.raises(ValueError, match="too large"):
+        sv.rd_solutions_brute(inst.gen_rd(*params, seed=1), cap=cap)
+
+
+def test_cached_instances_are_read_only():
+    for rd in (sv.gen_rd_generic(2, 7, 8, 4, 2, seed=1),
+               sv.gen_rd_unique(2, 3, 5, 2, 1, seed=1),       # screened by the oracle
+               sv.gen_rd_unique(2, 7, 10, 3, 2, seed=1)):     # drawn unscreened
+        with pytest.raises(ValueError):
+            rd.gen[0, 0] = 1
+        with pytest.raises(ValueError):
+            rd.received[0] = 1
+        with pytest.raises(ValueError):
+            rd.witness.error[0] = 1
 
 
 def test_expected_spurious_formula():
