@@ -12,7 +12,7 @@ import numpy as np
 from .. import estimator as es
 from .. import hybrid as hy
 from .. import solver as sv
-from ..instances import RdInstance, gen_minrank, gen_rd
+from ..instances import InstanceError, RdInstance, gen_minrank, gen_rd
 from . import experiments, io
 
 __all__ = ["main", "build_parser"]
@@ -118,6 +118,8 @@ def _cmd_attack(args) -> int:
                      "elapsed_s": round(time.perf_counter() - t0, 4),
                      "transcript": list(exc.transcript)})
         return 1
+    except InstanceError as exc:
+        raise SystemExit(f"ranklab attack: {args.path}: {exc}")
 
 
 def _run_attack(args, inst, t0) -> int:

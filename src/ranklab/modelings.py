@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -431,42 +431,72 @@ def macaulay(sys: BilinearSystem, b: int, multipliers: str = "exact",
     ``exact`` uses multipliers of degree b-1 (the span whose dimension the
     counting formulas predict); ``upto`` stacks all degrees 0..b-1, which is
     what the linearization solver wants since it keeps the degree-(0,1)
-    block available for normalization.
+    block available for normalization.  Rows run over the multipliers, and
+    over the polynomials within one multiplier.
     """
     if b < 1:
         raise ValueError("need b >= 1")
     if multipliers not in ("exact", "upto"):
         raise ValueError("multipliers must be 'exact' or 'upto'")
     degrees = [b - 1] if multipliers == "exact" else list(range(b))
-    alphas = [a for d in degrees for a in _degree_tuples(sys.nx, d)]
-    fld = sys.field
-    row_labels = []
-    rows: List[Dict[Tuple[Tuple[int, ...], int], int]] = []
-    for alpha in alphas:
-        for p in range(sys.npolys):
-            row: Dict[Tuple[Tuple[int, ...], int], int] = {}
-            for j, t in zip(*np.nonzero(sys.bil[p])):
-                key = (tuple(sorted(alpha + (int(j),))), int(t))
-                cur = row.get(key, 0)
-                row[key] = fld.add(cur, int(sys.bil[p, j, t]))
-            for t in np.nonzero(sys.aff[p])[0]:
-                key = (alpha, int(t))
-                cur = row.get(key, 0)
-                row[key] = fld.add(cur, int(sys.aff[p, t]))
-            rows.append({k: v for k, v in row.items() if v})
-            row_labels.append((alpha, sys.labels[p]))
-    occurring = sorted({key for row in rows for key in row},
-                       key=lambda kt: monomial_key(*kt))
-    if len(rows) * len(occurring) > max_cells:
-        raise MonomialBudgetError(
-            f"{len(rows)} x {len(occurring)} exceeds the cell budget")
-    col_of = {key: i for i, key in enumerate(occurring)}
-    arr = np.zeros((len(rows), len(occurring)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for key, v in row.items():
-            arr[i, col_of[key]] = v
-    return MacaulayMatrix(fld, arr, tuple(row_labels), tuple(occurring),
-                          sys.subsets, b, multipliers)
+    mults = [a for d in degrees for a in _degree_tuples(sys.nx, d)]
+    row_mult = np.repeat(np.arange(len(mults)), sys.npolys)
+    row_poly = np.tile(np.arange(sys.npolys), len(mults))
+    return _layout(sys, mults, row_mult, row_poly, b, multipliers, max_cells)
+
+
+def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.ndarray,
+            row_poly: np.ndarray, b: int, multipliers: str,
+            max_cells: Optional[int]) -> MacaulayMatrix:
+    """The Macaulay matrix with rows x^mults[row_mult[i]] f_{row_poly[i]}.
+
+    Every position comes from index arithmetic.  The monomial x^beta c_t of
+    degree e (= len(beta)) has the id base[e] + (nt - 1 - t) N_e + idx_e(beta),
+    where idx_e is the position of beta among the N_e degree-e multisets in
+    ``combinations_with_replacement`` order and the blocks of higher degree
+    come first, so ascending ids are the ``monomial_key`` order.  The affine
+    part is read as the coefficient of an extra variable x_nx = 1, and a
+    table gives, for each multiplier alpha and variable j, idx(alpha + j)
+    (idx(alpha) for j = nx).  No two terms of one row share a monomial, so
+    entries are assigned, not summed.  The columns are the ids that occur;
+    ``max_cells`` (None: no limit) is checked against them before the
+    matrix is allocated.
+    """
+    nx, nt = sys.nx, len(sys.subsets)
+    top = b                                         # multipliers have degree < b
+    monos = [_degree_tuples(nx, e) for e in range(top + 1)]
+    index = [{beta: i for i, beta in enumerate(ms)} for ms in monos]
+    sizes = np.array([len(ms) for ms in monos], dtype=np.int64)
+    base = np.zeros(top + 1, dtype=np.int64)
+    for e in range(top - 1, -1, -1):
+        base[e] = base[e + 1] + nt * sizes[e + 1]
+    mult_deg = np.array([len(a) for a in mults], dtype=np.int64)
+    step = np.array([[index[len(a) + 1][tuple(sorted(a + (j,)))] for j in range(nx)]
+                     + [index[len(a)][a]] for a in mults], dtype=np.int64)
+    coef = np.concatenate([sys.bil, sys.aff[:, None, :]], axis=1)
+    tp, tj, tt = np.nonzero(coef)                   # ordered by polynomial
+    # row i takes the run of its polynomial's terms, starting at searchsorted(tp, p_i)
+    counts = np.bincount(tp, minlength=sys.npolys)[row_poly]
+    row = np.repeat(np.arange(row_poly.size), counts)
+    term = np.arange(row.size) + np.repeat(
+        np.searchsorted(tp, row_poly) - np.cumsum(counts) + counts, counts)
+    a, j, t = row_mult[row], tj[term], tt[term]
+    deg = mult_deg[a] + (j < nx)
+    cols, col_of = np.unique(base[deg] + (nt - 1 - t) * sizes[deg] + step[a, j],
+                             return_inverse=True)
+    nrows = row_poly.size
+    if max_cells is not None and nrows * cols.size > max_cells:
+        raise MonomialBudgetError(f"{nrows} x {cols.size} exceeds the cell budget")
+    arr = np.zeros((nrows, cols.size), dtype=np.int64)
+    arr[row, col_of] = coef[tp[term], j, t]
+    # the occurring ids back to (beta, t) labels
+    deg = top + 1 - np.searchsorted(base[::-1], cols, side="right")
+    rem = cols - base[deg]
+    col_labels = tuple((monos[e][i], s) for e, i, s in zip(
+        deg.tolist(), (rem % sizes[deg]).tolist(), (nt - 1 - rem // sizes[deg]).tolist()))
+    row_labels = tuple((mults[a], sys.labels[p])
+                       for a, p in zip(row_mult.tolist(), row_poly.tolist()))
+    return MacaulayMatrix(sys.field, arr, row_labels, col_labels, sys.subsets, b, multipliers)
 
 
 def top_block(mac: MacaulayMatrix) -> np.ndarray:
@@ -486,29 +516,13 @@ def basis_bb(sys: BilinearSystem, part: QPartition, b: int) -> MacaulayMatrix:
     the first k+1 positions and multiplies it by the monomials of degree
     b-1 supported on variables at or after its smallest column.
     """
-    fld = sys.field
-    rows = []
-    row_labels = []
+    mults = _degree_tuples(sys.nx, b - 1)
+    position = {a: i for i, a in enumerate(mults)}
+    row_mult, row_poly = [], []
     for p in part.two_plus:
-        i_set = sys.labels[p]
-        i1 = i_set[0]
-        vars_allowed = list(range(i1, sys.nx))
-        for alpha in itertools.combinations_with_replacement(vars_allowed, b - 1):
-            row: Dict[Tuple[Tuple[int, ...], int], int] = {}
-            for j, t in zip(*np.nonzero(sys.bil[p])):
-                key = (tuple(sorted(alpha + (int(j),))), int(t))
-                row[key] = fld.add(row.get(key, 0), int(sys.bil[p, j, t]))
-            for t in np.nonzero(sys.aff[p])[0]:
-                key = (alpha, int(t))
-                row[key] = fld.add(row.get(key, 0), int(sys.aff[p, t]))
-            rows.append({k: v for k, v in row.items() if v})
-            row_labels.append((alpha, i_set))
-    occurring = sorted({key for row in rows for key in row},
-                       key=lambda kt: monomial_key(*kt))
-    col_of = {key: i for i, key in enumerate(occurring)}
-    arr = np.zeros((len(rows), len(occurring)), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for key, v in row.items():
-            arr[i, col_of[key]] = v
-    return MacaulayMatrix(fld, arr, tuple(row_labels), tuple(occurring),
-                          sys.subsets, b, "basis")
+        first = sys.labels[p][0]
+        for alpha in itertools.combinations_with_replacement(range(first, sys.nx), b - 1):
+            row_mult.append(position[alpha])
+            row_poly.append(p)
+    return _layout(sys, mults, np.array(row_mult, dtype=np.int64),
+                   np.array(row_poly, dtype=np.int64), b, "basis", None)

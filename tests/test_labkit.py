@@ -140,6 +140,22 @@ def test_cli_attack_rejects_malformed_file(tmp_path):
         main(["attack", str(tmp_path / "absent.rdi")])
 
 
+def _repeat_first_generator_row(doc):
+    doc["generator"][1] = list(doc["generator"][0])
+    del doc["witness"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--a", "1"], ["--a", "1", "--probabilistic"]],
+                         ids=["decode", "hybrid", "probabilistic"])
+def test_cli_attack_reports_rank_deficient_generator(tmp_path, extra):
+    # the file is well formed, so the reader accepts it; decoding finds the defect
+    path = tampered_file(tmp_path, inst.gen_rd(2, 7, 8, 4, 2, seed=1),
+                         _repeat_first_generator_row)
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", path] + extra)
+    assert str(exc.value.code) == f"ranklab attack: {path}: generator matrix is not full rank"
+
+
 def test_report_reproducible():
     a = experiments.verify("mm-rank", (2, 3, 5, 2, 1), trials=4, seed=3)
     b = experiments.verify("mm-rank", (2, 3, 5, 2, 1), trials=4, seed=3)

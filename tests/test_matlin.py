@@ -11,6 +11,11 @@ F2 = make_base_field(2)
 F4 = make_base_field(4)
 F8 = make_ext_field(2, 3)
 F9 = make_base_field(9)
+# characteristic 2 above order 2: prime-field towers and towers over F_4, F_16
+CHAR2 = [F4, F8, make_ext_field(2, 9), make_ext_field(4, 3), make_ext_field(16, 2)]
+# shapes that cross the 64-column word boundary, below and above the crossover
+CHAR2_SHAPES = [(1, 1), (4, 11), (6, 64), (9, 65), (40, 130),
+                (ml._CHAR2_MIN_CELLS // 200 + 1, 200)]
 
 
 def test_echelon_examples():
@@ -18,7 +23,7 @@ def test_echelon_examples():
     assert res.rank == 3 and res.kernel.shape[0] == 0
     res = ml.echelonize(F2, np.zeros((2, 4), dtype=np.int64))
     assert res.rank == 0 and res.kernel.shape[0] == 4
-    res = ml.echelonize(F2, ml.matrix_from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
+    res = ml.echelonize(F2, np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
     assert res.rank == 2
     assert res.kernel.shape == (1, 3) and (res.kernel[0] == [1, 1, 1]).all()
 
@@ -56,6 +61,55 @@ def test_packed_batch_across_words(rows, cols):
     stack[2, rows // 2:] = stack[2, :rows - rows // 2]   # repeated rows
     assert_batch_matches_generic(stack)
     assert (ml.unpack_gf2(ml.pack_gf2(stack), cols) == stack).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CHAR2), st.sampled_from(CHAR2_SHAPES),
+       st.sampled_from(["dense", "zero-columns", "repeated-rows", "zero"]),
+       st.integers(0, 2**30 - 1))
+def test_char2_matches_generic(fld, shape, pattern, seed):
+    rng = np.random.default_rng(seed)
+    mat = fld.rand_elements(rng, shape)
+    if pattern == "zero-columns":
+        mat[:, rng.random(shape[1]) < 0.5] = 0
+        mat[:, 0] = 0
+    elif pattern == "repeated-rows":
+        mat[shape[0] // 2:] = mat[:shape[0] - shape[0] // 2]
+    elif pattern == "zero":
+        mat[:] = 0
+    generic = ml.echelonize(fld, mat, force_generic=True)
+    # the bit-plane kernel on every shape, and whichever path echelonize picks
+    rref, pivots = ml._rref_char2(fld, mat)
+    bitsliced = ml.EchelonResult(len(pivots), rref, tuple(pivots),
+                                 ml.kernel_from_rref(fld, rref, pivots))
+    for res in (bitsliced, ml.echelonize(fld, mat)):
+        assert res.rank == generic.rank
+        assert res.pivots == generic.pivots
+        assert (res.rref == generic.rref).all()
+        assert (res.kernel == generic.kernel).all()
+
+
+@pytest.mark.parametrize("fld,shape,force,path", [
+    (F2, (3, 5), False, "_rref_gf2_packed"),
+    (F2, (3, 5), True, "_rref_generic"),
+    (F8, (3, 5), False, "_rref_generic"),
+    (F8, (ml._CHAR2_MIN_CELLS, 1), False, "_rref_char2"),
+    (F8, (ml._CHAR2_MIN_CELLS, 1), True, "_rref_generic"),
+    (F9, (ml._CHAR2_MIN_CELLS, 1), False, "_rref_generic"),
+], ids=["gf2", "gf2-forced", "f8-small", "f8-large", "f8-forced", "odd-large"])
+def test_echelonize_picks_backend(monkeypatch, fld, shape, force, path):
+    called = []
+
+    def spy(name):
+        def run(*args):
+            called.append(name)
+            return np.zeros(shape, dtype=np.int64), []
+        return run
+
+    for name in ("_rref_gf2_packed", "_rref_generic", "_rref_char2"):
+        monkeypatch.setattr(ml, name, spy(name))
+    ml.echelonize(fld, np.zeros(shape, dtype=np.int64), force_generic=force)
+    assert called == [path]
 
 
 @pytest.mark.parametrize("fld", [F2, F4, F8, F9], ids=str)
@@ -215,10 +269,3 @@ def test_laplace_limit_path():
     assert len(fast) == 36
     for i, t in enumerate(ml.all_subsets(9, 7)):
         assert fast[i] == ml.determinant(F2, mat[:, list(t)])
-
-
-def test_dump_triplets():
-    mat = np.array([[1, 0], [0, 2]])
-    text = ml.dump_triplets(mat, ["r0", "r1"], ["c0", "c1"])
-    assert text == "r0\tc0\t1\nr1\tc1\t2\n"
-    assert ml.dump_triplets(np.zeros((1, 1)), ["r"], ["c"]) == ""

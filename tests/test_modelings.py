@@ -1,5 +1,6 @@
 """System construction, partitions, elimination, Macaulay matrices."""
 
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -177,6 +178,63 @@ def test_macaulay_column_order_is_descending():
     mac = md.macaulay(md.subsystem(sm, part.two_plus), 2)
     keys = [md.monomial_key(a, t) for a, t in mac.col_labels]
     assert keys == sorted(keys)
+    # strictly, on every builder, with only occurring monomials as columns
+    for _, mac in macaulay_cases():
+        keys = [md.monomial_key(a, t) for a, t in mac.col_labels]
+        assert all(k0 < k1 for k0, k1 in zip(keys, keys[1:]))
+        assert mac.arr.shape == (len(mac.row_labels), len(mac.col_labels))
+        assert mac.arr.any(axis=0).all()
+
+
+def macaulay_cases():
+    """(system, Macaulay matrix) pairs: exact and upto, b = 1 and 2, the
+    eliminated system, the basis rows, and odd characteristic."""
+    for params, seed in ((P521, 1), (P842, 2), ((3, 4, 7, 3, 1), 1)):
+        _, can, _, mmq, sm, part = systems(params, seed)
+        plus = md.reduce_sm_plus(sm, part, mmq, can.k, force=True)
+        for sys in (sm, plus.system):
+            for b in (1, 2):
+                for mult in ("exact", "upto"):
+                    yield sys, md.macaulay(sys, b, mult)
+        yield sm, md.basis_bb(sm, part, 2)
+
+
+def test_macaulay_rows_are_multiplied_polynomials():
+    rng = np.random.default_rng(23)
+    for sys, mac in macaulay_cases():
+        fld = sys.field
+        poly_of = {label: p for p, label in enumerate(sys.labels)}
+        for _ in range(2):
+            x = fld.rand_elements(rng, sys.nx)
+            ct = fld.rand_elements(rng, len(sys.subsets))
+            values = sys.eval_at(x.tolist(), ct.tolist())
+
+            def monomial(alpha, t=None):
+                acc = 1 if t is None else int(ct[t])
+                for j in alpha:
+                    acc = fld.mul(acc, int(x[j]))
+                return acc
+
+            columns = np.array([monomial(a, t) for a, t in mac.col_labels], dtype=np.int64)
+            for i, (alpha, label) in enumerate(mac.row_labels):
+                acc = 0
+                for v in fld.mul_arr(mac.arr[i], columns):
+                    acc = fld.add(acc, int(v))
+                assert acc == fld.mul(monomial(alpha), int(values[poly_of[label]]))
+
+
+def test_macaulay_budget_checked_before_allocation():
+    _, can, _, mmq, sm, part = systems(P842, 1)
+    q2 = md.subsystem(sm, part.two_plus)
+    full = md.macaulay(q2, 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(md.MonomialBudgetError):
+            md.macaulay(q2, 3, max_cells=full.arr.size - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full.arr.nbytes // 4
 
 
 def test_top_block_rank_law():
@@ -250,11 +308,3 @@ def test_minrank_sm_planted_vanishes():
     cmat = rows.rref[:mi.r]
     ct = ml.maximal_minors(mi.field, cmat, mi.r)
     assert not sm.eval_at(mi.witness.tolist(), ct.tolist()).any()
-
-
-def test_dump_macaulay_triplets():
-    _, can, _, mmq, sm, part = systems(P842, 1)
-    plus = md.reduce_sm_plus(sm, part, mmq, can.k)
-    mac = md.macaulay(plus.system, 1)
-    text = ml.dump_triplets(mac.arr, mac.row_labels, mac.col_labels)
-    assert len(text.splitlines()) == int((mac.arr != 0).sum())
