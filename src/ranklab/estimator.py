@@ -275,21 +275,19 @@ def hybrid_minimize(cost_model: Callable[..., CostEstimate], params,
     ``cost_model(params, a=..., conv=...)`` must price the guess factor
     itself (all models here do).  The search stops once the guess factor
     alone exceeds the incumbent, so the range collapses to a = 0 whenever
-    guessing cannot pay off.
+    guessing cannot pay off.  When no guess count is feasible, the model's
+    own a = 0 estimate is returned, with its attack name and reason.
     """
     q, r = params.q, params.r
     if a_max is None:
         a_max = params.k - 1 if isinstance(params, RdParams) else params.K // params.m
-    best: Optional[CostEstimate] = None
-    for a in range(a_max + 1):
-        if best is not None and a * r * log2(q) >= best.bits:
+    best = cost_model(params, a=0, conv=conv)
+    for a in range(1, a_max + 1):
+        if a * r * log2(q) >= best.bits:
             break
         est = cost_model(params, a=a, conv=conv)
-        if est.feasible and (best is None or est.bits < best.bits):
+        if est.feasible and est.bits < best.bits:
             best = est
-    if best is None:
-        return CostEstimate(getattr(cost_model, "__name__", "model"),
-                            INFEASIBLE, False, {"why": "no feasible guess count"})
     return best
 
 
@@ -325,11 +323,6 @@ PRESETS: Dict[str, Dict] = {
 }
 
 
-def _smplus_model(params: RdParams, a: int = 0,
-                  conv: CostConventions = DEFAULT) -> CostEstimate:
-    return smplus_cost(params, a=a, conv=conv)
-
-
 def best_attack(preset: Dict, conv: CostConventions = DEFAULT,
                 attacks: Optional[List[str]] = None) -> List[CostEstimate]:
     """Evaluate and rank every applicable attack for one parameter set.
@@ -337,21 +330,26 @@ def best_attack(preset: Dict, conv: CostConventions = DEFAULT,
     RD presets carry a small-codeword rank d; each attack is priced on the
     message parameters and on the key-attack parameters, keeping the
     cheaper one (detail["variant"] records which, mirroring the starred
-    table entries).
+    table entries).  An RD preset with an explicit length n other than 2k
+    describes no derived key-attack code and is priced on its message
+    parameters only.
     """
     out: List[CostEstimate] = []
     if preset["kind"] == "rd":
         key, message = key_attack_params(preset["q"], preset["k"], preset["m"],
                                          preset["d"], preset["r"])
+        variants = [("message", message), ("key", key)]
+        if preset.get("n", message.n) != message.n:
+            variants = [("message", replace(message, n=preset["n"]))]
         wanted = attacks or ["mm", "smplus", "comb"]
         models = {
             "mm": lambda prm: mm_cost(prm, conv=conv),
-            "smplus": lambda prm: hybrid_minimize(_smplus_model, prm, conv=conv),
+            "smplus": lambda prm: hybrid_minimize(smplus_cost, prm, conv=conv),
             "comb": lambda prm: comb_cost(prm, conv=conv),
         }
         for name in wanted:
             cands = []
-            for variant, prm in (("message", message), ("key", key)):
+            for variant, prm in variants:
                 est = models[name](prm)
                 cands.append(replace(est, detail={**est.detail, "variant": variant,
                                                   "params": prm}))

@@ -8,24 +8,25 @@ log/antilog tables built once per field; fields are immutable after
 construction and safe to share between threads.
 
 The extension-specific operations (``trace``, ``frobenius``, ``dual_basis``,
-``unfold_system``) always work *relative* to the declared base: for a tower
+``coeffs_arr``) always work *relative* to the declared base: for a tower
 F_p ⊂ F_q ⊂ F_{q^m} the trace maps F_{q^m} onto F_q, never onto F_p.
+Because codes are polynomial-basis coordinates, trace(b*_i x) against the
+dual basis is digit i of x's base-q code, so reading a system over F_{q^m}
+coordinate by coordinate (done in :mod:`ranklab.modelings`) is
+``coeffs_arr``, with no Frobenius pass.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "FiniteField",
-    "FieldElem",
     "make_base_field",
     "make_ext_field",
-    "unfold_system",
     "prime_power",
 ]
 
@@ -302,6 +303,15 @@ class FiniteField:
         da = (np.asarray(a)[..., None] // pw) % p
         return (((-da) % p) * pw).sum(axis=-1)
 
+    def sum_arr(self, a: np.ndarray) -> np.ndarray:
+        """Sum over the last axis."""
+        a = np.asarray(a, dtype=np.int64)
+        if self.char == 2:
+            return np.bitwise_xor.reduce(a, axis=-1)
+        p = self.char
+        pw = p ** np.arange(_total_deg(self), dtype=np.int64)
+        return ((a[..., None] // pw) % p).sum(axis=-2) % p @ pw
+
     def mul_arr(self, a, b) -> np.ndarray:
         """Elementwise product; a, b broadcastable arrays of codes."""
         la = self._log[np.asarray(a, dtype=np.int64)]
@@ -331,6 +341,18 @@ class FiniteField:
         if self.base is None:
             return (x,)
         return tuple(_digits(x, self.base.order, self.degree))
+
+    def coeffs_arr(self, a) -> np.ndarray:
+        """Array form of :meth:`coeffs`: shape a.shape + (degree,).
+
+        Entry [..., i] is digit i of the base-q code, which is also
+        trace(b*_i x) for b* the dual of the polynomial basis.
+        """
+        a = np.asarray(a, dtype=np.int64)
+        if self.base is None:
+            return a[..., None]
+        q = self.base.order
+        return (a[..., None] // q ** np.arange(self.degree, dtype=np.int64)) % q
 
     def from_coeffs(self, cs: Sequence[int]) -> int:
         if self.base is None:
@@ -413,12 +435,6 @@ class FiniteField:
         if self._dual_basis is None:
             self._dual_basis = _compute_dual_basis(self)
         return self._dual_basis
-
-    def unfold_coeff(self, x: int) -> Tuple[int, ...]:
-        """(trace(b*_i x))_i: the coordinate extraction map, m base codes."""
-        if self.base is None:
-            return (x,)
-        return tuple(self.trace(self.mul(bs, x)) for bs in self.dual_basis())
 
     # -- misc ------------------------------------------------------------------
 
@@ -513,88 +529,3 @@ def make_ext_field(q: int, m: int) -> FiniteField:
     fld.dual_basis()
     return fld
 
-
-# ---------------------------------------------------------------------------
-# element wrapper (ergonomics only; hot paths use raw codes)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FieldElem:
-    """A field element: owning handle plus canonical integer code."""
-
-    field: FiniteField
-    code: int
-
-    def __post_init__(self):
-        if not 0 <= self.code < self.field.order:
-            raise ValueError("element code out of range")
-
-    @property
-    def coeffs(self) -> Tuple[int, ...]:
-        return self.field.coeffs(self.code)
-
-    def _check(self, other: "FieldElem") -> None:
-        if other.field is not self.field:
-            raise ValueError("elements from different fields")
-
-    def __add__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field, self.field.add(self.code, other.code))
-
-    def __sub__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field, self.field.sub(self.code, other.code))
-
-    def __mul__(self, other: "FieldElem") -> "FieldElem":
-        self._check(other)
-        return FieldElem(self.field, self.field.mul(self.code, other.code))
-
-    def __pow__(self, e: int) -> "FieldElem":
-        return FieldElem(self.field, self.field.pow(self.code, e))
-
-    def inverse(self) -> "FieldElem":
-        return FieldElem(self.field, self.field.inv(self.code))
-
-    def trace(self) -> "FieldElem":
-        base = self.field.base or self.field
-        return FieldElem(base, self.field.trace(self.code))
-
-
-# ---------------------------------------------------------------------------
-# unfolding of polynomial systems
-# ---------------------------------------------------------------------------
-
-Poly = Mapping[Tuple[int, ...], int]  # exponent vector -> coefficient code
-
-
-def _reduce_exponent(e: int, q: int) -> int:
-    """Exponent reduction modulo the field equations z^q = z."""
-    while e >= q:
-        e -= q - 1
-    return e
-
-
-def unfold_system(polys: Iterable[Poly], fld: FiniteField) -> List[Dict[Tuple[int, ...], int]]:
-    """Expand a system over F_{q^m} into m·len(polys) polynomials over F_q.
-
-    The variables are taken to be F_q-valued: each output polynomial i of
-    input f applies x -> trace(b*_i x) to every coefficient of f, after
-    reducing exponents modulo the field equations.  A system whose variables
-    range over F_{q^m} must first be rewritten in coordinates (the caller
-    substitutes x_j = sum_i b_i x_{i,j}).
-    """
-    if fld.base is None:
-        raise ValueError("unfolding needs a proper extension field")
-    q = fld.base.order
-    duals = fld.dual_basis()
-    out: List[Dict[Tuple[int, ...], int]] = []
-    for f in polys:
-        reduced: Dict[Tuple[int, ...], int] = {}
-        for expo, c in f.items():
-            key = tuple(_reduce_exponent(e, q) for e in expo)
-            reduced[key] = fld.add(reduced.get(key, 0), c)
-        for bs in duals:
-            comp = {expo: fld.trace(fld.mul(bs, c))
-                    for expo, c in reduced.items()}
-            out.append({e: c for e, c in comp.items() if c != 0})
-    return out

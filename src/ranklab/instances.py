@@ -17,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
     "RdInstance",
     "CanonicalRd",
     "MinRankInstance",
-    "MinRankGenMatrix",
     "ShortenResult",
     "InstanceError",
     "gen_rd",
@@ -38,7 +37,6 @@ __all__ = [
     "puncture_rd",
     "rd_to_minrank",
     "gen_minrank",
-    "minrank_systematic",
     "flatten_matrix",
     "unflatten_matrix",
 ]
@@ -185,7 +183,9 @@ def canonicalize(rd: RdInstance, perm_seed: Optional[int] = None) -> CanonicalRd
     piv = [int(order[c]) for c in res.pivots]
     rest = [j for j in order.tolist() if j not in set(piv)]
     perm = np.array(piv + rest)
-    gen = ml.echelonize(fld, rd.gen[:, perm]).rref
+    # the RREF with the pivot columns moved to the front is the systematic form
+    pos = np.argsort(order)
+    gen = res.rref[:, pos[perm]]
     y1 = np.asarray(rd.received)[perm]
     # offset by the codeword matching y on the information set
     xoff = y1[:k]
@@ -366,53 +366,6 @@ def gen_minrank(q: int, m: int, n: int, K: int, r: int, seed: int) -> MinRankIns
     return inst
 
 
-@dataclass(frozen=True)
-class MinRankGenMatrix:
-    """RREF generator matrix of the matrix code spanned by M_1..M_K.
-
-    Row i is the column-major flattening of the i-th reduced matrix; row
-    operations on it are invertible changes of the linear variables, and
-    the systematic position set is the pivot set.
-    """
-
-    gen: np.ndarray                # K x (m n), RREF
-    pivots: Tuple[int, ...]        # systematic positions S
-    transform: np.ndarray          # K x K: gen = transform @ original rows
-
-
-def minrank_systematic(inst: MinRankInstance) -> Tuple[MinRankGenMatrix, MinRankInstance]:
-    """Equivalent instance with the generator in RREF and M_0 zero on S.
-
-    Raises InstanceError when the M_i span has dimension below K (no
-    systematic form exists; reported rather than guessed around).
-    """
-    fld = inst.field
-    rows = np.stack([flatten_matrix(mi) for mi in inst.mats[1:]])
-    aug = np.concatenate([rows, ml.identity(inst.K)], axis=1)
-    res = ml.echelonize(fld, aug)
-    nm = inst.m * inst.n
-    piv = tuple(p for p in res.pivots if p < nm)
-    if len(piv) != inst.K:
-        raise InstanceError("matrix code is rank deficient; no systematic form")
-    gen = res.rref[:, :nm]
-    transform = res.rref[:, nm:]
-    m0f = flatten_matrix(inst.mats[0])
-    red = np.array([m0f[p] for p in piv], dtype=np.int64)
-    m0f2 = fld.sub_arr(m0f, ml.matmul(fld, red[None, :], gen)[0])
-    new_mats = tuple([unflatten_matrix(m0f2, inst.m)]
-                     + [unflatten_matrix(gen[i], inst.m) for i in range(inst.K)])
-    witness = None
-    if inst.witness is not None:
-        # E = M0 + x.rows = M0' + (x.Tinv + red).gen with gen = transform.rows
-        tinv = ml.echelonize(fld, np.concatenate(
-            [transform, ml.identity(inst.K)], axis=1)).rref[:, inst.K:]
-        witness = fld.add_arr(ml.matmul(fld, inst.witness[None, :], tinv)[0], red)
-    out = MinRankInstance(fld, inst.m, inst.n, inst.K, inst.r, new_mats, witness)
-    if witness is not None and not out.verify_witness():
-        raise InstanceError("witness does not transport to the systematic form")
-    return MinRankGenMatrix(gen, piv, transform), out
-
-
 # ---------------------------------------------------------------------------
 # RD -> MinRank reduction
 # ---------------------------------------------------------------------------
@@ -427,15 +380,12 @@ def rd_to_minrank(rd: RdInstance) -> MinRankInstance:
     fld = rd.field
     base = fld.base
     m, n, k = rd.m, rd.n, rd.k
-    mats: List[np.ndarray] = [ml.mat_of(fld, rd.received)]
-    for j in range(k):
-        row = rd.gen[j]
-        for bl in fld.basis:
-            mats.append(ml.mat_of(fld, fld.mul_arr(bl, row)))
+    # (k, l, n, i) -> Mat(b_l G_j) at index 1 + j m + l, coordinate i in row i
+    prods = fld.coeffs_arr(fld.mul_arr(np.array(fld.basis)[:, None], rd.gen[:, None, :]))
+    mats = [ml.mat_of(fld, rd.received)] + list(prods.transpose(0, 1, 3, 2).reshape(k * m, m, n))
     witness = None
     if rd.witness is not None:
-        grid = [c for xj in rd.witness.x for c in fld.coeffs(int(xj))]
-        witness = np.array(grid, dtype=np.int64)
+        witness = fld.coeffs_arr(rd.witness.x).reshape(-1)
     out = MinRankInstance(base, m, n, k * m, rd.r, tuple(mats), witness)
     if witness is not None and not out.verify_witness():
         raise InstanceError("witness does not transport to the MinRank instance")

@@ -175,22 +175,8 @@ def _cmd_estimate(args) -> int:
         needed = (args.q, args.m, args.n, args.k, args.r)
         if any(v is None for v in needed):
             raise SystemExit("estimate rd needs --q --m --n --k --r")
-        preset = {"kind": "rd", "q": args.q, "k": args.k, "m": args.m,
+        preset = {"kind": "rd", "q": args.q, "k": args.k, "m": args.m, "n": args.n,
                   "r": args.r, "d": args.d if args.d else args.r}
-        # explicit n overrides the doubled-length convention
-        key, msg = es.key_attack_params(args.q, args.k, args.m,
-                                        preset["d"], args.r)
-        if args.n != msg.n:
-            msg = es.RdParams(args.q, args.m, args.n, args.k, args.r)
-            rows = []
-            for name in (attacks or ["mm", "smplus", "comb"]):
-                model = {"mm": lambda p: es.mm_cost(p, conv=conv),
-                         "smplus": lambda p: es.hybrid_minimize(
-                             es._smplus_model, p, conv=conv),
-                         "comb": lambda p: es.comb_cost(p, conv=conv)}[name]
-                rows.append(model(msg))
-            _emit(args, _format_table({"custom": rows}, args))
-            return 0
         _emit(args, _format_table({"custom": es.best_attack(preset, conv=conv,
                                                             attacks=attacks)}, args))
         return 0

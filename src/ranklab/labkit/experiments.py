@@ -23,17 +23,7 @@ from .. import hybrid as hy
 from ..estimator import nb_fqm, nsyz
 from ..instances import canonicalize, gen_minrank, gen_rd
 
-__all__ = ["ExperimentReport", "PRESET_ENVELOPE", "PROPERTIES", "verify"]
-
-# every code path is exercised by these: an overdetermined linear case, the
-# eliminated-bilinear case, a hybrid case, and a q = 4 tower for unfolding
-PRESET_ENVELOPE: Tuple[Tuple[int, int, int, int, int], ...] = (
-    (2, 3, 5, 2, 1),
-    (2, 7, 8, 4, 2),
-    (2, 7, 10, 3, 2),
-    (2, 7, 12, 5, 2),
-    (4, 5, 8, 3, 2),
-)
+__all__ = ["ExperimentReport", "PROPERTIES", "verify"]
 
 GENERICITY_THRESHOLD = 0.95
 
@@ -102,8 +92,8 @@ def _check_q0_span(params, seed):
     _, can, _, _, sm, _ = _canonical_systems(*params, seed)
     fld = can.field
     bad = 0
-    for t_rows in ml.all_subsets(n - k - 1, r + 1):
-        coefs = ml.maximal_minors(fld, can.h_y[list(t_rows)], r + 1)
+    t_sets = ml.subset_table(n - k - 1, r + 1)[0]
+    for coefs in ml.maximal_minors(fld, can.h_y[t_sets], r + 1):
         bil, aff = _combine(fld, sm, coefs)
         if bil.any() or aff.any():
             bad += 1
@@ -152,18 +142,20 @@ def _check_q1_correspondence(params, seed):
     fld = can.field
     nt = comb(n, r)
     h_full = np.concatenate([can.h_y, can.h[None, :]], axis=0)
-    for p, j_rows in enumerate(mm.row_labels):
+    j_sets = ml.subset_table(n - k - 1, r)[0]
+    last = np.full((len(j_sets), 1), n - k - 1)
+    full_minors = ml.maximal_minors(fld, h_full[np.concatenate([j_sets, last], axis=1)], r + 1)
+    hy_minors = ml.maximal_minors(fld, can.h_y[j_sets], r)
+    for p in range(mm.nrows):
         # identity 1: the signed linear row equals a combination of minors
         # of the full parity check against the bilinear equations
-        coefs = ml.maximal_minors(fld, h_full[list(j_rows) + [n - k - 1]], r + 1)
-        bil, aff = _combine(fld, sm, coefs)
+        bil, aff = _combine(fld, sm, full_minors[p])
         target = np.array(mm.coeffs[p])
         if r % 2:
             target = fld.neg_arr(target)
         if bil.any() or (aff != target).any():
             return False, ("id1",), (p,), "linear-row correspondence failed"
         # identity 2: x_j times the linear row, via minors with j removed
-        hy_minors = ml.maximal_minors(fld, can.h_y[list(j_rows)], r)
         for j in range(k):
             bil = np.zeros_like(sm.bil[0])
             aff = np.zeros_like(sm.aff[0])
@@ -172,7 +164,7 @@ def _check_q1_correspondence(params, seed):
                 if j not in i_set:
                     continue
                 pos = i_set.index(j)
-                c = int(hy_minors[ml.subset_rank(n, i_set[:pos] + i_set[pos + 1:])])
+                c = int(hy_minors[p, ml.subset_rank(n, i_set[:pos] + i_set[pos + 1:])])
                 if pos % 2:
                     c = fld.neg(c)
                 if c:
@@ -210,13 +202,12 @@ def _check_syzygy_count(params, seed, bs=(1, 2, 3)):
     _, can, _, mmq, sm, part = _canonical_systems(*params, seed, envelope=True)
     fld = can.field
     plus = md.reduce_sm_plus(sm, part, mmq, k)
-    # exact relations between the reduced polynomials, coefficients over F_q
-    duals = fld.dual_basis()
+    # exact relations between the reduced polynomials, coefficients over F_q:
+    # coordinate i of each q0 relation, trace(b*_i c) for each coefficient c
     nf_all = md.nf_bilinear(plus, sm, range(sm.npolys))
-    for t_rows in ml.all_subsets(n - k - 1, r + 1):
-        minors = ml.maximal_minors(fld, can.h_y[list(t_rows)], r + 1)
-        for bs_el in duals:
-            coefs = [fld.trace(fld.mul(bs_el, int(c))) for c in minors]
+    minors = ml.maximal_minors(fld, can.h_y[ml.subset_table(n - k - 1, r + 1)[0]], r + 1)
+    for rel in fld.coeffs_arr(minors):
+        for coefs in rel.T:
             bil, aff = _combine(fld, nf_all, coefs)
             if bil.any() or aff.any():
                 return False, ("relation",), (0,), "reduced relation not zero"

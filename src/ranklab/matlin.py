@@ -3,9 +3,10 @@
 A matrix is a 2-D numpy array of element codes together with the
 :class:`~ranklab.galois.FiniteField` that owns the codes; all functions here
 take the field as their first argument and never mutate their inputs.
-Includes maximal-minor (Pluecker coordinate) extraction, the subset
-rank/unrank bijection used to label minor variables, and the expansion of
-extension-field vectors into coordinate matrices over the base field.
+Includes maximal-minor (Pluecker coordinate) extraction over stacks of
+matrices, the subset rank/unrank bijection and subset tables used to label
+and index the minor variables, and the coordinate matrix of an
+extension-field vector over the base field.
 
 Row reduction has three interchangeable backends, cross-checked in the
 test suite, and ``echelonize`` picks one from the field and the matrix:
@@ -27,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +49,8 @@ __all__ = [
     "subset_rank",
     "subset_unrank",
     "all_subsets",
+    "subset_table",
     "mat_of",
-    "vec_of",
     "rank_weight",
     "random_full_rank",
     "random_invertible",
@@ -401,47 +402,49 @@ def all_subsets(n: int, r: int) -> List[Tuple[int, ...]]:
     return list(itertools.combinations(range(n), r))
 
 
+def subset_table(n: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The s-subsets (s >= 1) of range(n) in index order, and their faces.
+
+    Returns ``cols`` (C(n, s), s), the sorted elements of each subset, and
+    ``drop`` (C(n, s), s), where ``drop[i, pos]`` is the index among the
+    (s-1)-subsets of subset i without its element at position ``pos``.
+    Index order is lexicographic, so a sorted subset c has the index
+    C(n, s) - 1 - sum_u C(n - 1 - c_u, s - u).
+    """
+    binom = np.array([[comb(a, b) for b in range(n + 1)] for a in range(n + 1)],
+                     dtype=np.int64)
+    cols = np.array(all_subsets(n, s), dtype=np.intp).reshape(comb(n, s), s)
+    faces = np.stack([np.delete(cols, pos, axis=1) for pos in range(s)], axis=1)
+    drop = comb(n, s - 1) - 1 - binom[n - 1 - faces, s - 1 - np.arange(s - 1)].sum(axis=-1)
+    return cols, drop.reshape(-1, s)
+
+
 # ---------------------------------------------------------------------------
 # maximal minors
 # ---------------------------------------------------------------------------
 
-_LAPLACE_LIMIT = 6
-
-
 def maximal_minors(fld: FiniteField, mat: np.ndarray, r: int) -> np.ndarray:
-    """All r x r minors of an r x n matrix, indexed by subset order.
+    """All r x r minors of each r x n matrix of a (..., r, n) stack.
 
-    Shares sub-minors across subsets via Laplace expansion for small r,
-    falling back to per-subset Gaussian determinants beyond that.
+    The result has shape (..., C(n, r)), in subset index order.  Level s
+    holds the minors of the first s rows at every s-subset of columns; the
+    Laplace expansion along row s - 1 builds it from level s - 1 with one
+    gather through :func:`subset_table` and one field sum.  Exact at every q.
     """
     mat = np.asarray(mat, dtype=np.int64)
-    if mat.shape[0] != r:
+    if mat.ndim < 2 or mat.shape[-2] != r:
         raise ValueError("matrix must have exactly r rows")
-    n = mat.shape[1]
+    n = mat.shape[-1]
     if r > n:
         raise ValueError("need at least r columns")
-    if r == 0:
-        return np.ones(1, dtype=np.int64)
-    if r > _LAPLACE_LIMIT:
-        return np.array([determinant(fld, mat[:, list(t)]) for t in all_subsets(n, r)],
-                        dtype=np.int64)
-    minors: Dict[Tuple[int, ...], int] = {(): 1}
-    for size in range(1, r + 1):
-        nxt: Dict[Tuple[int, ...], int] = {}
-        row = size - 1
-        for t in itertools.combinations(range(n), size):
-            acc = 0
-            # expand along the last used row; sign alternates with position
-            for pos in range(size - 1, -1, -1):
-                entry = int(mat[row, t[pos]])
-                if entry:
-                    term = fld.mul(entry, minors[t[:pos] + t[pos + 1:]])
-                    if (row + pos) % 2:
-                        term = fld.neg(term)
-                    acc = fld.add(acc, term)
-            nxt[t] = acc
-        minors = nxt
-    return np.array([minors[t] for t in all_subsets(n, r)], dtype=np.int64)
+    minors = np.ones(mat.shape[:-2] + (1,), dtype=np.int64)
+    for s in range(1, r + 1):
+        cols, drop = subset_table(n, s)
+        terms = fld.mul_arr(mat[..., s - 1, :][..., cols], minors[..., drop])
+        odd = (s - 1 + np.arange(s)) % 2 == 1          # the signs of the expansion
+        terms[..., odd] = fld.neg_arr(terms[..., odd])
+        minors = fld.sum_arr(terms)
+    return minors
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +453,7 @@ def maximal_minors(fld: FiniteField, mat: np.ndarray, r: int) -> np.ndarray:
 
 def mat_of(ext: FiniteField, vec: Sequence[int]) -> np.ndarray:
     """m x n base-field matrix whose column j holds the coordinates of vec[j]."""
-    m = ext.degree
-    cols = [ext.coeffs(int(x)) for x in vec]
-    return np.array(cols, dtype=np.int64).T.reshape(m, len(cols))
-
-
-def vec_of(ext: FiniteField, mat: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`mat_of`."""
-    mat = np.asarray(mat, dtype=np.int64)
-    return np.array([ext.from_coeffs(mat[:, j].tolist()) for j in range(mat.shape[1])],
-                    dtype=np.int64)
+    return ext.coeffs_arr(vec).T
 
 
 def rank_weight(ext: FiniteField, vec: Sequence[int]) -> int:

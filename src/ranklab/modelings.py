@@ -16,6 +16,13 @@ indexed by r-subsets T of column positions):
 * ``reduce_sm_plus``: the compact system obtained by eliminating c_T
   variables from the high-overlap bilinear equations using the linear ones.
 
+Every minor comes from :func:`ranklab.matlin.maximal_minors`, and every
+Support-Minors equation is the Laplace expansion of a minor along its first
+row, scattered through the faces of :func:`ranklab.matlin.subset_table`.
+Unfolding reads an F_{q^m} system coordinate by coordinate: equation i of
+an unfolded block applies x -> trace(b*_i x), which is digit i of the code
+(:meth:`~ranklab.galois.FiniteField.coeffs_arr`).
+
 Monomials are ordered graded reverse-lexicographically with the minor
 variables below all linear variables: total degree first, then the minor
 variable (larger subset index larger), then the x-part as exponent vectors
@@ -27,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -168,91 +174,81 @@ def build_mm_fqm(can: CanonicalRd) -> CtLinearSystem:
     fld = can.field
     n, k, r = can.n, can.k, can.r
     js = ml.all_subsets(n - k - 1, r)
-    rows = np.zeros((len(js), comb(n, r)), dtype=np.int64)
-    for idx, j_rows in enumerate(js):
-        rows[idx] = ml.maximal_minors(fld, can.h_y[list(j_rows)], r)
+    rows = ml.maximal_minors(fld, can.h_y[np.array(js, dtype=np.intp).reshape(len(js), r)], r)
     return CtLinearSystem(fld, n, r, rows, "mm-fqm", tuple(js))
 
 
 def build_mm_fq(mm: CtLinearSystem) -> CtLinearSystem:
-    """Unfold an F_{q^m} linear system into m times as many F_q rows."""
+    """Unfold an F_{q^m} linear system into m times as many F_q rows.
+
+    Row (p, i) holds trace(b*_i c) for each coefficient c of row p.
+    """
     fld = mm.field
-    duals = fld.dual_basis()
-    out = np.zeros((mm.nrows * len(duals), mm.coeffs.shape[1]), dtype=np.int64)
-    labels = []
-    for p in range(mm.nrows):
-        for i, bs in enumerate(duals):
-            out[p * len(duals) + i] = fld.trace_arr(fld.mul_arr(bs, mm.coeffs[p]))
-            labels.append((mm.row_labels[p] if mm.row_labels else p, i))
-    return CtLinearSystem(fld.base, mm.n, mm.r, out, "mm-fq", tuple(labels))
+    m = fld.degree
+    out = fld.coeffs_arr(mm.coeffs).transpose(0, 2, 1).reshape(mm.nrows * m, -1)
+    labels = tuple((mm.row_labels[p] if mm.row_labels else p, i)
+                   for p in range(mm.nrows) for i in range(m))
+    return CtLinearSystem(fld.base, mm.n, mm.r, out, "mm-fq", labels)
 
 
 # ---------------------------------------------------------------------------
 # Support-Minors systems
 # ---------------------------------------------------------------------------
 
+def _laplace_scatter(fld: FiniteField, vals: np.ndarray, drop: np.ndarray, nt: int) -> np.ndarray:
+    """Coefficients of c_T in the first-row Laplace expansion of each minor.
+
+    ``vals`` (P, ..., s) holds the first-row entry at each position of the
+    P column sets; entry pos goes, signed by pos, to the face ``drop[p,
+    pos]``.  The faces of one set are distinct, so entries are assigned.
+    Returns (P, ..., nt).
+    """
+    vals = np.array(vals, dtype=np.int64)
+    vals[..., 1::2] = fld.neg_arr(vals[..., 1::2])
+    out = np.zeros(vals.shape[:-1] + (nt,), dtype=np.int64)
+    faces = drop.reshape(drop.shape[:1] + (1,) * (vals.ndim - 2) + drop.shape[1:])
+    np.put_along_axis(out, faces, vals, axis=-1)
+    return out
+
+
 def build_sm_fqm(can: CanonicalRd) -> Tuple[BilinearSystem, QPartition]:
     """Bilinear system over F_{q^m} from the minors of (x G + y ; C).
 
     Laplace expansion along the first row turns the minor at columns I
-    into a signed sum over i in I of (x G + y)_i c_{I minus i}.
+    into a signed sum over i in I of (x G + y)_i c_{I minus i}.  The
+    partition counts the elements of I among the first k + 1 positions.
     """
     fld = can.field
     n, k, r = can.n, can.k, can.r
     subsets = tuple(ml.all_subsets(n, r))
-    i_sets = ml.all_subsets(n, r + 1)
-    bil = np.zeros((len(i_sets), k, len(subsets)), dtype=np.int64)
-    aff = np.zeros((len(i_sets), len(subsets)), dtype=np.int64)
-    for p, i_set in enumerate(i_sets):
-        for pos, col in enumerate(i_set):
-            t = i_set[:pos] + i_set[pos + 1:]
-            tidx = ml.subset_rank(n, t)
-            gcol = can.gen[:, col]
-            ycol = int(can.received[col])
-            if pos % 2:
-                gcol = fld.neg_arr(gcol)
-                ycol = fld.neg(ycol)
-            bil[p, :, tidx] = fld.add_arr(bil[p, :, tidx], gcol)
-            aff[p, tidx] = fld.add(int(aff[p, tidx]), ycol)
-    sys = BilinearSystem(fld, k, n, r, subsets, bil, aff, tuple(i_sets), "sm-fqm")
-    return sys, q_partition(sys, k)
-
-
-def q_partition(sys: BilinearSystem, k: int) -> QPartition:
-    zero, one, two = [], [], []
-    for p, i_set in enumerate(sys.labels):
-        s = sum(1 for v in i_set if v <= k)
-        (zero if s == 0 else one if s == 1 else two).append(p)
-    return QPartition(tuple(zero), tuple(one), tuple(two))
+    cols, drop = ml.subset_table(n, r + 1)
+    bil = _laplace_scatter(fld, can.gen[:, cols].transpose(1, 0, 2), drop, len(subsets))
+    aff = _laplace_scatter(fld, can.received[cols], drop, len(subsets))
+    sys = BilinearSystem(fld, k, n, r, subsets, bil, aff, tuple(map(tuple, cols.tolist())),
+                         "sm-fqm")
+    overlap = (cols <= k).sum(axis=1)
+    part = QPartition(*(tuple(np.flatnonzero(sel).tolist())
+                        for sel in (overlap == 0, overlap == 1, overlap >= 2)))
+    return sys, part
 
 
 def build_sm_fq(sm: BilinearSystem) -> BilinearSystem:
     """Unfold the extension-field bilinear system into F_q coordinates.
 
     Linear variable (j, l) -> j m + l is the coefficient of basis element l
-    in x_j; polynomial (I, i) applies the i-th coordinate extraction.
+    in x_j; polynomial (I, i) applies the i-th coordinate extraction, so
+    its coefficient of x_{j,l} c_T is digit i of z^l times that of x_j c_T.
     """
     fld = sm.field
-    base = fld.base
     m = fld.degree
-    duals = fld.dual_basis()
-    basis = fld.basis
     P, k, nt = sm.bil.shape
-    bil = np.zeros((P * m, k * m, nt), dtype=np.int64)
-    aff = np.zeros((P * m, nt), dtype=np.int64)
-    labels = []
-    for i, bs in enumerate(duals):
-        aff_i = fld.trace_arr(fld.mul_arr(bs, sm.aff))
-        aff[i::m] = aff_i
-        for ell, bl in enumerate(basis):
-            coef = fld.mul(bs, bl)
-            tm = fld.trace_arr(fld.mul_arr(coef, sm.bil))   # (P, k, nt)
-            bil[i::m, ell::m, :] = tm
-    for p in range(P):
-        for i in range(m):
-            labels.append((sm.labels[p], i))
-    return BilinearSystem(base, k * m, sm.n, sm.r, sm.subsets, bil, aff,
-                          tuple(labels), "sm-fq")
+    bil = np.zeros((P, m, k, m, nt), dtype=np.int64)
+    for ell, zl in enumerate(fld.basis):
+        bil[:, :, :, ell] = fld.coeffs_arr(fld.mul_arr(zl, sm.bil)).transpose(0, 3, 1, 2)
+    aff = fld.coeffs_arr(sm.aff).transpose(0, 2, 1).reshape(P * m, nt)
+    labels = tuple((lab, i) for lab in sm.labels for i in range(m))
+    return BilinearSystem(fld.base, k * m, sm.n, sm.r, sm.subsets,
+                          bil.reshape(P * m, k * m, nt), aff, labels, "sm-fq")
 
 
 def sm_for_minrank(inst: MinRankInstance) -> BilinearSystem:
@@ -264,24 +260,14 @@ def sm_for_minrank(inst: MinRankInstance) -> BilinearSystem:
     fld = inst.field
     n, r, K, m = inst.n, inst.r, inst.K, inst.m
     subsets = tuple(ml.all_subsets(n, r))
-    i_sets = ml.all_subsets(n, r + 1)
-    bil = np.zeros((len(i_sets) * m, K, len(subsets)), dtype=np.int64)
-    aff = np.zeros((len(i_sets) * m, len(subsets)), dtype=np.int64)
-    labels = []
-    mats = np.stack(inst.mats)         # (K+1, m, n)
-    for p, i_set in enumerate(i_sets):
-        for i in range(m):
-            row = p * m + i
-            labels.append((i_set, i))
-            for pos, col in enumerate(i_set):
-                t = i_set[:pos] + i_set[pos + 1:]
-                tidx = ml.subset_rank(n, t)
-                vals = mats[:, i, col]
-                if pos % 2:
-                    vals = fld.neg_arr(vals)
-                aff[row, tidx] = fld.add(int(aff[row, tidx]), int(vals[0]))
-                bil[row, :, tidx] = fld.add_arr(bil[row, :, tidx], vals[1:])
-    return BilinearSystem(fld, K, n, r, subsets, bil, aff, tuple(labels), "sm-minrank")
+    cols, drop = ml.subset_table(n, r + 1)
+    # polynomial (I, i) is row p m + i; vals is (P, m, K+1, r+1)
+    vals = np.stack(inst.mats)[:, :, cols].transpose(2, 1, 0, 3)
+    bil = _laplace_scatter(fld, vals[:, :, 1:], drop, len(subsets))
+    aff = _laplace_scatter(fld, vals[:, :, 0], drop, len(subsets))
+    labels = tuple((i_set, i) for i_set in map(tuple, cols.tolist()) for i in range(m))
+    return BilinearSystem(fld, K, n, r, subsets, bil.reshape(len(cols) * m, K, -1),
+                          aff.reshape(len(cols) * m, -1), labels, "sm-minrank")
 
 
 def sm_fq_direct(can: CanonicalRd) -> BilinearSystem:

@@ -245,13 +245,12 @@ def decode_rd(rd: RdInstance, config: DecodeConfig = DecodeConfig()) -> RdSoluti
             can = canonicalize(sub, perm_seed=None if retry == 0 else 7919 * retry)
             mm = md.build_mm_fqm(can)
             mmq = md.build_mm_fq(mm)
-            res = ml.echelonize(mmq.field, mmq.coeffs)
-            nt = comb(rd.n, r_prime)
-            if res.rank == nt:
+            minors = solve_mm_linear(mmq)
+            if isinstance(minors, Inconsistent):
                 transcript.append(f"r'={r_prime}: linear minor system inconsistent")
                 break
-            if res.rank == nt - 1 and config.modeling in ("auto", "mm"):
-                sol = _finish_from_minors(rd, can, solve_mm_linear(mmq), r_prime,
+            if isinstance(minors, np.ndarray) and config.modeling in ("auto", "mm"):
+                sol = _finish_from_minors(rd, can, minors, r_prime,
                                           transcript, f"r'={r_prime} mm")
                 if sol is not None:
                     return sol
@@ -557,13 +556,13 @@ def _consistent_systems_gf2(fld: FiniteField, parity: np.ndarray, synd: np.ndarr
     m = fld.degree
     nk, n = parity.shape
     nrows, ncols = m * nk, r * n + 1
-    zh = _coeff_block(fld, fld.mul_arr(np.array(fld.basis)[:, None, None], parity))
+    zh = fld.coeffs_arr(fld.mul_arr(np.array(fld.basis)[:, None, None], parity)).swapaxes(-1, -2)
     placed = np.zeros((m, r, nrows, ncols), dtype=np.int64)
     for u in range(r):
         placed[:, u, :, u * n:(u + 1) * n] = zh.reshape(m, nrows, n)
     words = ml.pack_gf2(placed)                      # (m, r, rows, words)
     rhs = np.zeros((nrows, ncols), dtype=np.int64)
-    rhs[:, -1] = _coeff_block(fld, synd[:, None]).reshape(-1)
+    rhs[:, -1] = fld.coeffs_arr(synd).reshape(-1)
     rhs_words = ml.pack_gf2(rhs)
     bases = _subspace_bases(2, m, r)
     for start in range(0, len(bases), _ORACLE_CHUNK):
@@ -582,20 +581,13 @@ def _consistent_systems(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, 
     base = fld.base
     m = fld.degree
     nk, n = parity.shape
-    rhs = _coeff_block(fld, synd[:, None]).reshape(-1, 1)
+    rhs = fld.coeffs_arr(synd).reshape(-1, 1)
     for basis in _subspace_bases(base.order, m, r):
-        blocks = [_coeff_block(fld, fld.mul_arr(fld.from_coeffs(row), parity)).reshape(m * nk, n)
-                  for row in basis.tolist()]
+        blocks = [fld.coeffs_arr(fld.mul_arr(fld.from_coeffs(row), parity)).swapaxes(-1, -2)
+                  .reshape(m * nk, n) for row in basis.tolist()]
         res = ml.echelonize(base, np.concatenate(blocks + [rhs], axis=1))
         if r * n not in res.pivots:
             yield basis, res.rref, list(res.pivots)
-
-
-def _coeff_block(fld: FiniteField, prod: np.ndarray) -> np.ndarray:
-    """(..., rows, m, cols) coordinate expansion of a (..., rows, cols) array of codes."""
-    q = fld.base.order
-    pw = q ** np.arange(fld.degree, dtype=np.int64)
-    return (prod[..., None, :] // pw[:, None]) % q
 
 
 def _solution_family(base: FiniteField, rref: np.ndarray, pivots: List[int], cap: int):

@@ -87,7 +87,7 @@ def test_smplus_cost_rejects_overdetermined():
 def test_hybrid_minimize_never_worse_than_plain():
     prm = es.RdParams(2, 73, 166, 83, 7)
     plain = es.smplus_cost(prm, a=0)
-    best = es.hybrid_minimize(es._smplus_model, prm)
+    best = es.hybrid_minimize(es.smplus_cost, prm)
     if plain.feasible:
         assert best.bits <= plain.bits
     assert best.feasible

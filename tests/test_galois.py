@@ -1,4 +1,4 @@
-"""Field tower arithmetic, trace/dual-basis machinery, unfolding."""
+"""Field tower arithmetic, trace/dual-basis machinery, coordinate expansion."""
 
 import itertools
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ranklab.galois import (FieldElem, make_base_field, make_ext_field,
-                            prime_power, unfold_system)
+from ranklab.galois import make_base_field, make_ext_field, prime_power
 
 F4 = make_ext_field(2, 2)
 F8 = make_ext_field(2, 3)
@@ -57,10 +56,23 @@ def test_dual_basis_pairing_f8():
             assert F8.trace(F8.mul(bi, bj)) == (1 if i == j else 0)
 
 
+# prime-field towers in characteristic 2, 3, 5 and 7, and towers over F_4, F_9, F_16
+UNFOLD_FIELDS = [(2, 7), (2, 9), (3, 4), (3, 5), (4, 3), (4, 5), (5, 3), (7, 2), (9, 3), (16, 2)]
+
+
 def test_coordinate_recovery():
-    # trace against the dual basis reads off polynomial-basis coordinates
-    for x in range(F8.order):
-        assert F8.unfold_coeff(x) == F8.coeffs(x)
+    # trace against the dual basis reads off polynomial-basis coordinates,
+    # the digits of the code, on every element
+    for q, m in UNFOLD_FIELDS:
+        fld = make_ext_field(q, m)
+        xs = np.arange(fld.order)
+        digits = fld.coeffs_arr(xs)
+        assert digits.shape == (fld.order, m)
+        for i, bs in enumerate(fld.dual_basis()):
+            assert (digits[:, i] == fld.trace_arr(fld.mul_arr(bs, xs))).all(), (q, m, i)
+        assert [fld.from_coeffs(d) for d in digits.tolist()] == xs.tolist()
+    base = make_base_field(5)
+    assert (base.coeffs_arr([[0, 3]]) == [[[0], [3]]]).all()
 
 
 def test_relative_trace_of_tower():
@@ -149,75 +161,41 @@ def test_bit_matrices_multiply_codes(fld):
         make_base_field(3).bit_matrices()
 
 
-def test_field_elem_wrapper():
-    a = FieldElem(F8, 3)
-    b = FieldElem(F8, 5)
-    assert (a + b).code == F8.add(3, 5)
-    assert (a * b).code == F8.mul(3, 5)
-    assert (a - b + b).code == a.code
-    assert a.inverse().code == F8.inv(3)
-    assert (a ** 7).code == 1
-    assert a.trace().field is F8.base or a.trace().field is F8
-    assert a.coeffs == F8.coeffs(3)
-    with pytest.raises(ValueError):
-        FieldElem(F8, 9)
-
-
 def test_order_limit_guard():
     with pytest.raises(ValueError):
         make_ext_field(2, 73)
 
 
 def test_unfold_footnote_example():
-    # f = b1 z1 + b2 z2 over the quadratic extension unfolds to {z1, z2}
-    b1, b2 = F4.basis
-    out = unfold_system([{(1, 0): b1, (0, 1): b2}], F4)
-    assert out == [{(1, 0): 1}, {(0, 1): 1}]
+    # f = b1 z1 + b2 z2 over the quadratic extension unfolds to {z1, z2}:
+    # component i holds coordinate i of every coefficient
+    assert F4.coeffs_arr(np.array(F4.basis)).T.tolist() == [[1, 0], [0, 1]]
 
 
 def test_unfold_base_coefficients():
     # coefficients already in the base field: component i is scaled by
     # trace(b*_i), so the joint solution set over F_q is unchanged
-    f = {(1, 0): 1, (0, 1): 1}
-    out = unfold_system([f], F4)
-    assert len(out) == 2
-    duals = F4.dual_basis()
-    for i, comp in enumerate(out):
-        scale = F4.trace(duals[i])
-        expect = {e: c for e, c in ((e, F4.base.mul(scale, v))
-                                    for e, v in f.items()) if c}
-        assert comp == expect
+    f = np.array([1, 1])
+    comps = F4.coeffs_arr(f).T
+    assert comps.shape == (2, 2)
+    for i, bs in enumerate(F4.dual_basis()):
+        assert (comps[i] == F4.base.mul_arr(F4.trace(bs), f)).all()
 
 
 def test_unfold_preserves_solution_sets():
     # exhaustive check: base-field roots of f = common roots of components
     rng = np.random.default_rng(5)
-    f = {tuple(e): int(c) for e, c in zip(
-        itertools.product(range(2), repeat=3),
-        rng.integers(0, 8, 8)) if c}
-    comps = unfold_system([f], F8)
-    for assign in itertools.product(range(2), repeat=3):
+    expos = list(itertools.product(range(2), repeat=3))
+    coefs = rng.integers(0, 8, len(expos))
+    comps = F8.coeffs_arr(coefs).T                 # (3, #monomials) over F_2
+
+    def value(fld, cs, assign):
         val = 0
-        for expo, c in f.items():
-            term = c
-            for e, x in zip(expo, assign):
-                if e and not x:
-                    term = 0
-            val = F8.add(val, term)
-        comp_vals = []
-        for comp in comps:
-            v = 0
-            for expo, c in comp.items():
-                term = c
-                for e, x in zip(expo, assign):
-                    if e and not x:
-                        term = 0
-                v = F8.base.add(v, term)
-            comp_vals.append(v)
-        assert (val == 0) == all(v == 0 for v in comp_vals)
+        for expo, c in zip(expos, cs):
+            if all(x or not e for e, x in zip(expo, assign)):
+                val = fld.add(val, int(c))
+        return val
 
-
-def test_unfold_reduces_exponents():
-    # z^q collapses onto z for base-field-valued variables
-    out = unfold_system([{(2,): 1}], F4)   # z^2 over F_4 in an F_2 variable
-    assert all(set(comp) <= {(1,)} for comp in out)
+    for assign in itertools.product(range(2), repeat=3):
+        comp_vals = [value(F8.base, comp, assign) for comp in comps]
+        assert (value(F8, coefs, assign) == 0) == all(v == 0 for v in comp_vals)

@@ -151,33 +151,3 @@ def test_minrank_generator_roundtrip():
     rows = np.stack([inst.flatten_matrix(m) for m in mi.mats[1:]])
     for i in range(mi.K):
         assert (inst.unflatten_matrix(rows[i], mi.m) == mi.mats[i + 1]).all()
-
-
-def test_minrank_systematic():
-    mi = inst.gen_minrank(2, 6, 8, 14, 2, seed=7)
-    gm, reduced = inst.minrank_systematic(mi)
-    assert len(gm.pivots) == 14
-    m0f = inst.flatten_matrix(reduced.mats[0])
-    assert not m0f[list(gm.pivots)].any()
-    assert reduced.verify_witness()
-    # the systematic entries of the low-rank matrix are the variables
-    e = reduced.low_rank_matrix(reduced.witness)
-    ef = inst.flatten_matrix(e)
-    assert (ef[list(gm.pivots)] == reduced.witness).all()
-
-
-def test_minrank_systematic_single_matrix():
-    # K = 1: the lone matrix is normalized to have leading entry 1
-    mi = inst.gen_minrank(2, 3, 4, 1, 1, seed=11)
-    gm, reduced = inst.minrank_systematic(mi)
-    assert len(gm.pivots) == 1
-    first = inst.flatten_matrix(reduced.mats[1])
-    assert first[gm.pivots[0]] == 1 and not first[:gm.pivots[0]].any()
-
-
-def test_minrank_systematic_degenerate():
-    fld = inst.gen_minrank(2, 3, 4, 1, 1, seed=1).field
-    z = np.zeros((3, 4), dtype=np.int64)
-    bad = inst.MinRankInstance(fld, 3, 4, 2, 1, (z, z, z), None)
-    with pytest.raises(inst.InstanceError):
-        inst.minrank_systematic(bad)

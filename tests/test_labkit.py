@@ -249,6 +249,20 @@ def test_cli_estimate_custom(capsys):
     assert abs(rows["kernel"]["bits"] - 166) <= 1
 
 
+@pytest.mark.parametrize("argv, attack, why", [
+    (["--kind", "rd", "--q", "2", "--m", "31", "--n", "30", "--k", "15", "--r", "2"],
+     "smplus", "mm-overdetermined"),
+    (["--kind", "minrank", "--q", "2", "--m", "3", "--n", "3", "--K", "2", "--r", "2"],
+     "sm", "no solvable bi-degree"),
+])
+def test_cli_estimate_names_infeasible_attacks(capsys, argv, attack, why):
+    # an attack with no feasible guess count keeps its name and its reason
+    assert main(["estimate", *argv, "--report", "machine"]) == 0
+    rows = {r["attack"]: r for r in json.loads(capsys.readouterr().out)["custom"]}
+    assert rows[attack]["feasible"] is False and rows[attack]["bits"] is None
+    assert rows[attack]["detail"]["why"] == why
+
+
 def test_cli_verify(capsys):
     assert main(["verify", "--property", "mm-rank", "--params", "2,3,5,2,1",
                  "--trials", "3", "--seed", "1"]) == 0

@@ -50,6 +50,27 @@ def test_mm_planted_vanishes():
         assert eval_linear(mmq.field, mmq.coeffs[p], ct) == 0
 
 
+@pytest.mark.parametrize("params", [(3, 4, 7, 3, 2), (9, 2, 5, 2, 1), (4, 5, 8, 3, 2)],
+                         ids=["F3^4", "F9^2", "F4^5"])
+def test_unfolding_matches_trace_reference(params):
+    # coordinate i of a coefficient c is trace(b*_i c); in build_sm_fq the
+    # coefficient of x_{j,l} is trace(b*_i b_l c)
+    _, can, mm, mmq, sm, _ = systems(params, 1)
+    fld = can.field
+    m = fld.degree
+    duals = fld.dual_basis()
+    ref = np.stack([fld.trace_arr(fld.mul_arr(bs, mm.coeffs)) for bs in duals], axis=1)
+    assert (mmq.coeffs == ref.reshape(mmq.coeffs.shape)).all()
+    assert mmq.row_labels == tuple((j, i) for j in mm.row_labels for i in range(m))
+    smq = md.build_sm_fq(sm)
+    assert smq.bil.shape == (sm.npolys * m, sm.nx * m, len(sm.subsets))
+    for i, bs in enumerate(duals):
+        assert (smq.aff[i::m] == fld.trace_arr(fld.mul_arr(bs, sm.aff))).all()
+        for ell, bl in enumerate(fld.basis):
+            expect = fld.trace_arr(fld.mul_arr(fld.mul(bs, bl), sm.bil))
+            assert (smq.bil[i::m, ell::m] == expect).all()
+
+
 def test_mm_fq_rank_matches_generic_count():
     hits = 0
     for seed in range(1, 11):
@@ -74,6 +95,35 @@ def test_sm_planted_vanishes():
     ct = ml.maximal_minors(can.field.base, can.witness.coeffs, can.r)
     vals = sm.eval_at(can.witness.x.tolist(), ct.tolist())
     assert not vals.any()
+
+
+@pytest.mark.parametrize("params", [P842, (3, 4, 7, 3, 2), (9, 2, 5, 2, 1)], ids=str)
+def test_sm_polynomials_are_minors(params):
+    # polynomial I at (x, minors of C) is the minor of (x G + y ; C) at columns I
+    _, can, _, _, sm, _ = systems(params, 4)
+    fld = can.field
+    rng = np.random.default_rng(9)
+    x = fld.rand_elements(rng, can.k)
+    cmat = fld.rand_elements(rng, (can.r, can.n))
+    first = fld.add_arr(ml.matmul(fld, x[None, :], can.gen), can.received[None, :])
+    stacked = np.concatenate([first, cmat])
+    vals = sm.eval_at(x.tolist(), ml.maximal_minors(fld, cmat, can.r).tolist())
+    assert vals.tolist() == [ml.determinant(fld, stacked[:, list(i_set)]) for i_set in sm.labels]
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_minrank_sm_polynomials_are_minors(q):
+    # polynomial (I, i) is the minor of (row i of M_0 + sum x_u M_u ; C) at columns I
+    mi = inst.gen_minrank(q, 3, 5, 4, 2, seed=4)
+    sm = md.sm_for_minrank(mi)
+    rng = np.random.default_rng(11)
+    x = mi.field.rand_elements(rng, mi.K)
+    cmat = mi.field.rand_elements(rng, (mi.r, mi.n))
+    low = mi.low_rank_matrix(x)
+    vals = sm.eval_at(x.tolist(), ml.maximal_minors(mi.field, cmat, mi.r).tolist())
+    assert vals.tolist() == [
+        ml.determinant(mi.field, np.concatenate([low[i:i + 1], cmat])[:, list(i_set)])
+        for i_set, i in sm.labels]
 
 
 def test_sm_leading_terms_and_tail_absence():
