@@ -12,6 +12,28 @@ import time
 
 from ranklab.labkit import experiments as ex
 
+# (property, params, trials): every property at the preset parameters
+PLAN = [
+    ("nb-rank", (2, 7, 8, 4, 2), 20),
+    ("nb-rank", (2, 3, 5, 2, 1), 20),
+    ("q0-span", (2, 7, 8, 4, 2), 10),
+    ("q0-span", (2, 3, 5, 2, 1), 10),
+    ("lt-independence", (2, 7, 8, 4, 2), 10),
+    ("lt-independence", (4, 5, 8, 3, 2), 10),
+    ("q1-correspondence", (2, 7, 8, 4, 2), 10),
+    ("q1-correspondence", (2, 3, 5, 2, 1), 10),
+    ("unfold-sm", (2, 3, 5, 2, 1), 10),
+    ("unfold-sm", (4, 5, 8, 3, 2), 10),
+    ("mm-rank", (2, 3, 5, 2, 1), 50),
+    ("mm-rank", (2, 7, 8, 4, 2), 50),
+    ("mm-rank", (2, 7, 10, 3, 2), 50),
+    ("mm-rank", (2, 7, 12, 5, 2), 50),
+    ("mm-rank", (4, 5, 8, 3, 2), 50),
+    ("syzygy-count", (2, 7, 8, 4, 2), 20),
+    ("hybrid-correct", (2, 7, 12, 5, 2), 30),
+    ("hybrid-correct-minrank", (2, 6, 8, 14, 2), 30),
+]
+
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
@@ -20,29 +42,9 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args()
 
-    plan = [
-        ("nb-rank", (2, 7, 8, 4, 2), 20),
-        ("nb-rank", (2, 3, 5, 2, 1), 20),
-        ("q0-span", (2, 7, 8, 4, 2), 10),
-        ("q0-span", (2, 3, 5, 2, 1), 10),
-        ("lt-independence", (2, 7, 8, 4, 2), 10),
-        ("lt-independence", (4, 5, 8, 3, 2), 10),
-        ("q1-correspondence", (2, 7, 8, 4, 2), 10),
-        ("q1-correspondence", (2, 3, 5, 2, 1), 10),
-        ("unfold-sm", (2, 3, 5, 2, 1), 10),
-        ("unfold-sm", (4, 5, 8, 3, 2), 10),
-        ("mm-rank", (2, 3, 5, 2, 1), 50),
-        ("mm-rank", (2, 7, 8, 4, 2), 50),
-        ("mm-rank", (2, 7, 10, 3, 2), 50),
-        ("mm-rank", (2, 7, 12, 5, 2), 50),
-        ("mm-rank", (4, 5, 8, 3, 2), 50),
-        ("syzygy-count", (2, 7, 8, 4, 2), 20),
-        ("hybrid-correct", (2, 7, 12, 5, 2), 30),
-        ("hybrid-correct-minrank", (2, 6, 8, 14, 2), 30),
-    ]
     t0 = time.perf_counter()
     all_ok = True
-    for prop, params, trials in plan:
+    for prop, params, trials in PLAN:
         rep = ex.verify(prop, params, trials=3 if args.quick else trials,
                         seed=args.seed)
         print(rep.one_line())

@@ -323,9 +323,6 @@ class FiniteField:
         lv = self._log[np.asarray(v, dtype=np.int64)]
         return self._exp_pad[lu[:, None] + lv[None, :]]
 
-    def inv_arr(self, a: np.ndarray) -> np.ndarray:
-        return self._inv[np.asarray(a, dtype=np.int64)]
-
     # -- extension structure ---------------------------------------------------
 
     @property

@@ -31,6 +31,7 @@ __all__ = [
     "MinRankInstance",
     "ShortenResult",
     "InstanceError",
+    "check_params",
     "gen_rd",
     "canonicalize",
     "shorten",
@@ -44,6 +45,24 @@ __all__ = [
 
 class InstanceError(ValueError):
     """Raised for malformed parameters or degenerate instances."""
+
+
+def check_params(kind: str, q: int, m: int, n: int, k: int, r: int) -> FiniteField:
+    """The field of an instance of ``kind`` ("rd", k the code dimension, or
+    "minrank", k the matrix count K) with these parameters: F_{q^m} for RD,
+    F_q for MinRank.  Raises ValueError (InstanceError for the shape) when
+    the parameters describe no instance."""
+    if kind == "rd":
+        if not 0 < k < n:
+            raise InstanceError(f"need 0 < k < n, got k = {k}, n = {n}")
+        if not 0 <= r <= min(m, n):
+            raise InstanceError(f"need 0 <= r <= min(m, n), got r = {r}")
+        return make_ext_field(q, m)
+    if k < 1:
+        raise InstanceError(f"need K >= 1, got K = {k}")
+    if not 0 < r <= min(m, n):
+        raise InstanceError(f"need 0 < r <= min(m, n), got r = {r}")
+    return make_base_field(q)
 
 
 # ---------------------------------------------------------------------------
@@ -98,11 +117,7 @@ def gen_rd(q: int, m: int, n: int, k: int, r: int, seed: int) -> RdInstance:
     The support elements are resampled until F_q-independent and the
     coefficient matrix until full rank, so rank(Mat(e)) = r by construction.
     """
-    if not 0 < k < n:
-        raise InstanceError("need 0 < k < n")
-    if r < 0 or r > min(m, n):
-        raise InstanceError("need 0 <= r <= min(m, n)")
-    fld = make_ext_field(q, m)
+    fld = check_params("rd", q, m, n, k, r)
     rng = np.random.default_rng(seed)
     gen = ml.random_full_rank(fld, k, n, rng)
     x = fld.rand_elements(rng, k)
@@ -345,11 +360,7 @@ def unflatten_matrix(vec: np.ndarray, m: int) -> np.ndarray:
 
 def gen_minrank(q: int, m: int, n: int, K: int, r: int, seed: int) -> MinRankInstance:
     """Seeded MinRank instance with a planted rank-r combination."""
-    if K < 1:
-        raise InstanceError("need K >= 1")
-    if not 0 < r <= min(m, n):
-        raise InstanceError("need 0 < r <= min(m, n)")
-    fld = make_base_field(q)
+    fld = check_params("minrank", q, m, n, K, r)
     rng = np.random.default_rng(seed)
     mats = [fld.rand_elements(rng, (m, n)) for _ in range(K)]
     x = fld.rand_elements(rng, K)

@@ -12,7 +12,7 @@ import numpy as np
 from .. import estimator as es
 from .. import hybrid as hy
 from .. import solver as sv
-from ..instances import InstanceError, RdInstance, gen_minrank, gen_rd
+from ..instances import InstanceError, RdInstance, check_params, gen_minrank, gen_rd
 from . import experiments, io
 
 __all__ = ["main", "build_parser"]
@@ -87,18 +87,19 @@ def _emit(args, obj) -> None:
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "rd":
-        if args.k is None:
-            raise SystemExit("gen rd needs --k")
-        if args.unique_envelope:
-            inst = sv.gen_rd_generic(args.q, args.m, args.n, args.k, args.r,
-                                     args.seed)
-        else:
-            inst = gen_rd(args.q, args.m, args.n, args.k, args.r, args.seed)
+    size = args.k if args.kind == "rd" else args.K
+    if size is None:
+        raise SystemExit(f"gen {args.kind} needs --{'k' if args.kind == 'rd' else 'K'}")
+    try:
+        check_params(args.kind, args.q, args.m, args.n, size, args.r)
+    except ValueError as exc:
+        raise SystemExit(f"ranklab gen: {exc}")
+    if args.kind == "minrank":
+        inst = gen_minrank(args.q, args.m, args.n, size, args.r, args.seed)
+    elif args.unique_envelope:
+        inst = sv.gen_rd_generic(args.q, args.m, args.n, size, args.r, args.seed)
     else:
-        if args.K is None:
-            raise SystemExit("gen minrank needs --K")
-        inst = gen_minrank(args.q, args.m, args.n, args.K, args.r, args.seed)
+        inst = gen_rd(args.q, args.m, args.n, size, args.r, args.seed)
     io.write_instance(args.output, inst)
     _emit(args, {"written": args.output, "kind": args.kind,
                  "witness": inst.witness is not None})
@@ -208,7 +209,15 @@ def _format_table(table, args):
 
 
 def _cmd_verify(args) -> int:
-    params = tuple(int(v) for v in args.params.split(","))
+    try:
+        params = tuple(int(v) for v in args.params.split(","))
+    except ValueError:
+        raise SystemExit(f"ranklab verify: --params must be comma-separated integers, "
+                         f"got {args.params!r}")
+    try:
+        experiments.check_arguments(args.property, params, args.trials)
+    except ValueError as exc:
+        raise SystemExit(f"ranklab verify: {exc}")
     rep = experiments.verify(args.property, params, trials=args.trials,
                              seed=args.seed)
     _emit(args, rep)

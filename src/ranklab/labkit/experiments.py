@@ -4,7 +4,8 @@ Each property name maps to a per-trial check on a fresh seeded instance;
 exact algebraic identities must hold on every trial, statistical
 (genericity) claims pass at the documented 95% threshold with failures
 reported verbatim.  Reports are reproducible bit for bit from
-(property, params, seed).
+(property, params, seed).  Arguments outside a property's domain are
+rejected by :func:`check_arguments` before any trial runs.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from .. import matlin as ml
 from .. import modelings as md
 from .. import solver as sv
 from .. import hybrid as hy
-from ..estimator import nb_fqm, nsyz
-from ..instances import canonicalize, gen_minrank, gen_rd
+from ..estimator import _mm_overdetermined, nb_fqm, nsyz
+from ..instances import canonicalize, check_params, gen_minrank, gen_rd
 
-__all__ = ["ExperimentReport", "PROPERTIES", "verify"]
+__all__ = ["ExperimentReport", "PROPERTIES", "check_arguments", "verify"]
 
 GENERICITY_THRESHOLD = 0.95
 
@@ -201,10 +202,10 @@ def _check_syzygy_count(params, seed, bs=(1, 2, 3)):
     q, m, n, k, r = params
     _, can, _, mmq, sm, part = _canonical_systems(*params, seed, envelope=True)
     fld = can.field
-    plus = md.reduce_sm_plus(sm, part, mmq, k)
+    plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
     # exact relations between the reduced polynomials, coefficients over F_q:
     # coordinate i of each q0 relation, trace(b*_i c) for each coefficient c
-    nf_all = md.nf_bilinear(plus, sm, range(sm.npolys))
+    nf_all = md.nf_bilinear(plus.elim, sm, range(sm.npolys))
     minors = ml.maximal_minors(fld, can.h_y[ml.subset_table(n - k - 1, r + 1)[0]], r + 1)
     for rel in fld.coeffs_arr(minors):
         for coefs in rel.T:
@@ -262,12 +263,28 @@ PROPERTIES: Dict[str, Tuple[Callable, float]] = {
 }
 
 
-def verify(property_name: str, params: Sequence[int], trials: int = 10,
-           seed: int = 1, **kwargs) -> ExperimentReport:
-    """Run the named check on fresh seeded instances and report verdicts."""
+def check_arguments(property_name: str, params: Sequence[int], trials: int) -> None:
+    """Raise ValueError, with a one-line reason, unless the named property
+    can run ``trials`` trials at ``params``."""
     if property_name not in PROPERTIES:
         raise ValueError(f"unknown property {property_name!r}; "
                          f"known: {sorted(PROPERTIES)}")
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    kind = "minrank" if property_name == "hybrid-correct-minrank" else "rd"
+    if len(params) != 5:
+        raise ValueError(f"{property_name} takes five parameters q,m,n,"
+                         f"{'K' if kind == 'minrank' else 'k'},r, got {len(params)}")
+    check_params(kind, *params)
+    if property_name == "syzygy-count" and _mm_overdetermined(*params[1:]):
+        raise ValueError(f"syzygy-count needs an underdetermined MaxMinors system, "
+                         f"but m C(n-k-1, r) >= C(n, r) - 1 at {tuple(params)}")
+
+
+def verify(property_name: str, params: Sequence[int], trials: int = 10,
+           seed: int = 1, **kwargs) -> ExperimentReport:
+    """Run the named check on fresh seeded instances and report verdicts."""
+    check_arguments(property_name, params, trials)
     check, threshold = PROPERTIES[property_name]
     t0 = time.perf_counter()
     passes = 0

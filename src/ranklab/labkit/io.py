@@ -33,8 +33,8 @@ from typing import Dict, Tuple, Union
 
 import numpy as np
 
-from ..galois import make_base_field, make_ext_field
-from ..instances import MinRankInstance, RdInstance, RdWitness
+from ..galois import make_base_field
+from ..instances import MinRankInstance, RdInstance, RdWitness, check_params
 from .. import matlin as ml
 
 __all__ = ["write_instance", "read_instance", "report_text", "report_json"]
@@ -125,33 +125,25 @@ def read_instance(path: str) -> Union[RdInstance, MinRankInstance]:
     base_mod = [0, 1] if base.base is None else list(base.modulus)
     if doc["q_modulus"] != base_mod:
         raise ValueError("base-field modulus does not match the deterministic choice")
+    fld = check_params(kind, q, m, n, k, r)
     if kind == "rd":
-        if not 0 < k < n:
-            raise ValueError(f"need 0 < k < n, got k = {k}, n = {n}")
-        if not 0 <= r <= min(m, n):
-            raise ValueError(f"need 0 <= r <= min(m, n), got r = {r}")
-        ext = make_ext_field(q, m)
-        if doc["ext_modulus"] != list(ext.modulus):
+        if doc["ext_modulus"] != list(fld.modulus):
             raise ValueError("extension modulus does not match the deterministic choice")
-        gen = _codes(doc["generator"], (k, n), ext.order, "generator")
-        received = _codes(doc["received"], (n,), ext.order, "received")
+        gen = _codes(doc["generator"], (k, n), fld.order, "generator")
+        received = _codes(doc["received"], (n,), fld.order, "received")
         witness = None
         if "witness" in doc:
             w = _witness_doc(doc, {"x", "support", "coeffs"})
-            x = _codes(w["x"], (k,), ext.order, "witness x")
-            support = _codes(w["support"], (r,), ext.order, "witness support")
+            x = _codes(w["x"], (k,), fld.order, "witness x")
+            support = _codes(w["support"], (r,), fld.order, "witness support")
             coeffs = _codes(w["coeffs"], (r, n), q, "witness coeffs")
-            error = ml.matmul(ext, support[None, :], coeffs)[0] if r \
+            error = ml.matmul(fld, support[None, :], coeffs)[0] if r \
                 else np.zeros(n, dtype=np.int64)
             witness = RdWitness(x, support, coeffs, error)
-        inst = RdInstance(ext, n, k, r, gen, received, witness)
+        inst = RdInstance(fld, n, k, r, gen, received, witness)
         if witness is not None and not inst.verify_witness():
             raise ValueError("witness does not verify against the instance")
         return inst
-    if k < 1:
-        raise ValueError(f"need K >= 1, got K = {k}")
-    if not 0 < r <= min(m, n):
-        raise ValueError(f"need 0 < r <= min(m, n), got r = {r}")
     if not isinstance(doc["matrices"], list) or len(doc["matrices"]) != k + 1:
         raise ValueError("matrix count does not match k_or_K + 1")
     mats = tuple(_codes(mi, (m, n), q, f"matrix {i}") for i, mi in enumerate(doc["matrices"]))

@@ -37,7 +37,6 @@ from .galois import FiniteField
 __all__ = [
     "EchelonResult",
     "echelonize",
-    "right_kernel",
     "kernel_from_rref",
     "pack_gf2",
     "unpack_gf2",
@@ -294,10 +293,6 @@ def kernel_from_rref(fld: FiniteField, rref: np.ndarray, pivots: Sequence[int]) 
         kernel[range(len(free)), free] = 1
         kernel[:, pivots] = fld.neg_arr(rref[:len(pivots), free].T)
     return kernel
-
-
-def right_kernel(fld: FiniteField, mat: np.ndarray) -> np.ndarray:
-    return echelonize(fld, mat).kernel
 
 
 def solve_right(fld: FiniteField, mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:

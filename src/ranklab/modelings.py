@@ -16,6 +16,9 @@ indexed by r-subsets T of column positions):
 * ``reduce_sm_plus``: the compact system obtained by eliminating c_T
   variables from the high-overlap bilinear equations using the linear ones.
 
+One row reduction, ``eliminate_minors``, writes the largest c_T through
+the free ones; the MaxMinors readout and ``reduce_sm_plus`` both use it.
+
 Every minor comes from :func:`ranklab.matlin.maximal_minors`, and every
 Support-Minors equation is the Laplace expansion of a minor along its first
 row, scattered through the faces of :func:`ranklab.matlin.subset_table`.
@@ -46,9 +49,9 @@ __all__ = [
     "CtLinearSystem",
     "BilinearSystem",
     "QPartition",
+    "MinorElimination",
     "SmPlusSystem",
     "MacaulayMatrix",
-    "MaxMinorsSolvable",
     "MonomialBudgetError",
     "build_mm_fqm",
     "build_mm_fq",
@@ -56,17 +59,15 @@ __all__ = [
     "build_sm_fq",
     "sm_for_minrank",
     "sm_fq_direct",
+    "eliminate_minors",
     "reduce_sm_plus",
+    "nf_bilinear",
     "macaulay",
     "basis_bb",
     "monomial_key",
     "leading_term",
     "subsystem",
 ]
-
-
-class MaxMinorsSolvable(Exception):
-    """The linear system alone pins the minors; no bilinear stage needed."""
 
 
 class MonomialBudgetError(Exception):
@@ -143,21 +144,37 @@ class QPartition:
 
 
 @dataclass(frozen=True)
-class SmPlusSystem:
-    """High-overlap bilinear equations with pivot minors eliminated.
+class MinorElimination:
+    """The minors solved from the unfolded linear system, over F_q.
 
-    ``system`` has the free minors as columns; ``pivot_cols`` lists the
-    eliminated c_T (largest first in the variable order), and ``pivot_expr``
-    writes each of them as an F_q-combination of the free ones for
-    back-substitution.
+    ``pivot_cols`` lists the eliminated c_T (largest first in the variable
+    order) and ``free_cols`` the others, ascending; row i of ``pivot_expr``
+    writes c_{pivot_cols[i]} as an F_q-combination of the free minors.  No
+    free minor means the system is inconsistent, one means it pins the
+    minors up to a scalar.
     """
 
-    system: BilinearSystem
+    field: FiniteField
     free_cols: Tuple[int, ...]        # indices into the full subset list
     pivot_cols: Tuple[int, ...]
     pivot_expr: np.ndarray            # (#pivots, #free) over F_q
-    mm_rank: int
-    k: int
+
+    def expand(self, c_free: np.ndarray) -> np.ndarray:
+        """The full minor vector whose free minors are ``c_free``."""
+        c_free = np.asarray(c_free, dtype=np.int64)
+        out = np.zeros(len(self.free_cols) + len(self.pivot_cols), dtype=np.int64)
+        out[list(self.free_cols)] = c_free
+        out[list(self.pivot_cols)] = ml.matmul(self.field, c_free[None, :], self.pivot_expr.T)[0]
+        return out
+
+
+@dataclass(frozen=True)
+class SmPlusSystem:
+    """High-overlap bilinear equations with the pivot minors of ``elim``
+    substituted; ``system`` has the free minors as columns."""
+
+    system: BilinearSystem
+    elim: MinorElimination
 
 
 # ---------------------------------------------------------------------------
@@ -297,58 +314,44 @@ def subsystem(sys: BilinearSystem, indices: Sequence[int]) -> BilinearSystem:
 # elimination of minors by the linear system
 # ---------------------------------------------------------------------------
 
-def reduce_sm_plus(sm: BilinearSystem, part: QPartition, mm_fq: CtLinearSystem,
-                   k: int, force: bool = False) -> SmPlusSystem:
-    """Eliminate pivot minors from the high-overlap equations.
+def eliminate_minors(mm_fq: CtLinearSystem) -> MinorElimination:
+    """Solve the unfolded linear system for its largest minors.
 
-    Pivots are chosen greedily on the largest c_T in the variable order,
-    matching normal-form semantics.  Raises :class:`MaxMinorsSolvable`
-    when the linear system already determines the minors projectively
-    (``force`` still performs the reduction then, for structural checks
-    on overdetermined instances).
+    One row reduction of the column-reversed matrix puts the pivots on the
+    largest c_T in the variable order, matching normal-form semantics;
+    c_pivot = - sum over free of the rref coefficient times c_free.
     """
     base = mm_fq.field
     nt = mm_fq.coeffs.shape[1]
-    rev = mm_fq.coeffs[:, ::-1]
-    res = ml.echelonize(base, rev)
-    if res.rank >= nt - 1 and not force:
-        raise MaxMinorsSolvable(f"linear minor system has rank {res.rank} of {nt}")
-    pivot_cols = tuple(nt - 1 - p for p in res.pivots)          # descending c_T
-    free_cols = tuple(c for c in range(nt) if c not in set(pivot_cols))
-    # c_pivot = - sum over free of rref coefficient * c_free
-    expr = np.zeros((len(pivot_cols), len(free_cols)), dtype=np.int64)
-    free_rev = {nt - 1 - c: i for i, c in enumerate(free_cols)}
-    for row, p in enumerate(res.pivots):
-        for c in np.nonzero(res.rref[row])[0]:
-            c = int(c)
-            if c == p:
-                continue
-            expr[row, free_rev[c]] = base.neg(int(res.rref[row, c]))
-    reduced = _substitute(sm, part.two_plus, free_cols, pivot_cols, expr)
-    return SmPlusSystem(reduced, free_cols, pivot_cols, expr, res.rank, k)
+    res = ml.echelonize(base, mm_fq.coeffs[:, ::-1])
+    pivot_cols = tuple(nt - 1 - p for p in res.pivots)
+    free = np.delete(np.arange(nt), pivot_cols)
+    expr = base.neg_arr(res.rref[:res.rank, nt - 1 - free])
+    return MinorElimination(base, tuple(free.tolist()), pivot_cols, expr)
 
 
-def _substitute(sm: BilinearSystem, rows: Sequence[int], free_cols: Sequence[int],
-                pivot_cols: Sequence[int], expr: np.ndarray) -> BilinearSystem:
+def reduce_sm_plus(sm: BilinearSystem, part: QPartition, elim: MinorElimination) -> SmPlusSystem:
+    """Substitute the eliminated minors into the high-overlap equations."""
+    return SmPlusSystem(nf_bilinear(elim, sm, part.two_plus), elim)
+
+
+def nf_bilinear(elim: MinorElimination, sm: BilinearSystem, rows: Sequence[int]) -> BilinearSystem:
+    """Normal form of bilinear rows under the elimination: each eliminated
+    c_T is replaced by its expression in the free minors."""
     fld = sm.field
     idx = list(rows)
-    free = list(free_cols)
-    piv = list(pivot_cols)
+    free = list(elim.free_cols)
+    piv = list(elim.pivot_cols)
     nb = sm.bil[idx]
     na = sm.aff[idx]
     P, k, _ = nb.shape
     flat = nb.reshape(P * k, -1)
-    new_bil = fld.add_arr(flat[:, free], ml.matmul(fld, flat[:, piv], expr))
-    new_aff = fld.add_arr(na[:, free], ml.matmul(fld, na[:, piv], expr))
+    new_bil = fld.add_arr(flat[:, free], ml.matmul(fld, flat[:, piv], elim.pivot_expr))
+    new_aff = fld.add_arr(na[:, free], ml.matmul(fld, na[:, piv], elim.pivot_expr))
     subsets = tuple(sm.subsets[c] for c in free)
     return BilinearSystem(fld, sm.nx, sm.n, sm.r, subsets,
                           new_bil.reshape(P, k, len(free)), new_aff,
                           tuple(sm.labels[i] for i in idx), sm.tag + "+")
-
-
-def nf_bilinear(plus: SmPlusSystem, sm: BilinearSystem, rows: Sequence[int]) -> BilinearSystem:
-    """Normal form of arbitrary bilinear rows under the recorded elimination."""
-    return _substitute(sm, rows, plus.free_cols, plus.pivot_cols, plus.pivot_expr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Solving the constructed systems by linearization and recovering errors.
 
 The decoding loop tries increasing error weights; per weight it builds the
-linear minor system, solves it directly when its kernel is a line, and
-otherwise eliminates minors and linearizes the bilinear system at
-increasing bi-degree until the kernel is a line.  Every candidate is
-verified against the instance before being returned.
+linear minor system and eliminates the largest minors from it once.  When
+one minor is left free the minors are read off directly (MaxMinors);
+otherwise, or when SM+ is forced, the elimination is substituted into the
+bilinear system, which is linearized at increasing bi-degree until the
+kernel is a line.  Every candidate is verified against the instance before
+being returned.
 
 Also provides an exhaustive support-enumeration decoder for desk-scale
 instances; it is independent of the algebraic path and doubles as the
@@ -16,7 +18,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -77,23 +78,21 @@ Outcome = Union[MonomialAssignment, Indeterminate, Inconsistent]
 # kernels of linearized systems
 # ---------------------------------------------------------------------------
 
-def solve_mm_linear(mm_fq) -> Union[np.ndarray, Indeterminate, Inconsistent]:
-    """Solve the linear minor system; unique projective kernel expected.
+def solve_mm_linear(elim: md.MinorElimination) -> Union[np.ndarray, Indeterminate, Inconsistent]:
+    """The minor vector pinned by the linear minor system, if it is.
 
-    Returns the minor vector normalized so that its largest nonzero entry
-    (in the variable order) is 1; callers escalate on Indeterminate and
-    raise the target weight on Inconsistent.
+    Returns it normalized so that its largest nonzero entry (in the
+    variable order) is 1; callers escalate on Indeterminate and raise the
+    target weight on Inconsistent.
     """
-    fld = mm_fq.field
-    res = ml.echelonize(fld, mm_fq.coeffs)
-    nt = mm_fq.coeffs.shape[1]
-    if res.rank == nt:
+    nfree = len(elim.free_cols)
+    if nfree == 0:
         return Inconsistent()
-    if res.rank < nt - 1:
-        return Indeterminate(nt - res.rank)
-    vec = res.kernel[0]
+    if nfree > 1:
+        return Indeterminate(nfree)
+    vec = elim.expand(np.ones(1, dtype=np.int64))
     top = int(np.nonzero(vec)[0][-1])
-    return fld.mul_arr(vec, fld.inv(int(vec[top])))
+    return elim.field.mul_arr(vec, elim.field.inv(int(vec[top])))
 
 
 def solve_linearized(mac: md.MacaulayMatrix) -> Outcome:
@@ -118,8 +117,8 @@ def solve_linearized(mac: md.MacaulayMatrix) -> Outcome:
     return MonomialAssignment(fld, values, mac.col_labels[pivot_col])
 
 
-def extract_solution(assign: MonomialAssignment, plus: md.SmPlusSystem,
-                     all_subsets_n: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+def extract_solution(assign: MonomialAssignment, plus: md.SmPlusSystem
+                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Minor vector over F_q plus linear variables from a kernel assignment.
 
     Checks that all degree-(0,1) coordinates land in the base field and
@@ -128,9 +127,8 @@ def extract_solution(assign: MonomialAssignment, plus: md.SmPlusSystem,
     re-expanded through the recorded pivot expressions.
     """
     fld = assign.field
-    base = fld.base
     sys = plus.system
-    nfree = len(plus.free_cols)
+    nfree = len(plus.elim.free_cols)
     c_free = np.zeros(nfree, dtype=np.int64)
     for col in range(nfree):
         v = assign.values.get(((), col), 0)
@@ -146,14 +144,7 @@ def extract_solution(assign: MonomialAssignment, plus: md.SmPlusSystem,
         if len(alpha) == 1:
             if fld.mul(int(x[alpha[0]]), int(c_free[col])) != v:
                 return None
-    nt = comb(all_subsets_n, sys.r)
-    c_full = np.zeros(nt, dtype=np.int64)
-    for i, col in enumerate(plus.free_cols):
-        c_full[col] = c_free[i]
-    piv_vals = ml.matmul(base, c_free[None, :], plus.pivot_expr.T)[0]
-    for i, col in enumerate(plus.pivot_cols):
-        c_full[col] = piv_vals[i]
-    return c_full, x
+    return plus.elim.expand(c_free), x
 
 
 def reconstruct_support_matrix(base: FiniteField, minors: Sequence[int],
@@ -222,8 +213,9 @@ class RdSolution:
 class DecodeConfig:
     modeling: str = "auto"         # "auto" | "mm" | "smplus"
     b_max: int = 4
-    retries: int = 3               # fresh canonicalizations per weight
-    max_cells: int = 80_000_000
+
+
+RETRIES = 3                        # fresh canonicalizations per weight
 
 
 class Unsolved(Exception):
@@ -241,11 +233,10 @@ def decode_rd(rd: RdInstance, config: DecodeConfig = DecodeConfig()) -> RdSoluti
         return zero_sol
     for r_prime in range(1, rd.r + 1):
         sub = RdInstance(fld, rd.n, rd.k, r_prime, rd.gen, rd.received, None)
-        for retry in range(config.retries):
+        for retry in range(RETRIES):
             can = canonicalize(sub, perm_seed=None if retry == 0 else 7919 * retry)
-            mm = md.build_mm_fqm(can)
-            mmq = md.build_mm_fq(mm)
-            minors = solve_mm_linear(mmq)
+            elim = md.eliminate_minors(md.build_mm_fq(md.build_mm_fqm(can)))
+            minors = solve_mm_linear(elim)
             if isinstance(minors, Inconsistent):
                 transcript.append(f"r'={r_prime}: linear minor system inconsistent")
                 break
@@ -258,7 +249,7 @@ def decode_rd(rd: RdInstance, config: DecodeConfig = DecodeConfig()) -> RdSoluti
             if config.modeling == "mm":
                 transcript.append(f"r'={r_prime}: minor system underdetermined, mm-only mode")
                 break
-            sol = _try_sm_plus(rd, can, mm, mmq, r_prime, config, transcript, retry)
+            sol = _try_sm_plus(rd, can, elim, r_prime, config, transcript, retry)
             if sol is not None:
                 return sol
     raise Unsolved(transcript)
@@ -273,11 +264,8 @@ def _try_weight_zero(rd: RdInstance) -> Optional[RdSolution]:
                       msg, 0, ("r'=0: received word is a codeword",))
 
 
-def _finish_from_minors(rd: RdInstance, can: CanonicalRd, minors, r_prime: int,
+def _finish_from_minors(rd: RdInstance, can: CanonicalRd, minors: np.ndarray, r_prime: int,
                         transcript: List[str], tag: str) -> Optional[RdSolution]:
-    if isinstance(minors, (Indeterminate, Inconsistent)):
-        transcript.append(f"{tag}: {minors}")
-        return None
     base = can.field.base
     try:
         cmat = reconstruct_support_matrix(base, minors, can.n, r_prime)
@@ -301,19 +289,14 @@ def _error_from_support_matrix(can: CanonicalRd, cmat: np.ndarray) -> Optional[n
     return ml.matmul(fld, z[None, can.k:], cmat)[0]
 
 
-def _try_sm_plus(rd: RdInstance, can: CanonicalRd, mm, mmq, r_prime: int,
+def _try_sm_plus(rd: RdInstance, can: CanonicalRd, elim: md.MinorElimination, r_prime: int,
                  config: DecodeConfig, transcript: List[str], retry: int
                  ) -> Optional[RdSolution]:
     sm, part = md.build_sm_fqm(can)
-    try:
-        plus = md.reduce_sm_plus(sm, part, mmq, can.k)
-    except md.MaxMinorsSolvable:
-        transcript.append(f"r'={r_prime}: minor system became solvable during reduction")
-        return None
+    plus = md.reduce_sm_plus(sm, part, elim)
     for b in range(1, config.b_max + 1):
         try:
-            mac = md.macaulay(plus.system, b, multipliers="upto",
-                              max_cells=config.max_cells)
+            mac = md.macaulay(plus.system, b, multipliers="upto")
         except md.MonomialBudgetError as exc:
             transcript.append(f"r'={r_prime} b={b}: {exc}")
             return None
@@ -325,7 +308,7 @@ def _try_sm_plus(rd: RdInstance, can: CanonicalRd, mm, mmq, r_prime: int,
         if isinstance(outcome, Indeterminate):
             transcript.append(f"{tag}: kernel dimension {outcome.kernel_dim}")
             continue
-        extracted = extract_solution(outcome, plus, can.n)
+        extracted = extract_solution(outcome, plus)
         if extracted is None:
             transcript.append(f"{tag}: kernel vector fails consistency")
             continue
@@ -364,7 +347,7 @@ def verify_rd(rd: RdInstance, e: np.ndarray, bound: int, transcript: List[str],
 # MinRank by straight linearization (inner solver for the hybrid driver)
 # ---------------------------------------------------------------------------
 
-def solve_minrank_linearized(inst: MinRankInstance, b_max: int = 1
+def solve_minrank_linearized(inst: MinRankInstance
                              ) -> Union[np.ndarray, Indeterminate, Inconsistent]:
     """Solve a small MinRank instance by linearizing the bilinear modeling.
 
@@ -372,22 +355,13 @@ def solve_minrank_linearized(inst: MinRankInstance, b_max: int = 1
     tiny q, so desk-scale use sticks to b = 1; returns the coefficient
     vector x after verifying the rank condition.
     """
-    sm = md.sm_for_minrank(inst)
-    last: Union[Indeterminate, Inconsistent] = Indeterminate(-1)
-    for b in range(1, b_max + 1):
-        mac = md.macaulay(sm, b, multipliers="upto")
-        outcome = solve_linearized(mac)
-        if isinstance(outcome, MonomialAssignment):
-            x = np.zeros(inst.K, dtype=np.int64)
-            pivot_col = outcome.pivot[1]
-            for u in range(inst.K):
-                x[u] = outcome.values.get(((u,), pivot_col), 0)
-            if verify_minrank(inst, x) is not None:
-                return x
-            last = Indeterminate(1)
-        else:
-            last = outcome
-    return last
+    outcome = solve_linearized(md.macaulay(md.sm_for_minrank(inst), 1, multipliers="upto"))
+    if not isinstance(outcome, MonomialAssignment):
+        return outcome
+    x = np.zeros(inst.K, dtype=np.int64)
+    for u in range(inst.K):
+        x[u] = outcome.values.get(((u,), outcome.pivot[1]), 0)
+    return x if verify_minrank(inst, x) is not None else Indeterminate(1)
 
 
 def verify_minrank(inst: MinRankInstance, x: np.ndarray) -> Optional[int]:
@@ -439,17 +413,15 @@ def gen_rd_unique(q: int, m: int, n: int, k: int, r: int, seed: int,
 def sm_plus_kernel_dim(rd: RdInstance) -> Optional[int]:
     """Kernel dimension of the first-degree linearized eliminated system.
 
-    None when the linear minor system is already solvable (no bilinear
-    stage applies for these parameters).
+    None when at most one minor is free: the linear minor system already
+    decides the minors, so no bilinear stage applies for these parameters.
     """
     can = canonicalize(rd)
-    mmq = md.build_mm_fq(md.build_mm_fqm(can))
-    sm, part = md.build_sm_fqm(can)
-    try:
-        plus = md.reduce_sm_plus(sm, part, mmq, can.k)
-    except md.MaxMinorsSolvable:
+    elim = md.eliminate_minors(md.build_mm_fq(md.build_mm_fqm(can)))
+    if len(elim.free_cols) <= 1:
         return None
-    mac = md.macaulay(plus.system, 1)
+    sm, part = md.build_sm_fqm(can)
+    mac = md.macaulay(md.reduce_sm_plus(sm, part, elim).system, 1)
     return mac.arr.shape[1] - ml.echelonize(can.field, mac.arr).rank
 
 

@@ -123,7 +123,7 @@ def test_criterion_06_conjectured_rank_after_elimination():
         can = inst.canonicalize(rd)
         mmq = md.build_mm_fq(md.build_mm_fqm(can))
         sm, part = md.build_sm_fqm(can)
-        plus = md.reduce_sm_plus(sm, part, mmq, can.k)
+        plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
         ok = True
         for b in (1, 2, 3):
             mac = md.macaulay(plus.system, b)

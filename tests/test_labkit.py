@@ -1,6 +1,8 @@
 """File formats, experiment reports, CLI."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +189,26 @@ def test_syzygy_property_small():
     assert rep.verdict, rep.failures
 
 
+def test_syzygy_property_rejects_overdetermined_params():
+    # the rank law concerns an underdetermined MaxMinors system; (2,7,10,3,2)
+    # has 105 equations for 45 minors
+    with pytest.raises(ValueError, match="needs an underdetermined MaxMinors system"):
+        experiments.verify("syzygy-count", (2, 7, 10, 3, 2), trials=1)
+
+
+SUITE = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_suite.py"
+
+
+def test_verification_suite_plan_passes_argument_check():
+    spec = importlib.util.spec_from_file_location("run_verification_suite", SUITE)
+    suite = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(suite)
+    assert {prop for prop, _, _ in suite.PLAN} == set(experiments.PROPERTIES)
+    for prop, params, trials in suite.PLAN:
+        experiments.check_arguments(prop, params, trials)
+        experiments.check_arguments(prop, params, 3)      # the --quick run
+
+
 def test_hybrid_properties_small():
     rep = experiments.verify("hybrid-correct", (2, 7, 12, 5, 2), trials=2, seed=1)
     assert rep.verdict, rep.failures
@@ -217,6 +239,19 @@ def test_cli_gen_attack_rd(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verified"] and doc["weight"] == 2
     assert any("verified" in line for line in doc["transcript"])
+
+
+@pytest.mark.parametrize("params", [(2, 7, 10, 3, 2), (3, 5, 8, 3, 2), (4, 5, 8, 3, 2),
+                                    (2, 7, 12, 5, 2), (5, 3, 6, 2, 1), (9, 3, 6, 2, 1),
+                                    (3, 4, 7, 3, 1)], ids=str)
+def test_cli_attack_forced_smplus(tmp_path, capsys, params):
+    rd = inst.gen_rd(*params, seed=1)
+    path = str(tmp_path / "i.rdi")
+    io.write_instance(path, rd)
+    assert main(["attack", path, "--modeling", "smplus", "--report", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == rd.witness.error.tolist()
+    assert "smplus b=1" in doc["transcript"][-1]
 
 
 def test_cli_attack_hybrid_minrank(tmp_path, capsys):
@@ -268,6 +303,37 @@ def test_cli_verify(capsys):
                  "--trials", "3", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["verify", "--property", "mm-rank", "--params", "2,7"],
+     "mm-rank takes five parameters q,m,n,k,r, got 2"),
+    (["verify", "--property", "mm-rank", "--params", "2,7,x,4,2"],
+     "--params must be comma-separated integers, got '2,7,x,4,2'"),
+    (["verify", "--property", "mm-rank", "--params", "2,3,5,2,1", "--trials", "0"],
+     "need trials >= 1, got 0"),
+    (["verify", "--property", "syzygy-count", "--params", "2,7,10,3,2"],
+     "syzygy-count needs an underdetermined MaxMinors system"),
+    (["verify", "--property", "hybrid-correct-minrank", "--params", "2,6,8,0,2"],
+     "need K >= 1, got K = 0"),
+    (["gen", "rd", "--q", "2", "--m", "7", "--n", "8", "--k", "9", "--r", "2"],
+     "need 0 < k < n, got k = 9, n = 8"),
+    (["gen", "rd", "--q", "6", "--m", "7", "--n", "8", "--k", "4", "--r", "2"],
+     "6 is not a prime power"),
+    (["gen", "minrank", "--q", "2", "--m", "6", "--n", "8", "--K", "14", "--r", "9"],
+     "need 0 < r <= min(m, n), got r = 9"),
+], ids=["short-params", "non-integer", "no-trials", "syzygy-overdetermined",
+        "minrank-K", "gen-k-above-n", "gen-q6", "gen-minrank-r"])
+def test_cli_rejects_bad_arguments(tmp_path, argv, reason):
+    # rejected in one line before any work, like an attack on a malformed file
+    if argv[0] == "gen":
+        argv = argv + ["-o", str(tmp_path / "out.inst")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = str(exc.value.code)
+    assert message.startswith(f"ranklab {argv[0]}: ") and reason in message
+    assert "\n" not in message
+    assert not (tmp_path / "out.inst").exists()
 
 
 def test_cli_attack_unsolved_is_clean(tmp_path, capsys):

@@ -174,32 +174,43 @@ def test_sm_fq_planted_vanishes():
 
 def test_reduce_sm_plus_counts():
     _, can, _, mmq, sm, part = systems(P842, 1)
-    plus = md.reduce_sm_plus(sm, part, mmq, can.k)
-    assert len(plus.free_cols) == comb(8, 2) - plus.mm_rank == 7
+    plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
+    elim = plus.elim
+    rank = ml.echelonize(mmq.field, mmq.coeffs).rank
+    assert len(elim.pivot_cols) == rank
+    assert len(elim.free_cols) == comb(8, 2) - rank == 7
     assert plus.system.npolys == 40
     # eliminated minors are the largest ones in the variable order
-    assert min(plus.pivot_cols) > max(
-        c for c in plus.free_cols) - len(plus.pivot_cols) - len(plus.free_cols)
-    assert sorted(plus.pivot_cols, reverse=True)[0] == comb(8, 2) - 1
+    assert min(elim.pivot_cols) > max(
+        c for c in elim.free_cols) - len(elim.pivot_cols) - len(elim.free_cols)
+    assert sorted(elim.pivot_cols, reverse=True)[0] == comb(8, 2) - 1
     # witness still vanishes after elimination
     ct = ml.maximal_minors(can.field.base, can.witness.coeffs, can.r)
-    ct_free = [int(ct[c]) for c in plus.free_cols]
+    ct_free = [int(ct[c]) for c in elim.free_cols]
     assert not plus.system.eval_at(can.witness.x.tolist(), ct_free).any()
     # pivot expressions reproduce the eliminated coordinates
-    piv = ml.matmul(mmq.field, np.array(ct_free)[None, :], plus.pivot_expr.T)[0]
-    for i, c in enumerate(plus.pivot_cols):
+    piv = ml.matmul(mmq.field, np.array(ct_free)[None, :], elim.pivot_expr.T)[0]
+    for i, c in enumerate(elim.pivot_cols):
         assert piv[i] == ct[c]
+    assert (elim.expand(ct_free) == ct).all()
 
 
-def test_reduce_signals_overdetermined():
+def test_reduce_runs_when_minors_are_pinned():
+    # (2,7,10,3,2): the MaxMinors system leaves one minor free, which pins
+    # the minors; the substitution still runs and the witness survives it
     _, can, _, mmq, sm, part = systems((2, 7, 10, 3, 2), 1)
-    with pytest.raises(md.MaxMinorsSolvable):
-        md.reduce_sm_plus(sm, part, mmq, can.k)
+    elim = md.eliminate_minors(mmq)
+    assert len(elim.free_cols) == 1
+    plus = md.reduce_sm_plus(sm, part, elim)
+    assert plus.system.subsets == (sm.subsets[elim.free_cols[0]],)
+    assert plus.system.npolys == len(part.two_plus)
+    ct = ml.maximal_minors(can.field.base, can.witness.coeffs, can.r)
+    assert not plus.system.eval_at(can.witness.x.tolist(), [int(ct[elim.free_cols[0]])]).any()
 
 
 def test_macaulay_b1_is_coefficient_matrix():
     _, can, _, mmq, sm, part = systems(P842, 1)
-    plus = md.reduce_sm_plus(sm, part, mmq, can.k)
+    plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
     mac = md.macaulay(plus.system, 1)
     assert mac.arr.shape == (40, 35)
     # each row is the system's own coefficients under the column layout
@@ -241,7 +252,7 @@ def macaulay_cases():
     eliminated system, the basis rows, and odd characteristic."""
     for params, seed in ((P521, 1), (P842, 2), ((3, 4, 7, 3, 1), 1)):
         _, can, _, mmq, sm, part = systems(params, seed)
-        plus = md.reduce_sm_plus(sm, part, mmq, can.k, force=True)
+        plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
         for sys in (sm, plus.system):
             for b in (1, 2):
                 for mult in ("exact", "upto"):
@@ -329,13 +340,11 @@ def test_q0_span_identity():
 
 
 def test_syzygy_relations_reduce_to_zero():
-    # tiny overdetermined instance: force the reduction to exercise the
-    # relation where everything is small enough to inspect
+    # tiny overdetermined instance, where everything is small enough to inspect
     _, can, _, mmq, sm, part = systems(P521, 3)
     fld = can.field
     n, k, r = can.n, can.k, can.r
-    plus = md.reduce_sm_plus(sm, part, mmq, k, force=True)
-    nf_all = md.nf_bilinear(plus, sm, range(sm.npolys))
+    nf_all = md.nf_bilinear(md.eliminate_minors(mmq), sm, range(sm.npolys))
     for t_rows in ml.all_subsets(n - k - 1, r + 1):
         minors = ml.maximal_minors(fld, can.h_y[list(t_rows)], r + 1)
         for bs in fld.dual_basis():

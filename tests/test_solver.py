@@ -20,7 +20,7 @@ def mm_system(params, seed):
 
 def test_solve_mm_linear_recovers_planted_minors():
     rd, can, mmq = mm_system((2, 7, 10, 3, 2), 1)
-    vec = sv.solve_mm_linear(mmq)
+    vec = sv.solve_mm_linear(md.eliminate_minors(mmq))
     assert isinstance(vec, np.ndarray)
     planted = ml.maximal_minors(can.field.base, can.witness.coeffs, 2)
     top = int(np.nonzero(planted)[0][-1])
@@ -35,7 +35,50 @@ def test_solve_mm_linear_wrong_weight_inconsistent():
     sub = inst.RdInstance(rd.field, rd.n, rd.k, 1, rd.gen, rd.received, None)
     can = inst.canonicalize(sub)
     mmq = md.build_mm_fq(md.build_mm_fqm(can))
-    assert isinstance(sv.solve_mm_linear(mmq), sv.Inconsistent)
+    assert isinstance(sv.solve_mm_linear(md.eliminate_minors(mmq)), sv.Inconsistent)
+
+
+def mm_linear_reference(mmq):
+    """Reference readout without the elimination: the kernel of the unfolded
+    matrix itself, normalized at its largest nonzero entry when it is a line."""
+    fld = mmq.field
+    res = ml.echelonize(fld, mmq.coeffs)
+    nt = mmq.coeffs.shape[1]
+    if res.rank == nt:
+        return sv.Inconsistent()
+    if res.rank < nt - 1:
+        return sv.Indeterminate(nt - res.rank)
+    vec = res.kernel[0]
+    return fld.mul_arr(vec, fld.inv(int(vec[np.nonzero(vec)[0][-1]])))
+
+
+PINNED, LOOSE, NONE = "ndarray", "Indeterminate", "Inconsistent"
+
+
+@pytest.mark.parametrize("params,kinds", [pytest.param(p, kinds, id=str(p)) for p, kinds in [
+    ((2, 7, 10, 3, 2), {PINNED, NONE}), ((2, 7, 8, 4, 2), {LOOSE, NONE}),
+    ((3, 5, 8, 3, 2), {PINNED, NONE}), ((4, 5, 8, 3, 2), {PINNED, NONE}),
+    ((5, 3, 6, 2, 1), {PINNED}), ((9, 3, 6, 2, 1), {PINNED}),
+    ((3, 4, 7, 3, 2), {LOOSE, NONE})]])
+def test_solve_mm_linear_matches_kernel_reference(params, kinds):
+    # every target weight r' <= r, so inconsistent and underdetermined
+    # systems occur next to the pinned ones
+    q, m, n, k, r = params
+    seen = set()
+    for seed in (1, 2, 3):
+        rd = inst.gen_rd(*params, seed=seed)
+        for r_prime in range(1, r + 1):
+            sub = inst.RdInstance(rd.field, n, k, r_prime, rd.gen, rd.received, None)
+            for perm_seed in (None, 7919):
+                mmq = md.build_mm_fq(md.build_mm_fqm(inst.canonicalize(sub, perm_seed)))
+                got = sv.solve_mm_linear(md.eliminate_minors(mmq))
+                want = mm_linear_reference(mmq)
+                seen.add(type(want).__name__)
+                if isinstance(want, np.ndarray):
+                    assert isinstance(got, np.ndarray) and (got == want).all()
+                else:
+                    assert got == want
+    assert seen == kinds
 
 
 def test_solve_linearized_zero_matrix_indeterminate():
@@ -52,7 +95,7 @@ def test_solve_linearized_row_permutation_invariant():
     can = inst.canonicalize(rd)
     mmq = md.build_mm_fq(md.build_mm_fqm(can))
     sm, part = md.build_sm_fqm(can)
-    plus = md.reduce_sm_plus(sm, part, mmq, can.k)
+    plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
     mac = md.macaulay(plus.system, 1)
     out1 = sv.solve_linearized(mac)
     perm = np.random.default_rng(0).permutation(mac.arr.shape[0])
@@ -69,9 +112,9 @@ def test_extract_solution_matches_planted():
     can = inst.canonicalize(rd)
     mmq = md.build_mm_fq(md.build_mm_fqm(can))
     sm, part = md.build_sm_fqm(can)
-    plus = md.reduce_sm_plus(sm, part, mmq, can.k)
+    plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
     out = sv.solve_linearized(md.macaulay(plus.system, 1))
-    got = sv.extract_solution(out, plus, can.n)
+    got = sv.extract_solution(out, plus)
     assert got is not None
     c_full, x = got
     planted = ml.maximal_minors(can.field.base, can.witness.coeffs, 2)
@@ -153,6 +196,22 @@ def test_decode_smplus_path_odd_q(seed):
     sol = sv.decode_rd(rd)
     assert (sol.error == rd.witness.error).all()
     assert "smplus b=1" in sol.transcript[-1]
+
+
+FORCED_SMPLUS = [(2, 7, 10, 3, 2), (3, 5, 8, 3, 2), (4, 5, 8, 3, 2), (2, 7, 12, 5, 2),
+                 (5, 3, 6, 2, 1), (9, 3, 6, 2, 1), (3, 4, 7, 3, 1)]
+
+
+@pytest.mark.parametrize("params", FORCED_SMPLUS, ids=str)
+def test_decode_forced_smplus_when_minors_are_pinned(params):
+    # the MaxMinors system alone pins the minors here, yet a forced SM+
+    # decode substitutes the elimination and solves at b = 1
+    for seed in range(1, 6):
+        rd = inst.gen_rd(*params, seed=seed)
+        assert sv.decode_rd(rd).transcript[-1].startswith(f"r'={rd.r} mm")
+        sol = sv.decode_rd(rd, sv.DecodeConfig(modeling="smplus"))
+        assert (sol.error == rd.witness.error).all()
+        assert "smplus b=1" in sol.transcript[-1]
 
 
 def test_decode_mm_only_mode_reports_underdetermined():
