@@ -45,6 +45,7 @@ __all__ = [
     "best_attack",
     "attack_table",
     "PRESETS",
+    "ATTACKS",
     "log2i",
 ]
 
@@ -323,6 +324,10 @@ PRESETS: Dict[str, Dict] = {
 }
 
 
+ATTACKS: Dict[str, Tuple[str, ...]] = {"rd": ("mm", "smplus", "comb"),
+                                       "minrank": ("kernel", "sm")}
+
+
 def best_attack(preset: Dict, conv: CostConventions = DEFAULT,
                 attacks: Optional[List[str]] = None) -> List[CostEstimate]:
     """Evaluate and rank every applicable attack for one parameter set.
@@ -334,6 +339,12 @@ def best_attack(preset: Dict, conv: CostConventions = DEFAULT,
     describes no derived key-attack code and is priced on its message
     parameters only.
     """
+    allowed = ATTACKS[preset["kind"]]
+    wanted = attacks or list(allowed)
+    for name in wanted:
+        if name not in allowed:
+            raise ValueError(f"attack {name!r} does not apply to {preset['kind']} "
+                             f"parameters; choose among {','.join(allowed)}")
     out: List[CostEstimate] = []
     if preset["kind"] == "rd":
         key, message = key_attack_params(preset["q"], preset["k"], preset["m"],
@@ -341,7 +352,6 @@ def best_attack(preset: Dict, conv: CostConventions = DEFAULT,
         variants = [("message", message), ("key", key)]
         if preset.get("n", message.n) != message.n:
             variants = [("message", replace(message, n=preset["n"]))]
-        wanted = attacks or ["mm", "smplus", "comb"]
         models = {
             "mm": lambda prm: mm_cost(prm, conv=conv),
             "smplus": lambda prm: hybrid_minimize(smplus_cost, prm, conv=conv),
@@ -358,7 +368,6 @@ def best_attack(preset: Dict, conv: CostConventions = DEFAULT,
     else:
         prm = MinRankParams(preset["q"], preset["m"], preset["n"],
                             preset["K"], preset["r"])
-        wanted = attacks or ["kernel", "sm"]
         if "kernel" in wanted:
             out.append(kernel_cost(prm, conv=conv))
         if "sm" in wanted:

@@ -360,9 +360,6 @@ class FiniteField:
         """Embed a base-field code into this field (constant polynomial)."""
         return int(c)
 
-    def in_base(self, x: int) -> bool:
-        return 0 <= x < (self.base.order if self.base else self.order)
-
     def frobenius(self, x: int, ell: int = 1) -> int:
         """x ** (q**ell) for q the base order; ell reduced mod the degree."""
         if self.base is None:
@@ -413,7 +410,7 @@ class FiniteField:
         t = 0
         for ell in range(self.degree):
             t = self.add(t, self.frobenius(x, ell))
-        if not self.in_base(t):
+        if not 0 <= t < self.base.order:
             raise ArithmeticError("trace left the base field; corrupt tables")
         return t
 

@@ -31,6 +31,7 @@ __all__ = [
     "MinRankInstance",
     "ShortenResult",
     "InstanceError",
+    "check_shape",
     "check_params",
     "gen_rd",
     "canonicalize",
@@ -47,22 +48,27 @@ class InstanceError(ValueError):
     """Raised for malformed parameters or degenerate instances."""
 
 
-def check_params(kind: str, q: int, m: int, n: int, k: int, r: int) -> FiniteField:
-    """The field of an instance of ``kind`` ("rd", k the code dimension, or
-    "minrank", k the matrix count K) with these parameters: F_{q^m} for RD,
-    F_q for MinRank.  Raises ValueError (InstanceError for the shape) when
-    the parameters describe no instance."""
+def check_shape(kind: str, m: int, n: int, k: int, r: int) -> None:
+    """Raise InstanceError unless an instance of ``kind`` ("rd", k the code
+    dimension, or "minrank", k the matrix count K) can have this shape."""
     if kind == "rd":
         if not 0 < k < n:
             raise InstanceError(f"need 0 < k < n, got k = {k}, n = {n}")
         if not 0 <= r <= min(m, n):
             raise InstanceError(f"need 0 <= r <= min(m, n), got r = {r}")
-        return make_ext_field(q, m)
+        return
     if k < 1:
         raise InstanceError(f"need K >= 1, got K = {k}")
     if not 0 < r <= min(m, n):
         raise InstanceError(f"need 0 < r <= min(m, n), got r = {r}")
-    return make_base_field(q)
+
+
+def check_params(kind: str, q: int, m: int, n: int, k: int, r: int) -> FiniteField:
+    """The field of an instance of ``kind`` with these parameters: F_{q^m}
+    for RD, F_q for MinRank.  Raises ValueError (InstanceError for the
+    shape, see :func:`check_shape`) when they describe no instance."""
+    check_shape(kind, m, n, k, r)
+    return make_ext_field(q, m) if kind == "rd" else make_base_field(q)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ import numpy as np
 from .. import estimator as es
 from .. import hybrid as hy
 from .. import solver as sv
-from ..instances import InstanceError, RdInstance, check_params, gen_minrank, gen_rd
+from ..galois import prime_power
+from ..instances import (InstanceError, RdInstance, check_params, check_shape, gen_minrank,
+                         gen_rd)
 from . import experiments, io
 
 __all__ = ["main", "build_parser"]
@@ -45,12 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_att = sub.add_parser("attack", help="solve an instance file",
                            parents=[common])
     p_att.add_argument("path")
-    p_att.add_argument("--modeling", choices=("auto", "mm", "smplus"),
-                       default="auto")
+    # None marks an option left out, so that one the run would ignore is refused
+    p_att.add_argument("--modeling", choices=sv.MODELINGS,
+                       help="rd decoding path (default auto)")
     p_att.add_argument("--a", type=int, default=0, help="guessed zero positions")
-    p_att.add_argument("--b-max", type=int, default=4)
+    p_att.add_argument("--b-max", type=int, help="largest SM+ bi-degree (default 4)")
     p_att.add_argument("--probabilistic", action="store_true")
-    p_att.add_argument("--seed", type=int, default=1)
+    p_att.add_argument("--seed", type=int, help="guess driver seed (default 1)")
 
     p_est = sub.add_parser("estimate", help="attack cost table",
                            parents=[common])
@@ -111,6 +114,9 @@ def _cmd_attack(args) -> int:
         inst = io.read_instance(args.path)
     except (OSError, ValueError) as exc:
         raise SystemExit(f"ranklab attack: {args.path}: {exc}")
+    problem = _attack_option_problem(args, isinstance(inst, RdInstance))
+    if problem:
+        raise SystemExit(f"ranklab attack: {problem}")
     t0 = time.perf_counter()
     try:
         return _run_attack(args, inst, t0)
@@ -123,19 +129,40 @@ def _cmd_attack(args) -> int:
         raise SystemExit(f"ranklab attack: {args.path}: {exc}")
 
 
+def _attack_option_problem(args, is_rd: bool) -> Optional[str]:
+    """Why the options do not describe one run on the instance, or None."""
+    if args.a < 0:
+        return f"need --a >= 0, got {args.a}"
+    if args.b_max is not None and args.b_max < 1:
+        return f"need --b-max >= 1, got {args.b_max}"
+    decode_opt = ("--modeling" if args.modeling is not None
+                  else "--b-max" if args.b_max is not None else None)
+    if decode_opt and args.a > 0:
+        return f"{decode_opt} applies to a plain decode, not with --a {args.a}"
+    if decode_opt and not is_rd:
+        return f"{decode_opt} applies to rd decoding, not to a minrank instance"
+    guess_opt = ("--probabilistic" if args.probabilistic
+                 else "--seed" if args.seed is not None else None)
+    if guess_opt and args.a == 0:
+        return f"{guess_opt} applies to guessing runs, which need --a >= 1"
+    return None
+
+
 def _run_attack(args, inst, t0) -> int:
     kind = "rd" if isinstance(inst, RdInstance) else "minrank"
     meta = {}
     if args.a > 0:
         mode = "probabilistic" if args.probabilistic else "hybrid"
-        res = getattr(hy, f"{mode}_solve_{kind}")(inst, args.a, seed=args.seed)
+        res = getattr(hy, f"{mode}_solve_{kind}")(
+            inst, args.a, seed=1 if args.seed is None else args.seed)
         sol = res.solution
         meta = {"guesses_tried": res.guesses_tried, "rounds": res.rounds,
                 "trials": res.trials,
                 "infeasible_skipped": res.infeasible_skipped}
     elif kind == "rd":
-        cfg = sv.DecodeConfig(modeling=args.modeling, b_max=args.b_max)
-        sol = sv.decode_rd(inst, cfg)
+        given = {opt: getattr(args, opt) for opt in ("modeling", "b_max")
+                 if getattr(args, opt) is not None}
+        sol = sv.decode_rd(inst, sv.DecodeConfig(**given))
     else:
         sol = sv.solve_minrank_linearized(inst)
         if not isinstance(sol, np.ndarray):
@@ -166,29 +193,32 @@ def _cmd_estimate(args) -> int:
     conv = es.CostConventions(omega=args.omega)
     attacks = args.attacks.split(",") if args.attacks else None
     if args.preset:
-        table = {}
-        for name in args.preset:
-            table[name] = es.best_attack(es.PRESETS[name], conv=conv,
-                                         attacks=attacks)
-        _emit(args, _format_table(table, args))
-        return 0
-    if args.kind == "rd":
-        needed = (args.q, args.m, args.n, args.k, args.r)
-        if any(v is None for v in needed):
-            raise SystemExit("estimate rd needs --q --m --n --k --r")
-        preset = {"kind": "rd", "q": args.q, "k": args.k, "m": args.m, "n": args.n,
-                  "r": args.r, "d": args.d if args.d else args.r}
-        _emit(args, _format_table({"custom": es.best_attack(preset, conv=conv,
-                                                            attacks=attacks)}, args))
-        return 0
-    needed = (args.q, args.m, args.n, args.K, args.r)
-    if any(v is None for v in needed):
-        raise SystemExit("estimate minrank needs --q --m --n --K --r")
-    preset = {"kind": "minrank", "q": args.q, "m": args.m, "n": args.n,
-              "K": args.K, "r": args.r}
-    _emit(args, _format_table({"custom": es.best_attack(preset, conv=conv,
-                                                        attacks=attacks)}, args))
+        presets = {name: es.PRESETS[name] for name in args.preset}
+    else:
+        presets = {"custom": _custom_preset(args)}
+    try:
+        table = {name: es.best_attack(preset, conv=conv, attacks=attacks)
+                 for name, preset in presets.items()}
+    except ValueError as exc:
+        raise SystemExit(f"ranklab estimate: {exc}")
+    _emit(args, _format_table(table, args))
     return 0
+
+
+def _custom_preset(args) -> dict:
+    """The parameter set given by --kind and the size options, checked
+    without building its field (priced sizes are far above the tables)."""
+    rd = args.kind == "rd"
+    size = args.k if rd else args.K
+    if any(v is None for v in (args.q, args.m, args.n, size, args.r)):
+        raise SystemExit(f"estimate {args.kind} needs --q --m --n --{'k' if rd else 'K'} --r")
+    try:
+        prime_power(args.q)
+        check_shape(args.kind, args.m, args.n, size, args.r)
+    except ValueError as exc:
+        raise SystemExit(f"ranklab estimate: {exc}")
+    preset = {"kind": args.kind, "q": args.q, "m": args.m, "n": args.n, "r": args.r}
+    return {**preset, "k": args.k, "d": args.d or args.r} if rd else {**preset, "K": args.K}
 
 
 def _format_table(table, args):

@@ -115,7 +115,7 @@ def _check_lt_independence(params, seed):
     for p in part.two_plus:
         i_set = sm.labels[p]
         j, t = md.leading_term(sm, p)
-        if j != i_set[0] or ml.subset_unrank(n, r, t) != i_set[1:]:
+        if j != i_set[0] or t != ml.subset_rank(n, i_set[1:]):
             return False, ("lt-q",), (p,), "bilinear leading term off"
         for j_rows in ml.all_subsets(n - k - 1, r):
             tail = ml.subset_rank(n, tuple(x + k + 1 for x in j_rows))
@@ -202,10 +202,11 @@ def _check_syzygy_count(params, seed, bs=(1, 2, 3)):
     q, m, n, k, r = params
     _, can, _, mmq, sm, part = _canonical_systems(*params, seed, envelope=True)
     fld = can.field
-    plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
+    elim = md.eliminate_minors(mmq)
+    plus = md.reduce_sm_plus(sm, part, elim)
     # exact relations between the reduced polynomials, coefficients over F_q:
     # coordinate i of each q0 relation, trace(b*_i c) for each coefficient c
-    nf_all = md.nf_bilinear(plus.elim, sm, range(sm.npolys))
+    nf_all = md.nf_bilinear(elim, sm, range(sm.npolys))
     minors = ml.maximal_minors(fld, can.h_y[ml.subset_table(n - k - 1, r + 1)[0]], r + 1)
     for rel in fld.coeffs_arr(minors):
         for coefs in rel.T:
@@ -215,7 +216,7 @@ def _check_syzygy_count(params, seed, bs=(1, 2, 3)):
     # conjectured rank law at each bi-degree
     measured, expected = [], []
     for b in bs:
-        mac = md.macaulay(plus.system, b)
+        mac = md.macaulay(plus, b)
         measured.append(ml.echelonize(fld, mac.arr).rank)
         expected.append(min(nb_fqm(n, k, r, b) - nsyz(m, n, k, r, b),
                             mac.arr.shape[1] - 1))

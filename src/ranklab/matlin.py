@@ -4,7 +4,7 @@ A matrix is a 2-D numpy array of element codes together with the
 :class:`~ranklab.galois.FiniteField` that owns the codes; all functions here
 take the field as their first argument and never mutate their inputs.
 Includes maximal-minor (Pluecker coordinate) extraction over stacks of
-matrices, the subset rank/unrank bijection and subset tables used to label
+matrices, subset ranking and the subset tables used to label
 and index the minor variables, and the coordinate matrix of an
 extension-field vector over the base field.
 
@@ -46,7 +46,6 @@ __all__ = [
     "determinant",
     "maximal_minors",
     "subset_rank",
-    "subset_unrank",
     "all_subsets",
     "subset_table",
     "mat_of",
@@ -358,38 +357,14 @@ def subset_rank(n: int, subset: Sequence[int]) -> int:
     """Index of a sorted subset of range(n) in lexicographic order.
 
     The induced total order matches the minor-variable order: a larger index
-    means a larger variable, deciding on the first differing element.
+    means a larger variable, deciding on the first differing element.  The
+    index of c is C(n, r) - 1 - sum_u C(n - 1 - c_u, r - u).
     """
     t = tuple(subset)
     r = len(t)
-    if any(t[i] >= t[i + 1] for i in range(r - 1)) or (t and not 0 <= t[0] < n) or (t and t[-1] >= n):
+    if any(a >= b for a, b in zip(t, t[1:])) or any(not 0 <= v < n for v in t):
         raise ValueError(f"malformed subset {subset!r} of range({n})")
-    rank = 0
-    prev = -1
-    for idx, v in enumerate(t):
-        for c in range(prev + 1, v):
-            rank += comb(n - 1 - c, r - 1 - idx)
-        prev = v
-    return rank
-
-
-def subset_unrank(n: int, r: int, index: int) -> Tuple[int, ...]:
-    """Inverse of :func:`subset_rank`."""
-    if not 0 <= index < comb(n, r):
-        raise ValueError("subset index out of range")
-    out: List[int] = []
-    prev = -1
-    for idx in range(r):
-        c = prev + 1
-        while True:
-            block = comb(n - 1 - c, r - 1 - idx)
-            if index < block:
-                break
-            index -= block
-            c += 1
-        out.append(c)
-        prev = c
-    return tuple(out)
+    return comb(n, r) - 1 - sum(comb(n - 1 - v, r - u) for u, v in enumerate(t))
 
 
 def all_subsets(n: int, r: int) -> List[Tuple[int, ...]]:

@@ -18,6 +18,9 @@ indexed by r-subsets T of column positions):
 
 One row reduction, ``eliminate_minors``, writes the largest c_T through
 the free ones; the MaxMinors readout and ``reduce_sm_plus`` both use it.
+Once the minors are known, ``sm_at_minors`` evaluates the Support-Minors
+equations at them, which leaves a linear system in x; every solver path
+reads its answer from that system.
 
 Every minor comes from :func:`ranklab.matlin.maximal_minors`, and every
 Support-Minors equation is the Laplace expansion of a minor along its first
@@ -50,7 +53,6 @@ __all__ = [
     "BilinearSystem",
     "QPartition",
     "MinorElimination",
-    "SmPlusSystem",
     "MacaulayMatrix",
     "MonomialBudgetError",
     "build_mm_fqm",
@@ -58,6 +60,7 @@ __all__ = [
     "build_sm_fqm",
     "build_sm_fq",
     "sm_for_minrank",
+    "sm_at_minors",
     "sm_fq_direct",
     "eliminate_minors",
     "reduce_sm_plus",
@@ -168,15 +171,6 @@ class MinorElimination:
         return out
 
 
-@dataclass(frozen=True)
-class SmPlusSystem:
-    """High-overlap bilinear equations with the pivot minors of ``elim``
-    substituted; ``system`` has the free minors as columns."""
-
-    system: BilinearSystem
-    elim: MinorElimination
-
-
 # ---------------------------------------------------------------------------
 # MaxMinors systems
 # ---------------------------------------------------------------------------
@@ -202,7 +196,8 @@ def build_mm_fq(mm: CtLinearSystem) -> CtLinearSystem:
     """
     fld = mm.field
     m = fld.degree
-    out = fld.coeffs_arr(mm.coeffs).transpose(0, 2, 1).reshape(mm.nrows * m, -1)
+    nt = mm.coeffs.shape[1]                 # also when no r-subset J exists
+    out = fld.coeffs_arr(mm.coeffs).transpose(0, 2, 1).reshape(mm.nrows * m, nt)
     labels = tuple((mm.row_labels[p] if mm.row_labels else p, i)
                    for p in range(mm.nrows) for i in range(m))
     return CtLinearSystem(fld.base, mm.n, mm.r, out, "mm-fq", labels)
@@ -226,6 +221,22 @@ def _laplace_scatter(fld: FiniteField, vals: np.ndarray, drop: np.ndarray, nt: i
     faces = drop.reshape(drop.shape[:1] + (1,) * (vals.ndim - 2) + drop.shape[1:])
     np.put_along_axis(out, faces, vals, axis=-1)
     return out
+
+
+def sm_at_minors(fld: FiniteField, rows: np.ndarray, minors: np.ndarray, r: int) -> np.ndarray:
+    """The Support-Minors equations at fixed minors, linear in x.
+
+    ``rows`` (K+1, ..., n) stacks the rows of row_0 + sum_u x_u row_u, the
+    first row of the matrices whose minors vanish: (y, G) of a canonical
+    form, or (M_0, ..., M_K) of a MinRank instance.  Entry [u, ..., I] is
+    the first-row Laplace expansion of the minor at the (r+1)-subset I with
+    row u on top of the support matrix, whose r-minors are ``minors``; the
+    equations read sum_u x_u out[u] = -out[0].
+    """
+    cols, drop = ml.subset_table(np.shape(rows)[-1], r + 1)
+    terms = fld.mul_arr(np.asarray(rows)[..., cols], np.asarray(minors)[drop])
+    terms[..., 1::2] = fld.neg_arr(terms[..., 1::2])
+    return fld.sum_arr(terms)
 
 
 def build_sm_fqm(can: CanonicalRd) -> Tuple[BilinearSystem, QPartition]:
@@ -330,9 +341,10 @@ def eliminate_minors(mm_fq: CtLinearSystem) -> MinorElimination:
     return MinorElimination(base, tuple(free.tolist()), pivot_cols, expr)
 
 
-def reduce_sm_plus(sm: BilinearSystem, part: QPartition, elim: MinorElimination) -> SmPlusSystem:
-    """Substitute the eliminated minors into the high-overlap equations."""
-    return SmPlusSystem(nf_bilinear(elim, sm, part.two_plus), elim)
+def reduce_sm_plus(sm: BilinearSystem, part: QPartition, elim: MinorElimination) -> BilinearSystem:
+    """Substitute the eliminated minors into the high-overlap equations; the
+    result has the free minors of ``elim`` as columns."""
+    return nf_bilinear(elim, sm, part.two_plus)
 
 
 def nf_bilinear(elim: MinorElimination, sm: BilinearSystem, rows: Sequence[int]) -> BilinearSystem:
@@ -345,7 +357,7 @@ def nf_bilinear(elim: MinorElimination, sm: BilinearSystem, rows: Sequence[int])
     nb = sm.bil[idx]
     na = sm.aff[idx]
     P, k, _ = nb.shape
-    flat = nb.reshape(P * k, -1)
+    flat = nb.reshape(P * k, nb.shape[-1])
     new_bil = fld.add_arr(flat[:, free], ml.matmul(fld, flat[:, piv], elim.pivot_expr))
     new_aff = fld.add_arr(na[:, free], ml.matmul(fld, na[:, piv], elim.pivot_expr))
     subsets = tuple(sm.subsets[c] for c in free)

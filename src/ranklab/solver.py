@@ -5,8 +5,10 @@ linear minor system and eliminates the largest minors from it once.  When
 one minor is left free the minors are read off directly (MaxMinors);
 otherwise, or when SM+ is forced, the elimination is substituted into the
 bilinear system, which is linearized at increasing bi-degree until the
-kernel is a line.  Every candidate is verified against the instance before
-being returned.
+kernel is a line whose minor block gives the minors.  Every path then has
+one readout: at known minors the Support-Minors equations are linear in x
+(:func:`x_from_minors`), and the candidate they give is verified against
+the instance before being returned.
 
 Also provides an exhaustive support-enumeration decoder for desk-scale
 instances; it is independent of the algebraic path and doubles as the
@@ -18,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -28,16 +30,14 @@ from .instances import CanonicalRd, MinRankInstance, RdInstance, canonicalize
 from . import modelings as md
 
 __all__ = [
-    "MonomialAssignment",
     "Indeterminate",
     "Inconsistent",
     "RdSolution",
     "DecodeConfig",
-    "PluckerError",
+    "MODELINGS",
     "solve_mm_linear",
     "solve_linearized",
-    "extract_solution",
-    "reconstruct_support_matrix",
+    "x_from_minors",
     "decode_rd",
     "solve_minrank_linearized",
     "verify_rd",
@@ -46,19 +46,6 @@ __all__ = [
     "expected_spurious_decodings",
     "gaussian_binomial",
 ]
-
-
-class PluckerError(ValueError):
-    """Input vector is not the minor vector of any r x n matrix."""
-
-
-@dataclass(frozen=True)
-class MonomialAssignment:
-    """Values of the Macaulay columns from a one-dimensional kernel."""
-
-    field: FiniteField
-    values: Dict[Tuple[Tuple[int, ...], int], int]
-    pivot: Tuple[Tuple[int, ...], int]
 
 
 @dataclass(frozen=True)
@@ -71,14 +58,23 @@ class Inconsistent:
     pass
 
 
-Outcome = Union[MonomialAssignment, Indeterminate, Inconsistent]
+Outcome = Union[np.ndarray, Indeterminate, Inconsistent]
 
 
 # ---------------------------------------------------------------------------
-# kernels of linearized systems
+# kernels of linearized systems, and the readout of x
 # ---------------------------------------------------------------------------
 
-def solve_mm_linear(elim: md.MinorElimination) -> Union[np.ndarray, Indeterminate, Inconsistent]:
+def _normalized(fld: FiniteField, vec: np.ndarray) -> Outcome:
+    """vec scaled so that its largest nonzero entry (in the variable order)
+    is 1; Indeterminate(1) when it has none."""
+    nz = np.flatnonzero(vec)
+    if nz.size == 0:
+        return Indeterminate(1)
+    return fld.mul_arr(vec, fld.inv(int(vec[nz[-1]])))
+
+
+def solve_mm_linear(elim: md.MinorElimination) -> Outcome:
     """The minor vector pinned by the linear minor system, if it is.
 
     Returns it normalized so that its largest nonzero entry (in the
@@ -90,13 +86,17 @@ def solve_mm_linear(elim: md.MinorElimination) -> Union[np.ndarray, Indeterminat
         return Inconsistent()
     if nfree > 1:
         return Indeterminate(nfree)
-    vec = elim.expand(np.ones(1, dtype=np.int64))
-    top = int(np.nonzero(vec)[0][-1])
-    return elim.field.mul_arr(vec, elim.field.inv(int(vec[top])))
+    return _normalized(elim.field, elim.expand(np.ones(1, dtype=np.int64)))
 
 
 def solve_linearized(mac: md.MacaulayMatrix) -> Outcome:
-    """Kernel of a Macaulay matrix, normalized at the largest minor column."""
+    """The minor block of a Macaulay matrix's kernel, when that is a line.
+
+    The degree-(0,1) coordinates go to their subset index in
+    ``mac.subsets`` (zero where a minor has no column), normalized as in
+    :func:`solve_mm_linear`; a kernel with no such coordinate is
+    Indeterminate(1).
+    """
     fld = mac.field
     res = ml.echelonize(fld, mac.arr)
     ncols = mac.arr.shape[1]
@@ -104,94 +104,24 @@ def solve_linearized(mac: md.MacaulayMatrix) -> Outcome:
         return Inconsistent()
     if res.rank < ncols - 1:
         return Indeterminate(ncols - res.rank)
-    vec = res.kernel[0]
-    pivot_col = None
-    for i, (alpha, _t) in enumerate(mac.col_labels):
-        if len(alpha) == 0 and vec[i]:
-            pivot_col = i
-            break
-    if pivot_col is None:
-        return Indeterminate(1)  # no usable degree-(0,1) coordinate
-    vec = fld.mul_arr(vec, fld.inv(int(vec[pivot_col])))
-    values = {lab: int(v) for lab, v in zip(mac.col_labels, vec)}
-    return MonomialAssignment(fld, values, mac.col_labels[pivot_col])
+    lin = [i for i, (alpha, _t) in enumerate(mac.col_labels) if not alpha]
+    minors = np.zeros(len(mac.subsets), dtype=np.int64)
+    minors[[mac.col_labels[i][1] for i in lin]] = res.kernel[0][lin]
+    return _normalized(fld, minors)
 
 
-def extract_solution(assign: MonomialAssignment, plus: md.SmPlusSystem
-                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Minor vector over F_q plus linear variables from a kernel assignment.
+def x_from_minors(fld: FiniteField, rows: np.ndarray, minors: np.ndarray, r: int
+                  ) -> Optional[np.ndarray]:
+    """One x that puts row_0 + sum_u x_u row_u in the row space of a support
+    matrix with r-minors ``minors``, or None if there is none.
 
-    Checks that all degree-(0,1) coordinates land in the base field and
-    that the bilinear coordinates are consistent with the products; returns
-    None (a linearization artifact) otherwise.  Eliminated minors are
-    re-expanded through the recorded pivot expressions.
+    Solves the Support-Minors equations at the minors
+    (:func:`ranklab.modelings.sm_at_minors`, which describes ``rows``);
+    whether the x is an answer is for the caller's verification to decide.
     """
-    fld = assign.field
-    sys = plus.system
-    nfree = len(plus.elim.free_cols)
-    c_free = np.zeros(nfree, dtype=np.int64)
-    for col in range(nfree):
-        v = assign.values.get(((), col), 0)
-        if not fld.in_base(v):
-            return None
-        c_free[col] = v
-    x = np.zeros(sys.nx, dtype=np.int64)
-    pivot_col = assign.pivot[1]
-    for j in range(sys.nx):
-        x[j] = assign.values.get(((j,), pivot_col), 0)
-    # product consistency on every available bilinear coordinate
-    for (alpha, col), v in assign.values.items():
-        if len(alpha) == 1:
-            if fld.mul(int(x[alpha[0]]), int(c_free[col])) != v:
-                return None
-    return plus.elim.expand(c_free), x
-
-
-def reconstruct_support_matrix(base: FiniteField, minors: Sequence[int],
-                               n: int, r: int) -> np.ndarray:
-    """A matrix with the given maximal minors, up to a scalar.
-
-    Normalizes the largest nonzero minor's subset to an identity block and
-    reads the remaining entries off as signed minor ratios; raises
-    :class:`PluckerError` when the input is not a valid minor vector.
-    """
-    minors = np.asarray(minors, dtype=np.int64)
-    nz = np.nonzero(minors)[0]
-    if nz.size == 0:
-        raise PluckerError("all minors are zero")
-    t0_idx = int(nz[-1])
-    t0 = ml.subset_unrank(n, r, t0_idx)
-    inv0 = base.inv(int(minors[t0_idx]))
-    cmat = np.zeros((r, n), dtype=np.int64)
-    for u, col in enumerate(t0):
-        cmat[u, col] = 1
-    for j in range(n):
-        if j in t0:
-            continue
-        for u in range(r):
-            rest = t0[:u] + t0[u + 1:]
-            subset = tuple(sorted(rest + (j,)))
-            val = int(minors[ml.subset_rank(n, subset)])
-            if not val:
-                continue
-            sign = _replacement_sign(t0, u, j)
-            v = base.mul(val, inv0)
-            cmat[u, j] = base.neg(v) if sign < 0 else v
-    check = ml.maximal_minors(base, cmat, r)
-    if (base.mul_arr(check, int(minors[t0_idx])) != minors).any():
-        raise PluckerError("minor vector violates the quadratic relations")
-    return cmat
-
-
-def _replacement_sign(t0: Tuple[int, ...], u: int, j: int) -> int:
-    """Sign of the minor of the identity-normalized matrix at (t0 - t0[u]) + j."""
-    subset = sorted(t0[:u] + t0[u + 1:] + (j,))
-    perm = []
-    for e in subset:
-        perm.append(u if e == j else t0.index(e))
-    inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
-                     if perm[a] > perm[b])
-    return -1 if inversions % 2 else 1
+    eqs = md.sm_at_minors(fld, rows, minors, r)
+    eqs = eqs.reshape(eqs.shape[0], -1)
+    return ml.solve_right(fld, eqs[1:].T, fld.neg_arr(eqs[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +139,20 @@ class RdSolution:
     transcript: Tuple[str, ...]
 
 
+MODELINGS = ("auto", "mm", "smplus")
+
+
 @dataclass(frozen=True)
 class DecodeConfig:
-    modeling: str = "auto"         # "auto" | "mm" | "smplus"
+    modeling: str = "auto"         # one of MODELINGS
     b_max: int = 4
+
+    def __post_init__(self):
+        if self.modeling not in MODELINGS:
+            raise ValueError(f"modeling must be one of {', '.join(MODELINGS)}, "
+                             f"got {self.modeling!r}")
+        if self.b_max < 1:
+            raise ValueError(f"need b_max >= 1, got {self.b_max}")
 
 
 RETRIES = 3                        # fresh canonicalizations per weight
@@ -241,15 +181,14 @@ def decode_rd(rd: RdInstance, config: DecodeConfig = DecodeConfig()) -> RdSoluti
                 transcript.append(f"r'={r_prime}: linear minor system inconsistent")
                 break
             if isinstance(minors, np.ndarray) and config.modeling in ("auto", "mm"):
-                sol = _finish_from_minors(rd, can, minors, r_prime,
-                                          transcript, f"r'={r_prime} mm")
+                sol = _finish(rd, can, minors, transcript, f"r'={r_prime} mm")
                 if sol is not None:
                     return sol
                 continue
             if config.modeling == "mm":
                 transcript.append(f"r'={r_prime}: minor system underdetermined, mm-only mode")
                 break
-            sol = _try_sm_plus(rd, can, elim, r_prime, config, transcript, retry)
+            sol = _try_sm_plus(rd, can, elim, config, transcript, retry)
             if sol is not None:
                 return sol
     raise Unsolved(transcript)
@@ -264,57 +203,41 @@ def _try_weight_zero(rd: RdInstance) -> Optional[RdSolution]:
                       msg, 0, ("r'=0: received word is a codeword",))
 
 
-def _finish_from_minors(rd: RdInstance, can: CanonicalRd, minors: np.ndarray, r_prime: int,
-                        transcript: List[str], tag: str) -> Optional[RdSolution]:
-    base = can.field.base
-    try:
-        cmat = reconstruct_support_matrix(base, minors, can.n, r_prime)
-    except PluckerError as exc:
-        transcript.append(f"{tag}: {exc}")
+def _finish(rd: RdInstance, can: CanonicalRd, minors: np.ndarray, transcript: List[str],
+            tag: str) -> Optional[RdSolution]:
+    """The verified solution that the minors of the canonical form give, if any."""
+    x = x_from_minors(can.field, np.concatenate([can.received[None, :], can.gen]),
+                      minors, can.r)
+    if x is None:
+        transcript.append(f"{tag}: no x solves the Support-Minors equations")
         return None
-    e_can = _error_from_support_matrix(can, cmat)
-    if e_can is None:
-        transcript.append(f"{tag}: support matrix does not explain the syndrome")
-        return None
-    return verify_rd(rd, can.error_to_origin(e_can), r_prime, transcript, tag)
+    return verify_rd(rd, can.error_to_origin(fld_error_from_x(can, x)), can.r, transcript, tag)
 
 
-def _error_from_support_matrix(can: CanonicalRd, cmat: np.ndarray) -> Optional[np.ndarray]:
-    """Solve y = x G + s C for (x, s) given the support matrix C; e = s C."""
-    fld = can.field
-    stack = np.concatenate([can.gen, cmat], axis=0)      # (k + r') x n
-    z = ml.solve_right(fld, stack.T, can.received)
-    if z is None:
-        return None
-    return ml.matmul(fld, z[None, can.k:], cmat)[0]
-
-
-def _try_sm_plus(rd: RdInstance, can: CanonicalRd, elim: md.MinorElimination, r_prime: int,
+def _try_sm_plus(rd: RdInstance, can: CanonicalRd, elim: md.MinorElimination,
                  config: DecodeConfig, transcript: List[str], retry: int
                  ) -> Optional[RdSolution]:
     sm, part = md.build_sm_fqm(can)
     plus = md.reduce_sm_plus(sm, part, elim)
     for b in range(1, config.b_max + 1):
         try:
-            mac = md.macaulay(plus.system, b, multipliers="upto")
+            mac = md.macaulay(plus, b, multipliers="upto")
         except md.MonomialBudgetError as exc:
-            transcript.append(f"r'={r_prime} b={b}: {exc}")
+            transcript.append(f"r'={can.r} b={b}: {exc}")
             return None
-        outcome = solve_linearized(mac)
-        tag = f"r'={r_prime} smplus b={b} retry={retry}"
-        if isinstance(outcome, Inconsistent):
+        minors = solve_linearized(mac)
+        tag = f"r'={can.r} smplus b={b} retry={retry}"
+        if isinstance(minors, Inconsistent):
             transcript.append(f"{tag}: inconsistent")
             return None
-        if isinstance(outcome, Indeterminate):
-            transcript.append(f"{tag}: kernel dimension {outcome.kernel_dim}")
+        if isinstance(minors, Indeterminate):
+            transcript.append(f"{tag}: kernel dimension {minors.kernel_dim}")
             continue
-        extracted = extract_solution(outcome, plus)
-        if extracted is None:
+        # the minors of a support matrix over F_q; expand works over F_q
+        if (minors >= elim.field.order).any():
             transcript.append(f"{tag}: kernel vector fails consistency")
             continue
-        c_full, x = extracted
-        e_can = fld_error_from_x(can, x)
-        sol = verify_rd(rd, can.error_to_origin(e_can), r_prime, transcript, tag)
+        sol = _finish(rd, can, elim.expand(minors), transcript, tag)
         if sol is not None:
             return sol
     return None
@@ -347,21 +270,18 @@ def verify_rd(rd: RdInstance, e: np.ndarray, bound: int, transcript: List[str],
 # MinRank by straight linearization (inner solver for the hybrid driver)
 # ---------------------------------------------------------------------------
 
-def solve_minrank_linearized(inst: MinRankInstance
-                             ) -> Union[np.ndarray, Indeterminate, Inconsistent]:
+def solve_minrank_linearized(inst: MinRankInstance) -> Outcome:
     """Solve a small MinRank instance by linearizing the bilinear modeling.
 
     Multiplier degrees above 1 would interact with the field equations for
-    tiny q, so desk-scale use sticks to b = 1; returns the coefficient
-    vector x after verifying the rank condition.
+    tiny q, so desk-scale use sticks to b = 1; x is read at the kernel's
+    minors and returned after verifying the rank condition.
     """
-    outcome = solve_linearized(md.macaulay(md.sm_for_minrank(inst), 1, multipliers="upto"))
-    if not isinstance(outcome, MonomialAssignment):
-        return outcome
-    x = np.zeros(inst.K, dtype=np.int64)
-    for u in range(inst.K):
-        x[u] = outcome.values.get(((u,), outcome.pivot[1]), 0)
-    return x if verify_minrank(inst, x) is not None else Indeterminate(1)
+    minors = solve_linearized(md.macaulay(md.sm_for_minrank(inst), 1, multipliers="upto"))
+    if not isinstance(minors, np.ndarray):
+        return minors
+    x = x_from_minors(inst.field, np.stack(inst.mats), minors, inst.r)
+    return x if x is not None and verify_minrank(inst, x) is not None else Indeterminate(1)
 
 
 def verify_minrank(inst: MinRankInstance, x: np.ndarray) -> Optional[int]:
@@ -421,7 +341,7 @@ def sm_plus_kernel_dim(rd: RdInstance) -> Optional[int]:
     if len(elim.free_cols) <= 1:
         return None
     sm, part = md.build_sm_fqm(can)
-    mac = md.macaulay(md.reduce_sm_plus(sm, part, elim).system, 1)
+    mac = md.macaulay(md.reduce_sm_plus(sm, part, elim), 1)
     return mac.arr.shape[1] - ml.echelonize(can.field, mac.arr).rank
 
 

@@ -126,7 +126,7 @@ def test_criterion_06_conjectured_rank_after_elimination():
         plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
         ok = True
         for b in (1, 2, 3):
-            mac = md.macaulay(plus.system, b)
+            mac = md.macaulay(plus, b)
             rank = ml.echelonize(can.field, mac.arr).rank
             expect = min(es.nb_fqm(n, k, r, b) - es.nsyz(m, n, k, r, b),
                          mac.arr.shape[1] - 1)

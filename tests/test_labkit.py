@@ -336,6 +336,53 @@ def test_cli_rejects_bad_arguments(tmp_path, argv, reason):
     assert not (tmp_path / "out.inst").exists()
 
 
+@pytest.mark.parametrize("kind, extra, reason", [
+    ("rd", ["--b-max", "0"], "need --b-max >= 1, got 0"),
+    ("rd", ["--b-max", "-3"], "need --b-max >= 1, got -3"),
+    ("rd", ["--a", "-1"], "need --a >= 0, got -1"),
+    ("rd", ["--a", "1", "--modeling", "mm"], "--modeling applies to a plain decode, not with --a 1"),
+    ("rd", ["--a", "1", "--b-max", "2"], "--b-max applies to a plain decode, not with --a 1"),
+    ("minrank", ["--modeling", "smplus"], "--modeling applies to rd decoding, not to a minrank"),
+    ("minrank", ["--b-max", "2"], "--b-max applies to rd decoding, not to a minrank"),
+    ("rd", ["--probabilistic"], "--probabilistic applies to guessing runs, which need --a >= 1"),
+    ("minrank", ["--seed", "3"], "--seed applies to guessing runs, which need --a >= 1"),
+], ids=["b-max-0", "b-max-negative", "a-negative", "modeling-with-a", "b-max-with-a",
+        "modeling-minrank", "b-max-minrank", "probabilistic-without-a", "seed-without-a"])
+def test_cli_attack_rejects_options_the_run_would_ignore(tmp_path, capsys, kind, extra, reason):
+    # each is refused in one line before any work, not run with the option dropped
+    path = str(tmp_path / "i.inst")
+    io.write_instance(path, inst.gen_rd(2, 7, 10, 3, 2, seed=1) if kind == "rd"
+                      else inst.gen_minrank(2, 6, 8, 14, 2, seed=3))
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", path] + extra)
+    assert str(exc.value.code).startswith(f"ranklab attack: {reason}")
+    assert "\n" not in str(exc.value.code)
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["--preset", "new2rollo-i-128", "--attacks", "foo"],
+     "attack 'foo' does not apply to rd parameters"),
+    (["--preset", "new2rollo-i-128", "--attacks", "mm,kernel"],
+     "attack 'kernel' does not apply to rd parameters"),
+    (["--preset", "minrank-sig-128", "--attacks", "mm"],
+     "attack 'mm' does not apply to minrank parameters"),
+    (["--kind", "rd", "--q", "2", "--m", "7", "--n", "8", "--k", "9", "--r", "2"],
+     "need 0 < k < n, got k = 9, n = 8"),
+    (["--kind", "minrank", "--q", "16", "--m", "16", "--n", "16", "--K", "142", "--r", "17"],
+     "need 0 < r <= min(m, n), got r = 17"),
+    (["--kind", "rd", "--q", "6", "--m", "73", "--n", "166", "--k", "83", "--r", "7"],
+     "6 is not a prime power"),
+], ids=["unknown", "kernel-on-rd", "mm-on-minrank", "k-above-n", "minrank-r", "q6"])
+def test_cli_estimate_rejects_bad_arguments(capsys, argv, reason):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", *argv])
+    message = str(exc.value.code)
+    assert message.startswith("ranklab estimate: ") and reason in message
+    assert "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_attack_unsolved_is_clean(tmp_path, capsys):
     # an out-of-envelope instance with several decodings: reported, not a crash
     rd = inst.gen_rd(2, 7, 8, 4, 2, seed=1)

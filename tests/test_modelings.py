@@ -133,7 +133,7 @@ def test_sm_leading_terms_and_tail_absence():
         i_set = sm.labels[p]
         j, t = md.leading_term(sm, p)
         assert j == i_set[0]
-        assert ml.subset_unrank(n, r, t) == i_set[1:]
+        assert t == ml.subset_rank(n, i_set[1:])
         for j_rows in ml.all_subsets(n - k - 1, r):
             tail = ml.subset_rank(n, tuple(x + k + 1 for x in j_rows))
             assert not sm.bil[p, :, tail].any()
@@ -160,7 +160,7 @@ def test_sm_fq_leading_terms():
             continue
         j, t = md.leading_term(smq, pi)
         assert j // m == i_set[0]
-        assert ml.subset_unrank(n, r, t) == i_set[1:]
+        assert t == ml.subset_rank(n, i_set[1:])
 
 
 def test_sm_fq_planted_vanishes():
@@ -174,12 +174,12 @@ def test_sm_fq_planted_vanishes():
 
 def test_reduce_sm_plus_counts():
     _, can, _, mmq, sm, part = systems(P842, 1)
-    plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
-    elim = plus.elim
+    elim = md.eliminate_minors(mmq)
+    plus = md.reduce_sm_plus(sm, part, elim)
     rank = ml.echelonize(mmq.field, mmq.coeffs).rank
     assert len(elim.pivot_cols) == rank
     assert len(elim.free_cols) == comb(8, 2) - rank == 7
-    assert plus.system.npolys == 40
+    assert plus.npolys == 40
     # eliminated minors are the largest ones in the variable order
     assert min(elim.pivot_cols) > max(
         c for c in elim.free_cols) - len(elim.pivot_cols) - len(elim.free_cols)
@@ -187,7 +187,7 @@ def test_reduce_sm_plus_counts():
     # witness still vanishes after elimination
     ct = ml.maximal_minors(can.field.base, can.witness.coeffs, can.r)
     ct_free = [int(ct[c]) for c in elim.free_cols]
-    assert not plus.system.eval_at(can.witness.x.tolist(), ct_free).any()
+    assert not plus.eval_at(can.witness.x.tolist(), ct_free).any()
     # pivot expressions reproduce the eliminated coordinates
     piv = ml.matmul(mmq.field, np.array(ct_free)[None, :], elim.pivot_expr.T)[0]
     for i, c in enumerate(elim.pivot_cols):
@@ -202,19 +202,19 @@ def test_reduce_runs_when_minors_are_pinned():
     elim = md.eliminate_minors(mmq)
     assert len(elim.free_cols) == 1
     plus = md.reduce_sm_plus(sm, part, elim)
-    assert plus.system.subsets == (sm.subsets[elim.free_cols[0]],)
-    assert plus.system.npolys == len(part.two_plus)
+    assert plus.subsets == (sm.subsets[elim.free_cols[0]],)
+    assert plus.npolys == len(part.two_plus)
     ct = ml.maximal_minors(can.field.base, can.witness.coeffs, can.r)
-    assert not plus.system.eval_at(can.witness.x.tolist(), [int(ct[elim.free_cols[0]])]).any()
+    assert not plus.eval_at(can.witness.x.tolist(), [int(ct[elim.free_cols[0]])]).any()
 
 
 def test_macaulay_b1_is_coefficient_matrix():
     _, can, _, mmq, sm, part = systems(P842, 1)
     plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
-    mac = md.macaulay(plus.system, 1)
+    mac = md.macaulay(plus, 1)
     assert mac.arr.shape == (40, 35)
     # each row is the system's own coefficients under the column layout
-    sys = plus.system
+    sys = plus
     for p in range(5):
         for ci, (alpha, t) in enumerate(mac.col_labels):
             if len(alpha) == 0:
@@ -253,7 +253,7 @@ def macaulay_cases():
     for params, seed in ((P521, 1), (P842, 2), ((3, 4, 7, 3, 1), 1)):
         _, can, _, mmq, sm, part = systems(params, seed)
         plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
-        for sys in (sm, plus.system):
+        for sys in (sm, plus):
             for b in (1, 2):
                 for mult in ("exact", "upto"):
                     yield sys, md.macaulay(sys, b, mult)

@@ -1,10 +1,10 @@
-"""Linearization solving, reconstruction, end-to-end decoding."""
+"""Linearization solving, the readout of x, end-to-end decoding."""
 
 import itertools
-from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ranklab import instances as inst
 from ranklab import matlin as ml
@@ -96,66 +96,92 @@ def test_solve_linearized_row_permutation_invariant():
     mmq = md.build_mm_fq(md.build_mm_fqm(can))
     sm, part = md.build_sm_fqm(can)
     plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
-    mac = md.macaulay(plus.system, 1)
+    mac = md.macaulay(plus, 1)
     out1 = sv.solve_linearized(mac)
     perm = np.random.default_rng(0).permutation(mac.arr.shape[0])
     mac2 = md.MacaulayMatrix(mac.field, mac.arr[perm],
                              tuple(mac.row_labels[i] for i in perm),
                              mac.col_labels, mac.subsets, 1, "exact")
     out2 = sv.solve_linearized(mac2)
-    assert isinstance(out1, sv.MonomialAssignment)
-    assert out1.values == out2.values and out1.pivot == out2.pivot
+    assert isinstance(out1, np.ndarray) and isinstance(out2, np.ndarray)
+    assert (out1 == out2).all()
+
+
+def planted_minors(can):
+    """The minors of the planted support matrix, normalized like the solvers'."""
+    base = can.field.base
+    planted = ml.maximal_minors(base, can.witness.coeffs, can.r)
+    return base.mul_arr(planted, base.inv(int(planted[np.nonzero(planted)[0][-1]])))
+
+
+def rd_rows(can):
+    return np.concatenate([can.received[None, :], can.gen])
 
 
 def test_extract_solution_matches_planted():
+    # the SM+ kernel's minor block, expanded, is the planted minor vector,
+    # and the readout at it gives the planted error
     rd = sv.gen_rd_generic(2, 7, 8, 4, 2, seed=5)
     can = inst.canonicalize(rd)
-    mmq = md.build_mm_fq(md.build_mm_fqm(can))
+    elim = md.eliminate_minors(md.build_mm_fq(md.build_mm_fqm(can)))
     sm, part = md.build_sm_fqm(can)
-    plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
-    out = sv.solve_linearized(md.macaulay(plus.system, 1))
-    got = sv.extract_solution(out, plus)
-    assert got is not None
-    c_full, x = got
-    planted = ml.maximal_minors(can.field.base, can.witness.coeffs, 2)
-    nz = int(np.nonzero(planted)[0][-1])
-    scaled = can.field.base.mul_arr(planted, can.field.base.inv(int(planted[nz])))
-    assert (c_full == scaled).all()
-    # recovered linear variables reproduce the planted ones projectively:
-    # both satisfy y + x G = error, and the error is unique here
-    e1 = sv.fld_error_from_x(can, x)
-    assert (e1 == can.witness.error).all()
+    plus = md.reduce_sm_plus(sm, part, elim)
+    c_free = sv.solve_linearized(md.macaulay(plus, 1))
+    assert isinstance(c_free, np.ndarray)
+    c_full = elim.expand(c_free)
+    assert (c_full == planted_minors(can)).all()
+    x = sv.x_from_minors(can.field, rd_rows(can), c_full, can.r)
+    assert (sv.fld_error_from_x(can, x) == can.witness.error).all()
 
 
-def test_reconstruct_round_trip():
-    base = inst.gen_rd(2, 3, 6, 2, 1, seed=1).field.base
-    rng = np.random.default_rng(3)
-    cmat = ml.random_full_rank(base, 2, 6, rng)
-    minors = ml.maximal_minors(base, cmat, 2)
-    back = sv.reconstruct_support_matrix(base, minors, 6, 2)
-    back_minors = ml.maximal_minors(base, back, 2)
-    nz = int(np.nonzero(minors)[0][-1])
-    assert (base.mul_arr(back_minors, int(minors[nz])) == minors).all()
-    # same row space
-    assert ml.echelonize(base, np.concatenate([cmat, back])).rank == 2
+@pytest.mark.parametrize("params", [(2, 7, 10, 3, 2), (3, 5, 8, 3, 2), (4, 5, 8, 3, 2),
+                                    (5, 3, 6, 2, 1), (9, 3, 6, 2, 1)], ids=str)
+def test_readout_at_planted_minors_gives_planted_error(params):
+    for seed in (1, 2):
+        rd = inst.gen_rd(*params, seed=seed)
+        can = inst.canonicalize(rd)
+        x = sv.x_from_minors(can.field, rd_rows(can), planted_minors(can), can.r)
+        assert (x == can.witness.x).all()
+        assert (sv.fld_error_from_x(can, x) == can.witness.error).all()
+        sol = sv.verify_rd(rd, can.error_to_origin(sv.fld_error_from_x(can, x)),
+                           rd.r, [], "planted")
+        assert sol is not None and (sol.error == rd.witness.error).all()
 
 
-def test_reconstruct_basis_vector():
-    base = inst.gen_rd(2, 3, 6, 2, 1, seed=1).field.base
-    vec = np.zeros(comb(4, 2), dtype=np.int64)
-    t0 = ml.subset_rank(4, (1, 3))
-    vec[t0] = 1
-    cmat = sv.reconstruct_support_matrix(base, vec, 4, 2)
-    assert cmat[0, 1] == 1 and cmat[1, 3] == 1 and cmat.sum() == 2
+@pytest.mark.parametrize("params", [(2, 6, 7, 8, 2), (3, 4, 5, 6, 2), (4, 4, 5, 6, 1)],
+                         ids=str)
+def test_readout_at_planted_minors_gives_planted_minrank_x(params):
+    for seed in (1, 2):
+        mi = inst.gen_minrank(*params, seed=seed)
+        fld = mi.field
+        left = ml.echelonize(fld, mi.low_rank_matrix(mi.witness))
+        minors = ml.maximal_minors(fld, left.rref[:mi.r], mi.r)
+        x = sv.x_from_minors(fld, np.stack(mi.mats), minors, mi.r)
+        assert (x == mi.witness).all()
 
 
-def test_reconstruct_rejects_invalid():
-    base = inst.gen_rd(2, 3, 6, 2, 1, seed=1).field.base
-    with pytest.raises(sv.PluckerError):
-        sv.reconstruct_support_matrix(base, np.zeros(6, dtype=np.int64), 4, 2)
-    bad = np.array([1, 0, 0, 0, 0, 1])   # violates the quadratic relation
-    with pytest.raises(sv.PluckerError):
-        sv.reconstruct_support_matrix(base, bad, 4, 2)
+@pytest.mark.parametrize("params", [(2, 7, 10, 3, 2), (3, 5, 8, 3, 2), (4, 5, 8, 3, 2),
+                                    (5, 3, 6, 2, 1), (9, 3, 6, 2, 1)], ids=str)
+def test_readout_at_wrong_minors_returns_no_answer(params):
+    # a perturbed, a random or a zero minor vector is no support matrix's:
+    # the readout finds no x, or verification rejects the candidate
+    rng = np.random.default_rng(11)
+    for seed in (1, 2, 3):
+        rd = inst.gen_rd(*params, seed=seed)
+        can = inst.canonicalize(rd)
+        base = can.field.base
+        planted = planted_minors(can)
+        perturbed = planted.copy()
+        t = int(rng.integers(planted.size))
+        perturbed[t] = base.add(int(perturbed[t]), int(rng.integers(1, base.order)))
+        for minors in (perturbed, base.rand_elements(rng, planted.size),
+                       np.zeros_like(planted)):
+            transcript = []
+            x = sv.x_from_minors(can.field, rd_rows(can), minors, can.r)
+            if x is not None:
+                e = can.error_to_origin(sv.fld_error_from_x(can, x))
+                assert sv.verify_rd(rd, e, rd.r, transcript, "wrong") is None
+                assert "weight" in transcript[-1]
 
 
 def test_decode_weight_zero():
@@ -221,6 +247,15 @@ def test_decode_mm_only_mode_reports_underdetermined():
     assert any("underdetermined" in line for line in exc.value.transcript)
 
 
+@pytest.mark.parametrize("kwargs, reason", [
+    ({"modeling": "bogus"}, "modeling must be one of auto, mm, smplus, got 'bogus'"),
+    ({"b_max": 0}, "need b_max >= 1, got 0"),
+])
+def test_decode_config_rejects_bad_values(kwargs, reason):
+    with pytest.raises(ValueError, match=reason):
+        sv.DecodeConfig(**kwargs)
+
+
 def test_decode_agrees_with_exhaustive_oracle():
     for seed in (1, 2):
         rd = sv.gen_rd_generic(2, 7, 8, 4, 2, seed=seed)
@@ -228,6 +263,37 @@ def test_decode_agrees_with_exhaustive_oracle():
         assert len(sols) == 1
         decoded = sv.decode_rd(rd)
         assert (decoded.error == sols[0]).all()
+
+
+MAX_M = {2: 6, 3: 4, 4: 3, 5: 3}     # keeps q^m, and so the oracle, small
+
+
+@st.composite
+def small_rd_params(draw):
+    q = draw(st.sampled_from(sorted(MAX_M)))
+    m = draw(st.integers(2, MAX_M[q]))
+    n = draw(st.integers(3, 8))
+    k = draw(st.integers(1, n - 1))
+    r = draw(st.integers(1, min(2, m, n - k)))
+    return q, m, n, k, r
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_rd_params(), st.integers(0, 50))
+@example((3, 4, 3, 2, 1), 31)           # r = n - k: the MaxMinors system has no rows
+@example((2, 3, 3, 1, 3), 2)            # r = n: the Support-Minors system has none either
+def test_decode_differential_against_oracle(params, seed):
+    # in every mode a returned error is one of the oracle's decodings; a
+    # non-generic draw may end Unsolved, but never in a wrong answer or a crash
+    assume(sv.expected_spurious_decodings(*params) <= 20)
+    rd = inst.gen_rd(*params, seed=seed)
+    found = {tuple(e.tolist()) for e in sv.rd_solutions_brute(rd, cap=4096)}
+    for modeling in ("auto", "mm", "smplus"):
+        try:
+            sol = sv.decode_rd(rd, sv.DecodeConfig(modeling=modeling, b_max=2))
+        except sv.Unsolved:
+            continue
+        assert tuple(sol.error.tolist()) in found
 
 
 def test_brute_oracle_finds_planted():
