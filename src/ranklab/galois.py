@@ -5,7 +5,13 @@ coefficient vector in the polynomial basis ``(1, z, ..., z^{d-1})`` of the
 field over its subfield.  For characteristic 2 this makes addition a plain
 XOR of codes at every level of the tower.  Multiplication uses discrete
 log/antilog tables built once per field; fields are immutable after
-construction and safe to share between threads.
+construction (up to tables built on first use) and safe to share between
+threads.
+
+Each extension is built by linear algebra over its base: x in F_q[z]/(f)
+acts on coordinates as its m x m multiplication matrix, which gives the
+modulus (Berlekamp's criterion), the generator and, by doubling the map
+x -> g x, the tables.
 
 The extension-specific operations (``trace``, ``frobenius``, ``dual_basis``,
 ``coeffs_arr``) always work *relative* to the declared base: for a tower
@@ -19,9 +25,12 @@ coordinate by coordinate (done in :mod:`ranklab.modelings`) is
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from .matlin import echelonize, identity, matmul
 
 __all__ = [
     "FiniteField",
@@ -33,23 +42,11 @@ __all__ = [
 
 def prime_power(q: int) -> Tuple[int, int]:
     """Decompose q = p**s with p prime, or raise ValueError."""
-    if q < 2:
+    factors = _prime_factors(q) if q >= 2 else []
+    if len(factors) != 1:
         raise ValueError(f"{q} is not a prime power")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        return q, 1
-    s = 0
-    v = q
-    while v % p == 0:
-        v //= p
-        s += 1
-    if v != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, s
+    p = factors[0]
+    return p, next(s for s in itertools.count(1) if p ** s == q)
 
 
 def _digits(code: int, q: int, length: int) -> List[int]:
@@ -67,83 +64,6 @@ def _pack(digits: Sequence[int], q: int) -> int:
     return code
 
 
-# ---------------------------------------------------------------------------
-# polynomial arithmetic over a field handle (coefficient lists of codes),
-# used only while constructing a new extension
-# ---------------------------------------------------------------------------
-
-def _ptrim(f: List[int]) -> List[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _pmul(fld: "FiniteField", a: Sequence[int], b: Sequence[int]) -> List[int]:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if bj:
-                out[i + j] = fld.add(out[i + j], fld.mul(ai, bj))
-    return _ptrim(out)
-
-
-def _pmod(fld: "FiniteField", a: Sequence[int], mod: Sequence[int]) -> List[int]:
-    a = _ptrim(list(a))
-    dm = len(mod) - 1
-    inv_lead = fld.inv(mod[-1])
-    while a and len(a) - 1 >= dm:
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = fld.mul(a[-1], inv_lead)
-        shift = len(a) - 1 - dm
-        for i, mi in enumerate(mod):
-            if mi:
-                a[shift + i] = fld.sub(a[shift + i], fld.mul(c, mi))
-        a.pop()
-    return _ptrim(a)
-
-
-def _pgcd(fld: "FiniteField", a: Sequence[int], b: Sequence[int]) -> List[int]:
-    a, b = list(a), list(b)
-    while _ptrim(b):
-        a, b = b, _pmod(fld, a, b)
-    return _ptrim(a)
-
-
-def _ppowmod(fld: "FiniteField", base: Sequence[int], e: int, mod: Sequence[int]) -> List[int]:
-    result = [1]
-    acc = _pmod(fld, list(base), mod)
-    while e:
-        if e & 1:
-            result = _pmod(fld, _pmul(fld, result, acc), mod)
-        acc = _pmod(fld, _pmul(fld, acc, acc), mod)
-        e >>= 1
-    return result
-
-
-def _minus_x(fld: "FiniteField", g: Sequence[int]) -> List[int]:
-    out = list(g) + [0] * max(0, 2 - len(g))
-    out[1] = fld.sub(out[1], 1)
-    return _ptrim(out)
-
-
-def _is_irreducible(fld: "FiniteField", f: Sequence[int]) -> bool:
-    """Monic f over fld: x^(q^d) == x mod f and gcd(x^(q^(d/l)) - x, f) = 1."""
-    d = len(f) - 1
-    q = fld.order
-    x = [0, 1]
-    if _pmod(fld, _minus_x(fld, _ppowmod(fld, x, q ** d, f)), f):
-        return False
-    for ell in _prime_factors(d):
-        g = _pgcd(fld, f, _minus_x(fld, _ppowmod(fld, x, q ** (d // ell), f)))
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 def _prime_factors(n: int) -> List[int]:
     out = []
     d = 2
@@ -156,6 +76,60 @@ def _prime_factors(n: int) -> List[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# multiplication matrices over the base, used only while constructing an
+# extension: x in F_q[z]/(f) acts on coordinates as an m x m matrix
+# ---------------------------------------------------------------------------
+
+def _companion(base: "FiniteField", f: Sequence[int]) -> np.ndarray:
+    """Multiplication by z modulo the monic f, over the base."""
+    m = len(f) - 1
+    c = np.zeros((m, m), dtype=np.int64)
+    c[np.arange(1, m), np.arange(m - 1)] = 1
+    c[:, -1] = base.neg_arr(np.array(f[:-1], dtype=np.int64))
+    return c
+
+
+def _krylov(base: "FiniteField", a: np.ndarray, v: Sequence[int]) -> np.ndarray:
+    """The square matrix [v, a v, ..., a^{m-1} v], by doubling."""
+    m = len(a)
+    out = np.array(v, dtype=np.int64)[:, None]
+    while out.shape[1] < m:
+        out = np.hstack([out, matmul(base, a, out)])
+        a = matmul(base, a, a)
+    return out[:, :m]
+
+
+def _mat_pow(base: "FiniteField", a: np.ndarray, e: int) -> np.ndarray:
+    """a ** e for e >= 1, by square and multiply."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else matmul(base, out, a)
+        e >>= 1
+        if not e:
+            return out
+        a = matmul(base, a, a)
+
+
+def _lowest_irreducible(base: "FiniteField", m: int) -> Tuple[int, ...]:
+    """Monic irreducible of degree m over base, lowest coefficient code first.
+
+    Berlekamp's criterion: f is irreducible iff the q-power map on
+    F_q[z]/(f) is injective and fixes only F_q.  Its matrix has columns
+    z^{qi} mod f, that is [e_0, A e_0, ..., A^{m-1} e_0] for A = C^q.
+    """
+    q = base.order
+    eye = identity(m)
+    for code in range(q ** m):
+        f = _digits(code, q, m) + [1]
+        frob = _krylov(base, _mat_pow(base, _companion(base, f), q), eye[0])
+        if (echelonize(base, frob).rank == m
+                and echelonize(base, base.sub_arr(frob, eye)).rank == m - 1):
+            return tuple(f)
+    raise ArithmeticError("no irreducible polynomial found")  # impossible
 
 
 # ---------------------------------------------------------------------------
@@ -175,90 +149,89 @@ class FiniteField:
         self.modulus = modulus                      # monic, codes over base (or F_p ints)
         self.degree = len(modulus) - 1              # over base (1 for the prime field itself)
         self.order = (base.order if base else p) ** self.degree
+        self._total_deg = self.degree * (base._total_deg if base else 1)   # over F_p
         self._build_log_tables()
-        self._frob_tables: List[np.ndarray] = []    # lazily built, extensions only
-        self._dual_basis: Optional[Tuple[int, ...]] = None
+        self._dual_basis: Optional[Tuple[int, ...]] = None  # lazily built, extensions only
         self._bit_matrices: Optional[np.ndarray] = None     # lazily built, characteristic 2
 
     # -- construction helpers ------------------------------------------------
 
-    def _mul_raw(self, a: int, b: int) -> int:
-        """Table-free product, used while bootstrapping the log tables."""
-        if self.base is None:
-            return (a * b) % self.char
-        q = self.base.order
-        fa = _digits(a, q, self.degree)
-        fb = _digits(b, q, self.degree)
-        prod = _pmod(self.base, _pmul(self.base, fa, fb), list(self.modulus))
-        prod += [0] * (self.degree - len(prod))
-        return _pack(prod, q)
-
-    def _add_raw(self, a: int, b: int) -> int:
-        if self.char == 2:
-            return a ^ b
-        p = self.char
-        da = _digits(a, p, _total_deg(self))
-        db = _digits(b, p, _total_deg(self))
-        return _pack([(x + y) % p for x, y in zip(da, db)], p)
-
     def _build_log_tables(self) -> None:
+        """Pick the generator, then tabulate its powers, logs and inverses.
+
+        The generator is the smallest code g >= 2 with g^((Q-1)/l) != 1 for
+        every prime l dividing Q - 1.  With T_L the map x -> g^L x on all
+        codes, the antilog table doubles: exp[L:2L] = T_L[exp[:L]] and
+        T_{2L} = T_L[T_L].
+        """
         q = self.order
         mult_order = q - 1
         factors = _prime_factors(mult_order) if mult_order > 1 else []
-        gen = 1
-        for cand in range(2, q):
-            if all(self._pow_raw(cand, mult_order // ell) != 1 for ell in factors):
-                gen = cand
-                break
-        exp = np.zeros(mult_order, dtype=np.int64)
+        if self.base is None:
+            gen = next((g for g in range(2, q)
+                        if all(pow(g, mult_order // ell, q) != 1 for ell in factors)), 1)
+            step = gen * np.arange(q, dtype=np.int64) % q
+        else:
+            gen, step = self._generator_over_base(factors)
+        exp = np.ones(1, dtype=np.int64)
+        while exp.size < mult_order:
+            exp = np.concatenate([exp, step[exp[:mult_order - exp.size]]])
+            step = step[step]
         log = np.zeros(q, dtype=np.int64)
-        v = 1
-        for i in range(mult_order):
-            exp[i] = v
-            log[v] = i
-            v = self._mul_raw(v, gen)
+        log[exp] = np.arange(mult_order)
         sentinel = 2 * mult_order if mult_order > 1 else 2
         log[0] = sentinel
         pad = np.zeros(2 * sentinel + 1, dtype=np.int64)
-        for i in range(min(2 * mult_order - 1, len(pad))):
-            pad[i] = exp[i % mult_order]
+        pad[:2 * mult_order - 1] = np.concatenate([exp, exp[:-1]])
+        inv = np.zeros(q, dtype=np.int64)
+        inv[exp] = exp[-np.arange(mult_order) % mult_order]
         self.generator = int(gen)
-        self._sentinel = sentinel
         self._exp = exp
         self._log = log
         self._exp_pad = pad
-        inv = np.zeros(q, dtype=np.int64)
-        for x in range(1, q):
-            inv[x] = exp[(mult_order - int(log[x])) % mult_order] if mult_order > 1 else 1
         self._inv = inv
 
-    def _pow_raw(self, a: int, e: int) -> int:
-        r = 1
-        acc = a
-        while e:
-            if e & 1:
-                r = self._mul_raw(r, acc)
-            acc = self._mul_raw(acc, acc)
-            e >>= 1
-        return r
+    def _generator_over_base(self, factors: Sequence[int]) -> Tuple[int, np.ndarray]:
+        """The generator, its powers taken as multiplication matrices over the
+        base, and the map x -> g x on all codes."""
+        base, m = self.base, self.degree
+        companion, eye = _companion(base, self.modulus), identity(m)
+        for g in range(2, self.order):
+            mat = _krylov(base, companion, _digits(g, base.order, m))   # columns g z^k
+            if all((_mat_pow(base, mat, (self.order - 1) // ell) != eye).any()
+                   for ell in factors):
+                return g, self._linear_map(mat)
+        return 1, np.arange(self.order, dtype=np.int64)
+
+    def _linear_map(self, mat: np.ndarray) -> np.ndarray:
+        """x -> mat x on all codes, by T(c q^k + y) = c mat[:, k] + T(y)."""
+        base = self.base
+        pw = base.order ** np.arange(self.degree, dtype=np.int64)
+        scalars = np.arange(base.order, dtype=np.int64)
+        out = np.zeros(1, dtype=np.int64)
+        for col in mat.T:
+            out = self.add_arr((pw @ base.mul_outer(col, scalars))[:, None], out).reshape(-1)
+        return out
 
     # -- scalar arithmetic on codes -------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.char == 2:
             return a ^ b
-        return self._add_raw(a, b)
+        p = self.char
+        d = self._total_deg
+        return _pack([(x + y) % p for x, y in zip(_digits(a, p, d), _digits(b, p, d))], p)
 
     def sub(self, a: int, b: int) -> int:
         if self.char == 2:
             return a ^ b
-        return self._add_raw(a, self.neg(b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self.char == 2:
             return a
         p = self.char
-        d = _digits(a, p, _total_deg(self))
+        d = _digits(a, p, self._total_deg)
         return _pack([(-x) % p for x in d], p)
 
     def mul(self, a: int, b: int) -> int:
@@ -283,7 +256,7 @@ class FiniteField:
         if self.char == 2:
             return np.bitwise_xor(a, b)
         p = self.char
-        d = _total_deg(self)
+        d = self._total_deg
         pw = p ** np.arange(d, dtype=np.int64)
         da = (np.asarray(a)[..., None] // pw) % p
         db = (np.asarray(b)[..., None] // pw) % p
@@ -298,7 +271,7 @@ class FiniteField:
         if self.char == 2:
             return a
         p = self.char
-        d = _total_deg(self)
+        d = self._total_deg
         pw = p ** np.arange(d, dtype=np.int64)
         da = (np.asarray(a)[..., None] // pw) % p
         return (((-da) % p) * pw).sum(axis=-1)
@@ -309,7 +282,7 @@ class FiniteField:
         if self.char == 2:
             return np.bitwise_xor.reduce(a, axis=-1)
         p = self.char
-        pw = p ** np.arange(_total_deg(self), dtype=np.int64)
+        pw = p ** np.arange(self._total_deg, dtype=np.int64)
         return ((a[..., None] // pw) % p).sum(axis=-2) % p @ pw
 
     def mul_arr(self, a, b) -> np.ndarray:
@@ -333,17 +306,11 @@ class FiniteField:
         q = self.base.order
         return tuple(q ** i for i in range(self.degree))
 
-    def coeffs(self, x: int) -> Tuple[int, ...]:
-        """Coordinates of x in the polynomial basis, as base-field codes."""
-        if self.base is None:
-            return (x,)
-        return tuple(_digits(x, self.base.order, self.degree))
-
     def coeffs_arr(self, a) -> np.ndarray:
-        """Array form of :meth:`coeffs`: shape a.shape + (degree,).
+        """Coordinates in the polynomial basis, as base-field codes.
 
-        Entry [..., i] is digit i of the base-q code, which is also
-        trace(b*_i x) for b* the dual of the polynomial basis.
+        The shape is a.shape + (degree,).  Entry [..., i] is digit i of the
+        base-q code, which is also trace(b*_i x) for b* the dual basis.
         """
         a = np.asarray(a, dtype=np.int64)
         if self.base is None:
@@ -356,34 +323,19 @@ class FiniteField:
             return int(cs[0]) % self.char
         return _pack(list(cs) + [0] * (self.degree - len(cs)), self.base.order)
 
-    def embed(self, c: int) -> int:
-        """Embed a base-field code into this field (constant polynomial)."""
-        return int(c)
-
     def frobenius(self, x: int, ell: int = 1) -> int:
         """x ** (q**ell) for q the base order; ell reduced mod the degree."""
         if self.base is None:
             return x
-        ell %= self.degree
-        return int(self._frob_table(ell)[x])
+        return self.pow(x, self.base.order ** (ell % self.degree))
 
     def frob_arr(self, a: np.ndarray, ell: int = 1) -> np.ndarray:
+        """Array form of :meth:`frobenius`: exp[(log x * q^ell) mod (Q-1)], 0 -> 0."""
         if self.base is None:
             return np.asarray(a)
-        ell %= self.degree
-        return self._frob_table(ell)[np.asarray(a, dtype=np.int64)]
-
-    def _frob_table(self, ell: int) -> np.ndarray:
-        while len(self._frob_tables) <= ell:
-            if not self._frob_tables:
-                self._frob_tables.append(np.arange(self.order, dtype=np.int64))
-            elif len(self._frob_tables) == 1:
-                q = self.base.order
-                self._frob_tables.append(np.array(
-                    [self.pow(x, q) for x in range(self.order)], dtype=np.int64))
-            else:
-                self._frob_tables.append(self._frob_tables[1][self._frob_tables[-1]])
-        return self._frob_tables[ell]
+        a = np.asarray(a, dtype=np.int64)
+        e = pow(self.base.order, ell % self.degree, self.order - 1)
+        return self._exp[self._log[a] * e % (self.order - 1)] * (a != 0)
 
     def bit_matrices(self) -> np.ndarray:
         """Multiplication by each single-bit code, as GF(2) matrices.
@@ -423,11 +375,21 @@ class FiniteField:
         return t
 
     def dual_basis(self) -> Tuple[int, ...]:
-        """The basis b* with trace(b_i * b*_j) = 1 if i == j else 0."""
+        """The basis b* with trace(b_i * b*_j) = 1 if i == j else 0.
+
+        Its coordinates are the rows of the inverse of the trace Gram matrix
+        of the polynomial basis; built on first use.
+        """
         if self.base is None:
             return (1,)
         if self._dual_basis is None:
-            self._dual_basis = _compute_dual_basis(self)
+            m = self.degree
+            bas = np.array(self.basis, dtype=np.int64)
+            gram = self.trace_arr(self.mul_outer(bas, bas))
+            res = echelonize(self.base, np.hstack([gram, identity(m)]))
+            if res.pivots != tuple(range(m)):
+                raise ArithmeticError("singular trace Gram matrix for a basis")
+            self._dual_basis = tuple(int(c) for c in res.rref[:, m:] @ bas)
         return self._dual_basis
 
     # -- misc ------------------------------------------------------------------
@@ -439,54 +401,6 @@ class FiniteField:
         if self.base is None:
             return f"GF({self.order})"
         return f"GF({self.base.order}^{self.degree})"
-
-
-def _total_deg(fld: FiniteField) -> int:
-    d = fld.degree
-    b = fld.base
-    while b is not None:
-        d *= b.degree
-        b = b.base
-    return d
-
-
-def _compute_dual_basis(fld: FiniteField) -> Tuple[int, ...]:
-    """Invert the trace Gram matrix of the polynomial basis over the base."""
-    m = fld.degree
-    base = fld.base
-    bas = fld.basis
-    gram = [[fld.trace(fld.mul(bas[i], bas[j])) for j in range(m)] for i in range(m)]
-    # tiny Gauss-Jordan over the base field on [gram | I]
-    aug = [row[:] + [1 if i == j else 0 for j in range(m)] for i, row in enumerate(gram)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ArithmeticError("singular trace Gram matrix for a basis")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        ipv = base.inv(aug[col][col])
-        aug[col] = [base.mul(ipv, v) for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [base.sub(v, base.mul(f, w)) for v, w in zip(aug[r], aug[col])]
-    inv_rows = [row[m:] for row in aug]
-    dual = []
-    for i in range(m):
-        acc = 0
-        for u in range(m):
-            acc = fld.add(acc, fld.mul(fld.embed(inv_rows[i][u]), bas[u]))
-        dual.append(acc)
-    return tuple(dual)
-
-
-def _lowest_irreducible(fld: FiniteField, degree: int) -> Tuple[int, ...]:
-    """Monic irreducible of given degree over fld, lowest coefficient code first."""
-    q = fld.order
-    for code in range(q ** degree):
-        f = _digits(code, q, degree) + [1]
-        if _is_irreducible(fld, f):
-            return tuple(f)
-    raise ArithmeticError("no irreducible polynomial found")  # impossible
 
 
 @functools.lru_cache(maxsize=None)
@@ -511,7 +425,7 @@ def make_base_field(q: int) -> FiniteField:
 
 @functools.lru_cache(maxsize=None)
 def make_ext_field(q: int, m: int) -> FiniteField:
-    """F_{q^m} over F_q with polynomial basis and precomputed dual basis."""
+    """F_{q^m} over F_q with polynomial basis; the dual basis is built on first use."""
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     if q ** m > _ORDER_LIMIT:
@@ -519,7 +433,5 @@ def make_ext_field(q: int, m: int) -> FiniteField:
             f"field order {q}^{m} exceeds the table limit ({_ORDER_LIMIT}); "
             "cost estimation handles large parameters, arithmetic does not")
     base = make_base_field(q)
-    fld = FiniteField(base.char, base, _lowest_irreducible(base, m))
-    fld.dual_basis()
-    return fld
+    return FiniteField(base.char, base, _lowest_irreducible(base, m))
 

@@ -218,7 +218,13 @@ def _custom_preset(args) -> dict:
     except ValueError as exc:
         raise SystemExit(f"ranklab estimate: {exc}")
     preset = {"kind": args.kind, "q": args.q, "m": args.m, "n": args.n, "r": args.r}
-    return {**preset, "k": args.k, "d": args.d or args.r} if rd else {**preset, "K": args.K}
+    if not rd:
+        return {**preset, "K": args.K}
+    d = args.r if args.d is None else args.d
+    for flag, value in (("--r", args.r), ("--d", d)):
+        if value < 1:
+            raise SystemExit(f"ranklab estimate: {flag} must be >= 1, got {value}")
+    return {**preset, "k": args.k, "d": d}
 
 
 def _format_table(table, args):

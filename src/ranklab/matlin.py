@@ -28,11 +28,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .galois import FiniteField
+if TYPE_CHECKING:
+    from .galois import FiniteField
 
 __all__ = [
     "EchelonResult",

@@ -219,6 +219,15 @@ def _try_sm_plus(rd: RdInstance, can: CanonicalRd, elim: md.MinorElimination,
                  ) -> Optional[RdSolution]:
     sm, part = md.build_sm_fqm(can)
     plus = md.reduce_sm_plus(sm, part, elim)
+    if plus.npolys == 0:
+        # no equation constrains the free minors (r' = n), so they are read
+        # out as from the linear minor system
+        tag = f"r'={can.r} smplus no equations retry={retry}"
+        minors = solve_mm_linear(elim)
+        if isinstance(minors, np.ndarray):
+            return _finish(rd, can, minors, transcript, tag)
+        transcript.append(f"{tag}: {len(elim.free_cols)} free minors")
+        return None
     for b in range(1, config.b_max + 1):
         try:
             mac = md.macaulay(plus, b, multipliers="upto")

@@ -1,5 +1,6 @@
 """Field tower arithmetic, trace/dual-basis machinery, coordinate expansion."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -28,6 +29,76 @@ def test_deterministic_moduli():
     assert F4.modulus == (1, 1, 1)          # z^2 + z + 1
     assert F8.modulus == (1, 1, 0, 1)       # z^3 + z + 1
     assert make_ext_field(2, 2) is F4       # cached handle
+
+
+# sha256 of (modulus, generator) and the antilog, log and inverse tables of the
+# fields the suite and the benchmark build; the tables are part of every
+# instance file's meaning, so a new construction must reproduce them
+TABLE_DIGESTS = {
+    ("ext", 2, 7): "625a83c8ffd112f93edef5eb360e1e9d90e98aaba061bd048f70f87fac0cf473",
+    ("ext", 2, 9): "8bd68ccc22d5a52f41fecff459dcd31a84db5b3a41eb0216d562e0816f8ded9f",
+    ("ext", 3, 7): "b0f285e098d473c0c4a2c8263d84e3cc95f9993e01b3ed2dfc4e02afcb9856c6",
+    ("ext", 4, 5): "750ac13641e27738502a8de47be3372ce9afee0c30c05fb7af36d18aed067cc8",
+    ("ext", 5, 3): "c23e14aa0e1ae0ff216fb7d1088ab58ebcfb254a5cf442156bfe6846364891c0",
+    ("ext", 9, 3): "f7737103880c49491af7e080d0a491de4710d1a765fd9cd34449eb62e134b877",
+    ("ext", 16, 2): "4091d85aa3231f0c1279a14dfcc6ba2306b46f8e90588e063568c191e4c1071c",
+    ("ext", 2, 12): "bf3d09df0293cdf5f5c48eb333aee085d270767f60fb6657233b92f6797b73b2",
+    ("base", 4, 1): "450b195a19e57114a96b605483b1521edfb73db21e3b9e881dd62ef854316288",
+    ("base", 8, 1): "35c570d835805bde3d008cd96b5eb6f93fad4040c3713c5dca6bc9997f9a06da",
+    ("base", 9, 1): "8c7b05dd8948c00680a02fb56d0e8e604e1628597721dbd34420a24ae7ba0ff5",
+    ("base", 16, 1): "cefe47f90f7941cfc2f1d13d3d31b6ac3d2d00c46967b07a0ca07ab41dfa6ee8",
+}
+
+
+@pytest.mark.parametrize("key", sorted(TABLE_DIGESTS), ids=str)
+def test_field_tables_pinned(key):
+    kind, q, m = key
+    fld = make_ext_field(q, m) if kind == "ext" else make_base_field(q)
+    digest = hashlib.sha256(repr((fld.modulus, fld.generator)).encode())
+    for table in (fld._exp, fld._log, fld._inv):
+        digest.update(table.tobytes())
+    assert digest.hexdigest() == TABLE_DIGESTS[key]
+
+
+def _has_root_below_half(q, coeffs):
+    """Whether the monic polynomial over F_q has a root in some F_{q^d},
+    d <= deg / 2 (for degree >= 2, exactly when it is reducible)."""
+    for d in range(1, (len(coeffs) - 1) // 2 + 1):
+        ext = make_ext_field(q, d)                   # F_q codes embed as themselves
+        xs = np.arange(ext.order)
+        val = np.ones_like(xs)
+        for c in reversed(coeffs[:-1]):              # Horner
+            val = ext.add_arr(ext.mul_arr(val, xs), c)
+        if not val.all():
+            return True
+    return False
+
+
+def _prime_powers(limit):
+    out = []
+    for q in range(2, limit + 1):
+        try:
+            prime_power(q)
+        except ValueError:
+            continue
+        out.append(q)
+    return out
+
+
+def test_moduli_are_lowest_irreducible():
+    # by root counting, independent of the construction's Berlekamp test:
+    # the modulus has no root in any F_{q^d}, d <= m / 2, and every lower
+    # code's polynomial has one
+    cases = [(make_base_field(q), prime_power(q)[0]) for q in _prime_powers(1 << 12)
+             if prime_power(q)[1] >= 2]
+    cases += [(make_ext_field(q, m), q) for q in _prime_powers(1 << 6)
+              for m in range(2, 13) if q ** m <= 1 << 12]
+    for fld, q in cases:
+        m = fld.degree
+        assert not _has_root_below_half(q, fld.modulus), fld
+        for code in range(int(np.dot(fld.modulus[:-1], q ** np.arange(m)))):
+            lower = [(code // q ** i) % q for i in range(m)] + [1]
+            assert _has_root_below_half(q, lower), (fld, lower)
 
 
 def test_trivial_extension():

@@ -373,7 +373,14 @@ def test_cli_attack_rejects_options_the_run_would_ignore(tmp_path, capsys, kind,
      "need 0 < r <= min(m, n), got r = 17"),
     (["--kind", "rd", "--q", "6", "--m", "73", "--n", "166", "--k", "83", "--r", "7"],
      "6 is not a prime power"),
-], ids=["unknown", "kernel-on-rd", "mm-on-minrank", "k-above-n", "minrank-r", "q6"])
+    (["--kind", "rd", "--q", "2", "--m", "20", "--n", "20", "--k", "10", "--r", "3", "--d", "0"],
+     "--d must be >= 1, got 0"),
+    (["--kind", "rd", "--q", "2", "--m", "20", "--n", "20", "--k", "10", "--r", "0", "--d", "2"],
+     "--r must be >= 1, got 0"),
+    (["--kind", "rd", "--q", "2", "--m", "20", "--n", "20", "--k", "10", "--r", "0"],
+     "--r must be >= 1, got 0"),
+], ids=["unknown", "kernel-on-rd", "mm-on-minrank", "k-above-n", "minrank-r", "q6",
+        "rd-d0", "rd-r0", "rd-r0-default-d"])
 def test_cli_estimate_rejects_bad_arguments(capsys, argv, reason):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", *argv])

@@ -282,8 +282,9 @@ def test_rank_weight_equals_support_dimension():
     rng = np.random.default_rng(53)
     for _ in range(5):
         x = F8.rand_elements(rng, 5)
-        # dimension of the span of the entries, via coordinate vectors
-        coords = np.stack([np.array(F8.coeffs(int(v))) for v in x])
+        # dimension of the span of the entries, via coordinate vectors (the
+        # bits of a code over F_2)
+        coords = (x[:, None] >> np.arange(3)) & 1
         dim = ml.echelonize(F2, coords).rank
         assert ml.rank_weight(F8, x) == dim
 

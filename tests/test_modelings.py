@@ -168,7 +168,7 @@ def test_sm_fq_planted_vanishes():
     smq = md.build_sm_fq(sm)
     fld = can.field
     ct = ml.maximal_minors(fld.base, can.witness.coeffs, can.r)
-    grid = [c for xj in can.witness.x for c in fld.coeffs(int(xj))]
+    grid = fld.coeffs_arr(can.witness.x).reshape(-1).tolist()
     assert not smq.eval_at(grid, ct.tolist()).any()
 
 

@@ -240,6 +240,16 @@ def test_decode_forced_smplus_when_minors_are_pinned(params):
         assert "smplus b=1" in sol.transcript[-1]
 
 
+def test_decode_forced_smplus_at_full_weight():
+    # at r' = n the reduced Support-Minors system has no equations; its one
+    # free minor is unconstrained, not inconsistent
+    rd = inst.gen_rd(2, 3, 3, 1, 3, seed=2)
+    sol = sv.decode_rd(rd, sv.DecodeConfig(modeling="smplus", b_max=2))
+    assert "smplus" in sol.transcript[-1] and "verified" in sol.transcript[-1]
+    found = {tuple(e.tolist()) for e in sv.rd_solutions_brute(rd, cap=4096)}
+    assert tuple(sol.error.tolist()) in found
+
+
 def test_decode_mm_only_mode_reports_underdetermined():
     rd = sv.gen_rd_generic(2, 7, 8, 4, 2, seed=1)
     with pytest.raises(sv.Unsolved) as exc:

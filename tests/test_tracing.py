@@ -1,10 +1,12 @@
-"""The traced benchmark's layer table against the package."""
+"""The benchmark's traced layers and cleared caches against the package."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_traced_layers_resolve():
@@ -17,3 +19,19 @@ def test_traced_layers_resolve():
         for mod_name, attr in targets:
             module = importlib.import_module("ranklab." + mod_name)
             assert callable(getattr(module, attr, None)), (layer, mod_name, attr)
+
+
+def test_cleared_caches_resolve():
+    # run.py empties these caches before each set-up round, so each must
+    # still exist under its name and still be a cache, or the benchmark breaks
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    caches = next(node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and ast.unparse(node.targets[0]) == "self.caches")
+    names = [ast.unparse(elt) for elt in caches.elts]
+    assert set(names) >= {"galois.make_ext_field", "galois.make_base_field",
+                          "galois._prime_field", "solver.gen_rd_generic",
+                          "solver.gen_rd_unique"}
+    for name in names:
+        mod_name, attr = name.split(".")
+        func = getattr(importlib.import_module("ranklab." + mod_name), attr, None)
+        assert callable(getattr(func, "cache_clear", None)), name
