@@ -4,9 +4,11 @@ Elements are integer codes: the base-q little-endian packing of the
 coefficient vector in the polynomial basis ``(1, z, ..., z^{d-1})`` of the
 field over its subfield.  For characteristic 2 this makes addition a plain
 XOR of codes at every level of the tower.  Multiplication uses discrete
-log/antilog tables built once per field; fields are immutable after
-construction (up to tables built on first use) and safe to share between
-threads.
+log/antilog tables built once per field, and so does array addition in odd
+characteristic, through Zech logarithms Z(k) = log(1 + g^k):
+log(a + b) = log a + Z(log b - log a).  The scalar ``add`` and ``neg`` work
+digit by digit instead.  Fields are immutable after construction (up to
+tables built on first use) and safe to share between threads.
 
 Each extension is built by linear algebra over its base: x in F_q[z]/(f)
 acts on coordinates as its m x m multiplication matrix, which gives the
@@ -190,6 +192,11 @@ class FiniteField:
         self._log = log
         self._exp_pad = pad
         self._inv = inv
+        if self.char != 2:
+            # Zech logarithms Z[k] = log(1 + g^k): the code 1 is F_p digit 0,
+            # so adding it only steps the lowest base-p digit of each code
+            p = self.char
+            self._zech = log[exp + 1 - p * (exp % p == p - 1)]
 
     def _generator_over_base(self, factors: Sequence[int]) -> Tuple[int, np.ndarray]:
         """The generator, its powers taken as multiplication matrices over the
@@ -204,13 +211,22 @@ class FiniteField:
         return 1, np.arange(self.order, dtype=np.int64)
 
     def _linear_map(self, mat: np.ndarray) -> np.ndarray:
-        """x -> mat x on all codes, by T(c q^k + y) = c mat[:, k] + T(y)."""
-        base = self.base
+        """x -> mat x on all codes, by T(c q^k + y) = c mat[:, k] + T(y).
+
+        The log tables do not exist yet, so codes are added one F_p digit at
+        a time (XOR in characteristic 2).
+        """
+        base, p = self.base, self.char
         pw = base.order ** np.arange(self.degree, dtype=np.int64)
         scalars = np.arange(base.order, dtype=np.int64)
         out = np.zeros(1, dtype=np.int64)
         for col in mat.T:
-            out = self.add_arr((pw @ base.mul_outer(col, scalars))[:, None], out).reshape(-1)
+            multiples = (pw @ base.mul_outer(col, scalars))[:, None]
+            if p == 2:
+                out = np.bitwise_xor(multiples, out).reshape(-1)
+            else:
+                out = sum((multiples // p ** j + out // p ** j) % p * p ** j
+                          for j in range(self._total_deg)).reshape(-1)
         return out
 
     # -- scalar arithmetic on codes -------------------------------------------
@@ -253,14 +269,15 @@ class FiniteField:
     # -- vectorised arithmetic on numpy arrays of codes -----------------------
 
     def add_arr(self, a: np.ndarray, b) -> np.ndarray:
+        """Elementwise sum; in odd characteristic by Zech logarithms,
+        log(a + b) = log a + Z(log b - log a), with 0 + b = b and a + 0 = a."""
         if self.char == 2:
             return np.bitwise_xor(a, b)
-        p = self.char
-        d = self._total_deg
-        pw = p ** np.arange(d, dtype=np.int64)
-        da = (np.asarray(a)[..., None] // pw) % p
-        db = (np.asarray(b)[..., None] // pw) % p
-        return (((da + db) % p) * pw).sum(axis=-1)
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        la, lb = self._log[a], self._log[b]
+        out = self._exp_pad[la + self._zech[(lb - la) % (self.order - 1)]]
+        return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def sub_arr(self, a: np.ndarray, b) -> np.ndarray:
         if self.char == 2:
@@ -270,20 +287,20 @@ class FiniteField:
     def neg_arr(self, a: np.ndarray) -> np.ndarray:
         if self.char == 2:
             return a
-        p = self.char
-        d = self._total_deg
-        pw = p ** np.arange(d, dtype=np.int64)
-        da = (np.asarray(a)[..., None] // pw) % p
-        return (((-da) % p) * pw).sum(axis=-1)
+        return self.mul_arr(a, self.char - 1)          # the code p - 1 is -1
 
     def sum_arr(self, a: np.ndarray) -> np.ndarray:
-        """Sum over the last axis."""
+        """Sum over the last axis; in odd characteristic by pairwise halving."""
         a = np.asarray(a, dtype=np.int64)
         if self.char == 2:
             return np.bitwise_xor.reduce(a, axis=-1)
-        p = self.char
-        pw = p ** np.arange(self._total_deg, dtype=np.int64)
-        return ((a[..., None] // pw) % p).sum(axis=-2) % p @ pw
+        if a.shape[-1] == 0:
+            return np.zeros(a.shape[:-1], dtype=np.int64)
+        while a.shape[-1] > 1:
+            half = a.shape[-1] // 2
+            head = self.add_arr(a[..., :half], a[..., half:2 * half])
+            a = np.concatenate([head, a[..., 2 * half:]], axis=-1) if a.shape[-1] % 2 else head
+        return a[..., 0]
 
     def mul_arr(self, a, b) -> np.ndarray:
         """Elementwise product; a, b broadcastable arrays of codes."""

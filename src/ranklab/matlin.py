@@ -120,7 +120,8 @@ def _rref_generic(fld: FiniteField, mat: np.ndarray) -> Tuple[np.ndarray, List[i
         f[rr] = 0
         rows = f.nonzero()[0]
         if rows.size:
-            a[rows, c:] = fld.sub_arr(a[rows, c:], fld.mul_outer(f[rows], a[rr, c:]))
+            neg_f = fld.neg_arr(f[rows])
+            a[rows, c:] = fld.add_arr(a[rows, c:], fld.mul_outer(neg_f, a[rr, c:]))
         pivots.append(c)
         rr += 1
     return a, pivots
@@ -333,8 +334,8 @@ def determinant(fld: FiniteField, mat: np.ndarray) -> int:
         below = a[c + 1:, c].copy()
         mask = below != 0
         if mask.any():
-            factors = fld.mul_arr(below[mask], fld.inv(pv))
-            a[c + 1:][mask] = fld.sub_arr(a[c + 1:][mask], fld.mul_outer(factors, a[c]))
+            factors = fld.neg_arr(fld.mul_arr(below[mask], fld.inv(pv)))
+            a[c + 1:][mask] = fld.add_arr(a[c + 1:][mask], fld.mul_outer(factors, a[c]))
     return det
 
 

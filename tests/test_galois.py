@@ -1,5 +1,6 @@
 """Field tower arithmetic, trace/dual-basis machinery, coordinate expansion."""
 
+import functools
 import hashlib
 import itertools
 
@@ -203,6 +204,60 @@ def test_array_ops_match_scalar():
         for i in range(3):
             for j in range(4):
                 assert tr[i, j] == fld.trace(int(a[i, j]))
+
+
+# every odd-characteristic field of order at most 243; an extension of a
+# prime field has the tables of the base field of its order, so the only
+# other one is the tower F_81 over F_9
+ODD_SMALL = [make_base_field(q) for q in _prime_powers(243) if q % 2] + [make_ext_field(9, 2)]
+# larger fields, checked on sampled arrays
+ODD_SAMPLED = [make_ext_field(3, 7), make_ext_field(5, 3), make_ext_field(7, 2),
+               make_ext_field(9, 3), make_base_field(101)]
+
+
+def _scalar_add_table(fld):
+    """Every sum, by the scalar digit code (a prime field's one digit is its code)."""
+    xs = np.arange(fld.order)
+    if fld.order == fld.char:
+        return (xs[:, None] + xs[None, :]) % fld.char
+    return np.array([[fld.add(int(a), int(b)) for b in xs] for a in xs])
+
+
+@pytest.mark.parametrize("fld", ODD_SMALL, ids=str)
+def test_odd_array_ops_on_all_pairs(fld):
+    xs = np.arange(fld.order)
+    add = _scalar_add_table(fld)
+    neg = np.array([fld.neg(int(x)) for x in xs])
+    assert (fld.add_arr(xs[:, None], xs[None, :]) == add).all()
+    assert (fld.sub_arr(xs[:, None], xs[None, :]) == add[:, neg]).all()
+    assert (fld.neg_arr(xs) == neg).all()
+    assert not fld.add_arr(xs, fld.neg_arr(xs)).any()
+    pairs = np.stack(np.broadcast_arrays(xs[:, None], xs[None, :]), axis=-1)
+    assert (fld.sum_arr(pairs) == add).all()
+
+
+@pytest.mark.parametrize("fld", ODD_SAMPLED, ids=str)
+def test_odd_array_ops_on_sampled_arrays(fld):
+    rng = np.random.default_rng(fld.order)
+    a = fld.rand_elements(rng, (30, 7))
+    b = fld.rand_elements(rng, (30, 7))
+    a[rng.random(a.shape) < 0.2] = 0
+    b[rng.random(b.shape) < 0.2] = 0
+    b[:4] = [[fld.neg(int(x)) for x in row] for row in a[:4]]     # sums that vanish
+    b[4] = a[4]
+    add, sub, neg = fld.add_arr(a, b), fld.sub_arr(a, b), fld.neg_arr(a)
+    plus_one = fld.add_arr(a, 1)
+    for i, j in np.ndindex(a.shape):
+        x, y = int(a[i, j]), int(b[i, j])
+        assert add[i, j] == fld.add(x, y)
+        assert sub[i, j] == fld.sub(x, y)
+        assert neg[i, j] == fld.neg(x)
+        assert plus_one[i, j] == fld.add(x, 1)
+    for length in (0, 1, 2, 7):
+        want = [functools.reduce(fld.add, map(int, row[:length]), 0) for row in a]
+        assert (fld.sum_arr(a[:, :length]) == want).all()
+    xs = np.arange(fld.order)
+    assert not fld.add_arr(xs, [fld.neg(int(x)) for x in xs]).any()
 
 
 def test_trace_commutes_with_base_field_matrices():

@@ -121,6 +121,29 @@ def test_kernel_annihilates(fld):
     assert not ml.matmul(fld, mat, res.kernel.T).any()
 
 
+def _matmul_scalar(fld, a, b):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    for i, j in np.ndindex(out.shape):
+        for t in range(a.shape[1]):
+            out[i, j] = fld.add(int(out[i, j]), fld.mul(int(a[i, t]), int(b[t, j])))
+    return out
+
+
+@pytest.mark.parametrize("fld", [make_base_field(3), make_base_field(5), F9,
+                                 make_ext_field(3, 7), make_ext_field(5, 3)], ids=str)
+def test_matmul_matches_scalar_triple_loop(fld):
+    rng = np.random.default_rng(fld.order)
+    base = fld.base or fld
+    for r, n, c in [(4, 0, 3), (5, 6, 4), (2, 9, 1)]:
+        a = fld.rand_elements(rng, (r, n))
+        a[-1] = 0                                     # a zero row
+        a[:, :n // 3] = 0                             # zero columns, skipped
+        b = fld.rand_elements(rng, (n, c))
+        on_base = base.rand_elements(rng, (n, c))     # as nf_bilinear passes
+        for right in (b, on_base):
+            assert (ml.matmul(fld, a, right) == _matmul_scalar(fld, a, right)).all()
+
+
 def test_rank_invariance_under_transforms():
     rng = np.random.default_rng(23)
     mat = F8.rand_elements(rng, (4, 7))

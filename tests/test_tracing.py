@@ -1,4 +1,4 @@
-"""The benchmark's traced layers and cleared caches against the package."""
+"""The benchmark's traced layers, cleared caches and answer checkers against the package."""
 
 import ast
 import importlib
@@ -35,3 +35,12 @@ def test_cleared_caches_resolve():
         mod_name, attr = name.split(".")
         func = getattr(importlib.import_module("ranklab." + mod_name), attr, None)
         assert callable(getattr(func, "cache_clear", None)), name
+
+
+def test_benchmark_checks_self_test():
+    # the benchmark checks answers with arithmetic of its own, so its
+    # self-test also checks the package's field arithmetic independently
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.self_test() == []
