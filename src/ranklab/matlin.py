@@ -13,7 +13,9 @@ test suite, and ``echelonize`` picks one from the field and the matrix:
 
 * GF(2): one eliminator over stacks of matrices whose rows are packed into
   uint64 words.  Its batched entry point :func:`rref_gf2_batch` reduces a
-  (B, rows, words) stack in step; ``echelonize`` uses it on a stack of one.
+  (B, rows, words) stack in step; ``echelonize`` uses it on a stack of one,
+  and the q = 2 exhaustive oracle on the stacked systems of the supports
+  its bit-sliced consistency sweep kept.
 * F_{2^d}, d >= 2, with at least ``_CHAR2_MIN_CELLS`` entries: the matrix
   as d packed GF(2) bit-planes, reduced with per-pivot lookup tables of the
   pivot row's multiples (Albrecht, "The M4RIE library for dense linear

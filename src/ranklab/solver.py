@@ -284,8 +284,13 @@ def solve_minrank_linearized(inst: MinRankInstance) -> Outcome:
 
     Multiplier degrees above 1 would interact with the field equations for
     tiny q, so desk-scale use sticks to b = 1; x is read at the kernel's
-    minors and returned after verifying the rank condition.
+    minors and returned after verifying the rank condition.  With no
+    matrices to combine (K = 0) the answer is the empty x if M_0 itself has
+    rank at most r, else Inconsistent.
     """
+    if inst.K == 0:
+        x = np.zeros(0, dtype=np.int64)
+        return x if verify_minrank(inst, x) is not None else Inconsistent()
     minors = solve_linearized(md.macaulay(md.sm_for_minrank(inst), 1, multipliers="upto"))
     if not isinstance(minors, np.ndarray):
         return minors
@@ -391,23 +396,28 @@ def _read_only(rd: RdInstance) -> RdInstance:
     return rd
 
 
+@functools.lru_cache(maxsize=16)
 def _subspace_bases(q: int, m: int, r: int) -> np.ndarray:
     """All r x m RREF matrices over F_q, stacked (S, r, m): canonical bases
     of the r-subspaces.  Ordered by pivot columns, then by the free entries
-    read as base-q digits, the first entry most significant."""
+    read as base-q digits, the first entry most significant.  The entries
+    take the smallest unsigned dtype that holds q - 1; the array is cached,
+    so it is read-only."""
     tables = []
     for pivots in itertools.combinations(range(m), r):
         free_pos = [(i, j) for i in range(r) for j in range(m)
                     if j > pivots[i] and j not in pivots]
         nfree = len(free_pos)
-        block = np.zeros((q ** nfree, r, m), dtype=np.int64)
+        block = np.zeros((q ** nfree, r, m), dtype=np.min_scalar_type(q - 1))
         block[:, np.arange(r), list(pivots)] = 1
         if free_pos:
             rows, cols = zip(*free_pos)
             digits = q ** np.arange(nfree - 1, -1, -1)
             block[:, list(rows), list(cols)] = (np.arange(q ** nfree)[:, None] // digits) % q
         tables.append(block)
-    return np.concatenate(tables)
+    bases = np.concatenate(tables)
+    bases.setflags(write=False)
+    return bases
 
 
 def rd_solutions_brute(rd: RdInstance, cap: int = 64,
@@ -415,8 +425,11 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
     """All errors e with rank weight <= r and y - e in the code.
 
     Enumerates candidate supports as subspaces of F_{q^m}; per support the
-    syndrome condition is a small base-field linear system.  Independent of
-    the algebraic attack path; intended for desk-scale oracles only.
+    syndrome condition is a small base-field linear system.  At q = 2 one
+    bit-sliced sweep decides every system's consistency and only the
+    consistent ones are reduced (:func:`_consistent_systems_gf2`); at
+    q > 2 each system is reduced on its own.  Independent of the algebraic
+    attack path; intended for desk-scale oracles only.
     ``stop_after`` returns early once more than that many distinct errors
     are known (uniqueness screening).  A consistent support whose solution
     family has more than ``cap`` members raises ValueError.
@@ -442,39 +455,83 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
 
 # Unknowns C[u, j] sit in column u n + j of a support's system, the
 # right-hand side in the last column; row i m + l is coordinate l of
-# parity equation i.  The coefficient of C[u, j] is s_u H[i, j].
+# parity equation i.  The coefficient of C[u, j] is s_u H[i, j], and
+# coordinate l of s_u H[i, j] is the XOR over t of basis[u, t] times
+# coordinate l of z^t H[i, j].  The lane sweep holds these systems
+# bit-sliced: entry (column, row) of the systems of up to 64 supports is one
+# uint64 word, support b at bit b % 64 of word b // 64.
 
-_ORACLE_CHUNK = 256     # supports eliminated together; bounds the temporaries
+_LANE_CHUNK = 64 * 64   # supports swept together; a multiple of 64, bounds the temporaries
 
 
 def _consistent_systems_gf2(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, r: int):
     """(basis, RREF of [A | b], pivots) for each support with a solution, q = 2.
 
-    With s_u = sum_t basis[u, t] z^t, each packed row of a support's system
-    is an XOR of the packed rows of z^t H placed at block u, so all systems
-    are built from one table and eliminated a chunk of supports at a time.
+    The supports are swept ``_LANE_CHUNK`` at a time, one per bit lane
+    (:func:`_consistent_lanes`), which decides every system's consistency
+    without storing any of them as rows.  Only the consistent supports get
+    their systems built as packed rows, each an XOR of the packed rows of
+    z^t H placed at block u, and those are reduced as one stack.
     """
     m = fld.degree
     nk, n = parity.shape
     nrows, ncols = m * nk, r * n + 1
-    zh = fld.coeffs_arr(fld.mul_arr(np.array(fld.basis)[:, None, None], parity)).swapaxes(-1, -2)
+    zh = fld.coeffs_arr(fld.mul_arr(np.array(fld.basis)[:, None, None], parity))
+    zh = zh.swapaxes(-1, -2).reshape(m, nrows, n)        # coordinate l of z^t H at row i m + l
     placed = np.zeros((m, r, nrows, ncols), dtype=np.int64)
     for u in range(r):
-        placed[:, u, :, u * n:(u + 1) * n] = zh.reshape(m, nrows, n)
+        placed[:, u, :, u * n:(u + 1) * n] = zh
     words = ml.pack_gf2(placed)                      # (m, r, rows, words)
+    rhs_bits = fld.coeffs_arr(synd).reshape(-1)
     rhs = np.zeros((nrows, ncols), dtype=np.int64)
-    rhs[:, -1] = fld.coeffs_arr(synd).reshape(-1)
+    rhs[:, -1] = rhs_bits
     rhs_words = ml.pack_gf2(rhs)
     bases = _subspace_bases(2, m, r)
-    for start in range(0, len(bases), _ORACLE_CHUNK):
-        chunk = bases[start:start + _ORACLE_CHUNK]
-        stack = np.repeat(rhs_words[None], len(chunk), axis=0)
+    for start in range(0, len(bases), _LANE_CHUNK):
+        chunk = bases[start:start + _LANE_CHUNK]
+        good = chunk[_consistent_lanes(zh, rhs_bits, chunk)]
+        stack = np.repeat(rhs_words[None], len(good), axis=0)
         for t in range(m):
             for u in range(r):
-                stack ^= words[t, u] * (chunk[:, u, t] != 0)[:, None, None]
+                stack ^= words[t, u] * (good[:, u, t] != 0)[:, None, None]
         _, pivots = ml.rref_gf2_batch(stack, ncols)
-        for b in np.flatnonzero(~pivots[:, -1]):
-            yield chunk[b], ml.unpack_gf2(stack[b], ncols), np.flatnonzero(pivots[b]).tolist()
+        if pivots[:, -1].any():
+            raise RuntimeError("the lane sweep kept a support whose system is inconsistent")
+        for b in range(len(good)):
+            yield good[b], ml.unpack_gf2(stack[b], ncols), np.flatnonzero(pivots[b]).tolist()
+
+
+def _consistent_lanes(zh: np.ndarray, rhs_bits: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """Indices of the supports in ``bases`` whose syndrome system is consistent.
+
+    Support b is bit lane b: ``lanes[c, i]`` holds entry (i, c) of every
+    support's [A | b], and all lanes are eliminated in step.  Per column,
+    each lane's first free row with the bit becomes its pivot row, found with
+    a prefix OR down the rows.  The selected rows, one per lane, are ORed
+    into one pivot row per lane, which is XORed into the lane's other free
+    rows with the bit; only the columns right of the pivot are updated.  A
+    lane is consistent when no free row is left with a nonzero right side.
+    """
+    m, nrows, n = zh.shape
+    r = bases.shape[1]
+    bits = ml.pack_gf2(bases.transpose(1, 2, 0))           # (r, m, lane words)
+    nwords = bits.shape[-1]
+    zmask = np.where(zh.transpose(0, 2, 1) != 0, ~np.uint64(0), np.uint64(0))   # (m, n, rows)
+    lanes = np.zeros((r * n + 1, nrows, nwords), dtype=np.uint64)
+    for u in range(r):
+        for t in range(m):
+            lanes[u * n:(u + 1) * n] ^= zmask[t, ..., None] & bits[u, t]
+    lanes[-1] = np.where(rhs_bits != 0, ~np.uint64(0), np.uint64(0))[:, None]
+    free = np.full((nrows, nwords), ~np.uint64(0))
+    for c in range(r * n):
+        cand = lanes[c] & free
+        seen = np.bitwise_or.accumulate(cand, axis=0)
+        cand[1:] &= ~seen[:-1]                  # each lane's first candidate row only
+        free ^= cand
+        pivot = np.bitwise_or.reduce(lanes[c + 1:] & cand, axis=1)
+        lanes[c + 1:] ^= pivot[:, None, :] & (lanes[c] & free)
+    bad = np.bitwise_or.reduce(lanes[-1] & free, axis=0)
+    return np.flatnonzero(ml.unpack_gf2(~bad, len(bases)))
 
 
 def _consistent_systems(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, r: int):

@@ -220,3 +220,16 @@ def test_rd_drivers_odd_characteristic(seed):
     for res in (hy.hybrid_solve_rd(rd, 1, seed=seed),
                 hy.probabilistic_solve_rd(rd, 1, seed=seed, max_trials=64)):
         assert (res.solution.error == rd.witness.error).all()
+
+
+@pytest.mark.parametrize("params", [(3, 3, 4, 3, 1), (3, 4, 5, 4, 2)], ids=str)
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_minrank_drivers_when_the_guess_leaves_no_matrices(params, seed):
+    # K = a m: the reduced instance is M_0 alone, whose rank decides it
+    mi = inst.gen_minrank(*params, seed)
+    for driver in (hy.hybrid_solve_minrank, hy.probabilistic_solve_minrank):
+        try:
+            res = driver(mi, 1, seed=seed)
+        except sv.Unsolved:
+            continue
+        assert sv.verify_minrank(mi, res.solution) is not None

@@ -364,6 +364,60 @@ def test_oracle_cap_on_solution_family(params, cap):
         sv.rd_solutions_brute(inst.gen_rd(*params, seed=1), cap=cap)
 
 
+def lane_sweep_against_echelonize(rd):
+    """Assert that the q = 2 oracle keeps the supports, RREFs and pivots that
+    echelonize gives on each support's system; returns how many it keeps."""
+    fld = rd.field
+    parity = ml.echelonize(fld, rd.gen).kernel
+    synd = ml.matmul(fld, parity, rd.received[:, None])[:, 0]
+    swept = list(sv._consistent_systems_gf2(fld, parity, synd, rd.r))
+    each = list(sv._consistent_systems(fld, parity, synd, rd.r))
+    assert [b.tolist() for b, _, _ in swept] == [b.tolist() for b, _, _ in each]
+    for (_, rref, pivots), (_, ref_rref, ref_pivots) in zip(swept, each):
+        assert pivots == ref_pivots and (rref == ref_rref).all()
+    return len(swept)
+
+
+def with_codeword_received(rd):
+    """rd with its received word replaced by a codeword: syndrome 0."""
+    return inst.RdInstance(rd.field, rd.n, rd.k, rd.r, rd.gen, rd.gen[0].copy(), None)
+
+
+@st.composite
+def small_q2_params(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(2, 7))
+    k = draw(st.integers(1, n - 1))
+    r = draw(st.integers(1, min(3, m, n)))
+    return 2, m, n, k, r
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_q2_params(), st.integers(0, 50), st.booleans())
+@example((2, 5, 6, 3, 2), 1, True)      # syndrome 0: all 155 supports are consistent
+@example((2, 5, 7, 3, 2), 1, False)     # 155 supports, not a multiple of 64 lanes
+def test_lane_sweep_matches_echelonize(params, seed, codeword):
+    rd = inst.gen_rd(*params, seed=seed)
+    if codeword:
+        rd = with_codeword_received(rd)
+    kept = lane_sweep_against_echelonize(rd)
+    if codeword:
+        assert kept == sv.gaussian_binomial(params[1], params[4], 2)
+
+
+def test_lane_sweep_across_chunks(monkeypatch):
+    # 155 supports in chunks of 64 lanes: two full chunks and one of 27
+    rd = inst.gen_rd(2, 5, 7, 3, 2, seed=3)
+    whole = {tuple(e.tolist()) for e in sv.rd_solutions_brute(rd)}
+    monkeypatch.setattr(sv, "_LANE_CHUNK", 64)
+    lane_sweep_against_echelonize(rd)
+    assert lane_sweep_against_echelonize(with_codeword_received(rd)) == 155
+    assert {tuple(e.tolist()) for e in sv.rd_solutions_brute(rd)} == whole
+    first = sv.rd_solutions_brute(rd, stop_after=1)
+    assert {tuple(e.tolist()) for e in first} <= whole
+    assert (len(first) == 1) == (len(whole) == 1)
+
+
 def test_cached_instances_are_read_only():
     for rd in (sv.gen_rd_generic(2, 7, 8, 4, 2, seed=1),
                sv.gen_rd_unique(2, 3, 5, 2, 1, seed=1),       # screened by the oracle
