@@ -93,7 +93,6 @@ def p_matrix(fld: FiniteField, guess: np.ndarray, n: int) -> np.ndarray:
 class RdReduction:
     instance: RdInstance
     guess: GuessMatrix
-    p_a: np.ndarray
     parent: RdInstance
 
     def lift_error(self, e_reduced: np.ndarray) -> np.ndarray:
@@ -115,7 +114,7 @@ def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[RdReductio
         raise InstanceError("cannot shorten more positions than the dimension")
     fld = rd.field
     if a == 0:
-        return RdReduction(rd, guess, ml.identity(rd.n), rd)
+        return RdReduction(rd, guess, rd)
     p_a = p_matrix(fld, guess.a, rd.n)
     gen_t = ml.matmul(fld, rd.gen, p_a)
     y_t = ml.matmul(fld, rd.received[None, :], p_a)[0]
@@ -128,7 +127,7 @@ def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[RdReductio
                         ml.matmul(fld, y_t[tail][None, :], sh.b_block)[0])
     witness = _transport_rd_witness(rd, fld, p_a, sh, y_red)
     red = RdInstance(fld, rd.n - a, rd.k - a, rd.r, sh.gen_short, y_red, witness)
-    return RdReduction(red, guess, p_a, rd)
+    return RdReduction(red, guess, rd)
 
 
 def _transport_rd_witness(rd: RdInstance, fld: FiniteField, p_a: np.ndarray,
@@ -302,6 +301,8 @@ def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
     up to ``limit`` rerandomizations; probabilistic mode tries only the zero
     guess, on ``limit`` fresh rerandomizations.  Every lifted candidate is
     verified on ``inst``, so a spurious inner solution is never returned.
+    Every tried guess leaves one transcript line: infeasible, the inner
+    solve's failure, or the verdict on its lift.
     """
     is_rd = isinstance(inst, RdInstance)
     fld = inst.field
@@ -336,7 +337,9 @@ def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
             if is_rd:
                 try:
                     e = red.lift_error(sv.decode_rd(red.instance).error)
-                except sv.Unsolved:
+                except sv.Unsolved as exc:
+                    last = exc.transcript[-1] if exc.transcript else "no stage ran"
+                    transcript.append(f"{tag}: unsolved, {last}")
                     continue
                 if p is not None:       # rerandomization maps an error e to e P
                     p_inv = _invert(fld.base, p) if p_inv is None else p_inv
@@ -345,6 +348,7 @@ def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
             else:
                 x_red = sv.solve_minrank_linearized(red.instance)
                 if not isinstance(x_red, np.ndarray):
+                    transcript.append(f"{tag}: {x_red}")
                     continue
                 # guesses and rerandomizations act on columns only, so x
                 # carries over to the original matrices unchanged

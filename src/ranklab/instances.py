@@ -113,10 +113,6 @@ class RdInstance:
                     and ml.rank_weight(fld, e) == self.r)
 
 
-def _error_from_support(fld: FiniteField, support: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    return ml.matmul(fld, support[None, :], coeffs)[0]
-
-
 def gen_rd(q: int, m: int, n: int, k: int, r: int, seed: int) -> RdInstance:
     """Seeded uniform RD instance with an exact-weight-r planted error.
 
@@ -138,7 +134,7 @@ def gen_rd(q: int, m: int, n: int, k: int, r: int, seed: int) -> RdInstance:
             if ml.echelonize(base, ml.mat_of(fld, support)).rank == r:
                 break
         coeffs = ml.random_full_rank(base, r, n, rng)
-        e = _error_from_support(fld, support, coeffs)
+        e = ml.matmul(fld, support[None, :], coeffs)[0]
     y = fld.add_arr(fld.neg_arr(ml.matmul(fld, x[None, :], gen)[0]), e)
     if ml.rank_weight(fld, e) != r:
         raise InstanceError("planted error does not have rank weight r")
@@ -155,9 +151,9 @@ class CanonicalRd:
 
     ``h_y`` is a parity check of the extended code C + <y> in systematic
     form (* | I_{n-k-1}); ``h`` completes it to a parity check of C and
-    satisfies y . h^T = 1.  ``perm`` (position permutation), ``offset``
-    (codeword added to y) and ``scale`` (y was multiplied by scale) map
-    solutions between the original and canonical coordinates.
+    satisfies y . h^T = 1.  ``perm`` (position permutation) and ``scale``
+    (y was multiplied by scale, after a codeword was subtracted) map errors
+    between the original and canonical coordinates.
     """
 
     field: FiniteField
@@ -169,9 +165,8 @@ class CanonicalRd:
     h_y: np.ndarray
     h: np.ndarray
     perm: np.ndarray       # canonical position j came from original perm[j]
-    offset: np.ndarray     # codeword (original coords) subtracted from y
-    scale: int             # canonical y = scale * (permuted, offset y)
-    origin: RdInstance
+    scale: int             # canonical y = scale * (permuted y minus the codeword
+                           # matching it on the information set)
     witness: Optional[RdWitness] = None
 
     def error_to_origin(self, e_can: np.ndarray) -> np.ndarray:
@@ -209,9 +204,7 @@ def canonicalize(rd: RdInstance, perm_seed: Optional[int] = None) -> CanonicalRd
     gen = res.rref[:, pos[perm]]
     y1 = np.asarray(rd.received)[perm]
     # offset by the codeword matching y on the information set
-    xoff = y1[:k]
-    offset_can = ml.matmul(fld, xoff[None, :], gen)[0]
-    y2 = fld.sub_arr(y1, offset_can)
+    y2 = fld.sub_arr(y1, ml.matmul(fld, y1[None, :k], gen)[0])
     nz = np.nonzero(y2[k:])[0]
     if nz.size == 0:
         raise InstanceError("received word lies in the code")
@@ -229,8 +222,6 @@ def canonicalize(rd: RdInstance, perm_seed: Optional[int] = None) -> CanonicalRd
     atil = np.concatenate([top, ytail[None, :]], axis=0)      # (k+1) x (n-k-1)
     h_y = np.concatenate([fld.neg_arr(atil).T, ml.identity(n - k - 1)], axis=1)
     h = np.concatenate([fld.neg_arr(a2[:, 0]), [1], np.zeros(n - k - 1, dtype=np.int64)])
-    offset_orig = np.zeros(n, dtype=np.int64)
-    offset_orig[perm] = offset_can
     witness = None
     if rd.witness is not None:
         e_can = fld.mul_arr(rd.witness.error[perm], scale)
@@ -238,8 +229,7 @@ def canonicalize(rd: RdInstance, perm_seed: Optional[int] = None) -> CanonicalRd
         support = fld.mul_arr(rd.witness.support, scale) if rd.r else rd.witness.support
         coeffs = rd.witness.coeffs[:, perm] if rd.r else rd.witness.coeffs
         witness = RdWitness(x_can, support, coeffs, e_can)
-    can = CanonicalRd(fld, n, k, rd.r, gen, y, h_y, h, perm, offset_orig,
-                      scale, rd, witness)
+    can = CanonicalRd(fld, n, k, rd.r, gen, y, h_y, h, perm, scale, witness)
     _check_canonical(can)
     return can
 
@@ -337,15 +327,19 @@ class MinRankInstance:
     n: int
     K: int
     r: int
-    mats: Tuple[np.ndarray, ...]   # M_0, M_1, ..., M_K, each m x n
+    mats: np.ndarray           # (K + 1, m, n): M_0, M_1, ..., M_K
     witness: Optional[np.ndarray] = None
 
+    def __post_init__(self):
+        # any sequence of K + 1 matrices is stacked once, here
+        object.__setattr__(self, "mats", np.asarray(self.mats, dtype=np.int64)
+                           .reshape(self.K + 1, self.m, self.n))
+
     def low_rank_matrix(self, x: Sequence[int]) -> np.ndarray:
-        acc = np.array(self.mats[0], dtype=np.int64)
-        for i, xi in enumerate(x):
-            if xi:
-                acc = self.field.add_arr(acc, self.field.mul_arr(int(xi), self.mats[i + 1]))
-        return acc
+        """M_0 + sum x_i M_i."""
+        coefs = np.concatenate([[1], np.asarray(x, dtype=np.int64).reshape(self.K)])
+        flat = self.mats.reshape(self.K + 1, self.m * self.n)
+        return ml.matmul(self.field, coefs[None, :], flat).reshape(self.m, self.n)
 
     def verify_witness(self) -> bool:
         if self.witness is None:
@@ -368,16 +362,13 @@ def gen_minrank(q: int, m: int, n: int, K: int, r: int, seed: int) -> MinRankIns
     """Seeded MinRank instance with a planted rank-r combination."""
     fld = check_params("minrank", q, m, n, K, r)
     rng = np.random.default_rng(seed)
-    mats = [fld.rand_elements(rng, (m, n)) for _ in range(K)]
+    mats = np.stack([fld.rand_elements(rng, (m, n)) for _ in range(K)])
     x = fld.rand_elements(rng, K)
     left = ml.random_full_rank(fld, m, r, rng)
     right = ml.random_full_rank(fld, r, n, rng)
     target = ml.matmul(fld, left, right)
-    m0 = np.array(target)
-    for i, xi in enumerate(x):
-        if xi:
-            m0 = fld.sub_arr(m0, fld.mul_arr(int(xi), mats[i]))
-    inst = MinRankInstance(fld, m, n, K, r, tuple([m0] + mats), x)
+    m0 = fld.sub_arr(target, ml.matmul(fld, x[None, :], mats.reshape(K, m * n)).reshape(m, n))
+    inst = MinRankInstance(fld, m, n, K, r, np.concatenate([m0[None], mats]), x)
     if not inst.verify_witness():
         raise InstanceError("planted combination does not have rank r")
     return inst

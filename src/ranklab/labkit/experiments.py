@@ -3,9 +3,11 @@
 Each property name maps to a per-trial check on a fresh seeded instance;
 exact algebraic identities must hold on every trial, statistical
 (genericity) claims pass at the documented 95% threshold with failures
-reported verbatim.  Reports are reproducible bit for bit from
-(property, params, seed).  Arguments outside a property's domain are
-rejected by :func:`check_arguments` before any trial runs.
+reported verbatim.  The exact linear dependencies between the MaxMinors
+and Support-Minors equations are each one product: a coefficient matrix
+times the polynomials as flat (bil | aff) rows.  Reports are reproducible
+bit for bit from (property, params, seed).  Arguments outside a
+property's domain are rejected by :func:`check_arguments` first.
 """
 
 from __future__ import annotations
@@ -60,28 +62,31 @@ def _canonical_systems(q, m, n, k, r, seed, envelope=False):
     return rd, can, mm, mmq, sm, part
 
 
-def _combine(fld, sm: md.BilinearSystem, coefs: Sequence[int]):
-    """Linear combination of the system's polynomials; (bil, aff) arrays."""
-    bil = np.zeros_like(sm.bil[0])
-    aff = np.zeros_like(sm.aff[0])
-    for p, c in enumerate(coefs):
-        c = int(c)
-        if c:
-            bil = fld.add_arr(bil, fld.mul_arr(c, sm.bil[p]))
-            aff = fld.add_arr(aff, fld.mul_arr(c, sm.aff[p]))
-    return bil, aff
+def _flat(sys: md.BilinearSystem) -> np.ndarray:
+    """The system's polynomials as rows (bil | aff): coefficient block j < nx
+    belongs to x_j, block nx is the affine part; (#polys, (nx + 1) nt)."""
+    P, nx, nt = sys.bil.shape
+    return np.concatenate([sys.bil.reshape(P, nx * nt), sys.aff], axis=1)
+
+
+def _multiples(lin: md.CtLinearSystem, nx: int) -> np.ndarray:
+    """Linear row p times x_j at [p, j], j < nx, and row p itself at [p, nx],
+    as flat (bil | aff) rows; (#rows, nx + 1, (nx + 1) nt)."""
+    nrows, nt = lin.coeffs.shape
+    blocks = np.eye(nx + 1, dtype=np.int64)[None, :, :, None] * lin.coeffs[:, None, None, :]
+    return blocks.reshape(nrows, nx + 1, (nx + 1) * nt)
 
 
 # ---------------------------------------------------------------------------
 # per-trial checks; each returns (ok, measured, expected, note)
 # ---------------------------------------------------------------------------
 
-def _check_nb_rank(params, seed, bs=(1, 2, 3)):
+def _check_nb_rank(params, seed):
     q, m, n, k, r = params
     _, can, _, _, sm, part = _canonical_systems(*params, seed)
     q2 = md.subsystem(sm, part.two_plus)
     measured, expected = [], []
-    for b in bs:
+    for b in (1, 2, 3):
         mac = md.macaulay(q2, b)
         measured.append(ml.echelonize(can.field, md.top_block(mac)).rank)
         expected.append(nb_fqm(n, k, r, b))
@@ -89,15 +94,13 @@ def _check_nb_rank(params, seed, bs=(1, 2, 3)):
 
 
 def _check_q0_span(params, seed):
+    # each (r+1)-minor row of H_y combines the bilinear equations to zero
     q, m, n, k, r = params
     _, can, _, _, sm, _ = _canonical_systems(*params, seed)
     fld = can.field
-    bad = 0
     t_sets = ml.subset_table(n - k - 1, r + 1)[0]
-    for coefs in ml.maximal_minors(fld, can.h_y[t_sets], r + 1):
-        bil, aff = _combine(fld, sm, coefs)
-        if bil.any() or aff.any():
-            bad += 1
+    coefs = ml.maximal_minors(fld, can.h_y[t_sets], r + 1)
+    bad = int(ml.matmul(fld, coefs, _flat(sm)).any(axis=1).sum())
     return bad == 0, (bad,), (0,), ""
 
 
@@ -105,34 +108,23 @@ def _check_lt_independence(params, seed):
     q, m, n, k, r = params
     _, can, mm, _, sm, part = _canonical_systems(*params, seed)
     fld = can.field
-    nt = comb(n, r)
+    # the minors on the last n - k - 1 positions, in the order of the linear rows
+    tail = np.flatnonzero((ml.subset_table(n, r)[0] > k).all(axis=1))
+    cols, drop = ml.subset_table(n, r + 1)
     # leading-term table
-    for p, j_rows in enumerate(mm.row_labels):
-        tail = tuple(j + k + 1 for j in j_rows)
-        top = int(np.nonzero(mm.coeffs[p])[0][-1])
-        if top != ml.subset_rank(n, tail):
+    for p in range(mm.nrows):
+        if np.flatnonzero(mm.coeffs[p])[-1] != tail[p]:
             return False, ("lt-p",), (p,), "linear leading term off"
     for p in part.two_plus:
-        i_set = sm.labels[p]
-        j, t = md.leading_term(sm, p)
-        if j != i_set[0] or t != ml.subset_rank(n, i_set[1:]):
+        if md.leading_term(sm, p) != (cols[p, 0], drop[p, 0]):
             return False, ("lt-q",), (p,), "bilinear leading term off"
-        for j_rows in ml.all_subsets(n - k - 1, r):
-            tail = ml.subset_rank(n, tuple(x + k + 1 for x in j_rows))
-            if sm.bil[p, :, tail].any() or sm.aff[p, tail]:
-                return False, ("tail-var",), (p,), "tail minor appears"
+        if sm.bil[p][:, tail].any() or sm.aff[p, tail].any():
+            return False, ("tail-var",), (p,), "tail minor appears"
     # stacked rank of linear rows, their variable multiples, and the rest
-    rows = []
-    for p in range(mm.nrows):
-        rows.append(np.concatenate([np.zeros((k, nt), dtype=np.int64).reshape(-1),
-                                    mm.coeffs[p]]))
-        for j in range(k):
-            bil = np.zeros((k, nt), dtype=np.int64)
-            bil[j] = mm.coeffs[p]
-            rows.append(np.concatenate([bil.reshape(-1), np.zeros(nt, dtype=np.int64)]))
-    for p in part.two_plus:
-        rows.append(np.concatenate([sm.bil[p].reshape(-1), sm.aff[p]]))
-    rank = ml.echelonize(fld, np.stack(rows)).rank
+    mult = _multiples(mm, k)
+    rows = np.concatenate([mult.reshape(mm.nrows * (k + 1), mult.shape[2]),
+                           _flat(sm)[list(part.two_plus)]])
+    rank = ml.echelonize(fld, rows).rank
     expect = (k + 1) * comb(n - k - 1, r) + len(part.two_plus)
     return rank == expect, (rank,), (expect,), ""
 
@@ -141,40 +133,33 @@ def _check_q1_correspondence(params, seed):
     q, m, n, k, r = params
     _, can, mm, _, sm, _ = _canonical_systems(*params, seed)
     fld = can.field
-    nt = comb(n, r)
     h_full = np.concatenate([can.h_y, can.h[None, :]], axis=0)
     j_sets = ml.subset_table(n - k - 1, r)[0]
     last = np.full((len(j_sets), 1), n - k - 1)
     full_minors = ml.maximal_minors(fld, h_full[np.concatenate([j_sets, last], axis=1)], r + 1)
     hy_minors = ml.maximal_minors(fld, can.h_y[j_sets], r)
-    for p in range(mm.nrows):
-        # identity 1: the signed linear row equals a combination of minors
-        # of the full parity check against the bilinear equations
-        bil, aff = _combine(fld, sm, full_minors[p])
-        target = np.array(mm.coeffs[p])
-        if r % 2:
-            target = fld.neg_arr(target)
-        if bil.any() or (aff != target).any():
+    # coefs[p, j] combines the bilinear equations into target[p, j]:
+    # identity 2 (j < k), x_j times linear row p: polynomial I takes the
+    # minor at I minus j, signed by the position of j in I;
+    # identity 1 (j = k), the linear row signed by r: the full minors
+    cols, drop = ml.subset_table(n, r + 1)
+    vals = hy_minors[:, drop]
+    vals[..., 1::2] = fld.neg_arr(vals[..., 1::2])
+    coefs = np.zeros((mm.nrows, k + 1, sm.npolys), dtype=np.int64)
+    poly, pos = np.nonzero(cols < k)
+    coefs[:, cols[poly, pos], poly] = vals[:, poly, pos]
+    coefs[:, k] = full_minors
+    target = _multiples(mm, k)
+    if r % 2:
+        target[:, k] = fld.neg_arr(target[:, k])
+    got = ml.matmul(fld, coefs.reshape(mm.nrows * (k + 1), sm.npolys), _flat(sm))
+    bad = (got.reshape(target.shape) != target).any(axis=2)
+    if bad.any():
+        p = int(np.flatnonzero(bad.any(axis=1))[0])
+        if bad[p, k]:
             return False, ("id1",), (p,), "linear-row correspondence failed"
-        # identity 2: x_j times the linear row, via minors with j removed
-        for j in range(k):
-            bil = np.zeros_like(sm.bil[0])
-            aff = np.zeros_like(sm.aff[0])
-            for pp in range(sm.npolys):
-                i_set = sm.labels[pp]
-                if j not in i_set:
-                    continue
-                pos = i_set.index(j)
-                c = int(hy_minors[p, ml.subset_rank(n, i_set[:pos] + i_set[pos + 1:])])
-                if pos % 2:
-                    c = fld.neg(c)
-                if c:
-                    bil = fld.add_arr(bil, fld.mul_arr(c, sm.bil[pp]))
-                    aff = fld.add_arr(aff, fld.mul_arr(c, sm.aff[pp]))
-            tgt = np.zeros((k, nt), dtype=np.int64)
-            tgt[j] = mm.coeffs[p]
-            if (bil != tgt).any() or aff.any():
-                return False, ("id2",), (p, j), "variable-multiple correspondence failed"
+        j = int(np.flatnonzero(bad[p])[0])
+        return False, ("id2",), (p, j), "variable-multiple correspondence failed"
     return True, (1,), (1,), ""
 
 
@@ -208,11 +193,9 @@ def _check_syzygy_count(params, seed, bs=(1, 2, 3)):
     # coordinate i of each q0 relation, trace(b*_i c) for each coefficient c
     nf_all = md.nf_bilinear(elim, sm, range(sm.npolys))
     minors = ml.maximal_minors(fld, can.h_y[ml.subset_table(n - k - 1, r + 1)[0]], r + 1)
-    for rel in fld.coeffs_arr(minors):
-        for coefs in rel.T:
-            bil, aff = _combine(fld, nf_all, coefs)
-            if bil.any() or aff.any():
-                return False, ("relation",), (0,), "reduced relation not zero"
+    coefs = fld.coeffs_arr(minors).transpose(0, 2, 1).reshape(len(minors) * m, sm.npolys)
+    if ml.matmul(fld, coefs, _flat(nf_all)).any():
+        return False, ("relation",), (0,), "reduced relation not zero"
     # conjectured rank law at each bi-degree
     measured, expected = [], []
     for b in bs:
@@ -223,21 +206,21 @@ def _check_syzygy_count(params, seed, bs=(1, 2, 3)):
     return measured == expected, tuple(measured), tuple(expected), ""
 
 
-def _check_hybrid_correct(params, seed, a: int = 1):
-    """Deterministic guess driver finds the planted error within q^(a r)."""
+def _check_hybrid_correct(params, seed):
+    """Deterministic guess driver with a = 1 finds the planted error within q^r."""
     q, m, n, k, r = params
     rd = gen_rd(q, m, n, k, r, seed)
     attempt = 0
     while not hy.assumption_holds_rd(rd):
         rd, _ = hy.rerandomize_rd(rd, seed * 31 + attempt)
         attempt += 1
-    res = hy.hybrid_solve_rd(rd, a=a, seed=seed)
+    res = hy.hybrid_solve_rd(rd, a=1, seed=seed)
     ok = bool((res.solution.error == rd.witness.error).all()
-              and res.guesses_tried <= q ** (a * r) and res.rounds == 0)
-    return ok, (res.guesses_tried,), (q ** (a * r),), ""
+              and res.guesses_tried <= q ** r and res.rounds == 0)
+    return ok, (res.guesses_tried,), (q ** r,), ""
 
 
-def _check_hybrid_minrank(params, seed, a: int = 1):
+def _check_hybrid_minrank(params, seed):
     """MinRank analogue of the guess driver; params are (q, m, n, K, r)."""
     q, m, n, K, r = params
     mri = gen_minrank(q, m, n, K, r, seed)
@@ -245,10 +228,10 @@ def _check_hybrid_minrank(params, seed, a: int = 1):
     while not hy.assumption_holds_minrank(mri):
         mri, _ = hy.rerandomize_minrank(mri, seed * 37 + attempt)
         attempt += 1
-    res = hy.hybrid_solve_minrank(mri, a=a, seed=seed)
+    res = hy.hybrid_solve_minrank(mri, a=1, seed=seed)
     ok = (sv.verify_minrank(mri, res.solution) is not None
-          and res.guesses_tried <= q ** (a * r) and res.rounds == 0)
-    return bool(ok), (res.guesses_tried,), (q ** (a * r),), ""
+          and res.guesses_tried <= q ** r and res.rounds == 0)
+    return bool(ok), (res.guesses_tried,), (q ** r,), ""
 
 
 PROPERTIES: Dict[str, Tuple[Callable, float]] = {
@@ -283,7 +266,7 @@ def check_arguments(property_name: str, params: Sequence[int], trials: int) -> N
 
 
 def verify(property_name: str, params: Sequence[int], trials: int = 10,
-           seed: int = 1, **kwargs) -> ExperimentReport:
+           seed: int = 1) -> ExperimentReport:
     """Run the named check on fresh seeded instances and report verdicts."""
     check_arguments(property_name, params, trials)
     check, threshold = PROPERTIES[property_name]
@@ -293,7 +276,7 @@ def verify(property_name: str, params: Sequence[int], trials: int = 10,
     measured_all: List = []
     expected_all: List = []
     for t in range(trials):
-        ok, measured, expected, note = check(tuple(params), seed + t, **kwargs)
+        ok, measured, expected, note = check(tuple(params), seed + t)
         measured_all.append(measured)
         expected_all.append(expected)
         if ok:

@@ -3,10 +3,11 @@
 A matrix is a 2-D numpy array of element codes together with the
 :class:`~ranklab.galois.FiniteField` that owns the codes; all functions here
 take the field as their first argument and never mutate their inputs.
+:func:`matmul` is the one linear-combination primitive: outside the row
+reducers, a sum c_1 row_1 + ... of field codes is a product through it.
 Includes maximal-minor (Pluecker coordinate) extraction over stacks of
-matrices, subset ranking and the subset tables used to label
-and index the minor variables, and the coordinate matrix of an
-extension-field vector over the base field.
+matrices, the subset tables that label and index the minor variables,
+and the coordinate matrix of an extension-field vector over the base field.
 
 Row reduction has three interchangeable backends, cross-checked in the
 test suite, and ``echelonize`` picks one from the field and the matrix:

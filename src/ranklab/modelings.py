@@ -89,7 +89,6 @@ class CtLinearSystem:
     n: int
     r: int
     coeffs: np.ndarray           # (#rows, C(n, r))
-    tag: str                     # "mm-fqm" | "mm-fq"
     row_labels: Tuple = ()
 
     @property
@@ -113,7 +112,6 @@ class BilinearSystem:
     bil: np.ndarray              # (#polys, nx, #subsets)
     aff: np.ndarray              # (#polys, #subsets)
     labels: Tuple                 # per-poly label: subset I, or (I, i)
-    tag: str
 
     @property
     def npolys(self) -> int:
@@ -122,19 +120,12 @@ class BilinearSystem:
     def eval_at(self, x: Sequence[int], ct: Sequence[int]) -> np.ndarray:
         """Evaluate every polynomial; x and ct are code vectors."""
         fld = self.field
-        ct = np.asarray(ct, dtype=np.int64)
-        out = []
-        for p in range(self.npolys):
-            acc = 0
-            for v in fld.mul_arr(self.aff[p], ct):
-                acc = fld.add(acc, int(v))
-            for j, xj in enumerate(x):
-                if xj:
-                    row = fld.mul_arr(self.bil[p, j], ct)
-                    for v in row:
-                        acc = fld.add(acc, fld.mul(int(xj), int(v)))
-            out.append(acc)
-        return np.array(out, dtype=np.int64)
+        P, nx, nt = self.bil.shape
+        ct = np.asarray(ct, dtype=np.int64).reshape(nt, 1)
+        x = np.asarray(x, dtype=np.int64).reshape(nx, 1)
+        # the coefficient of each x_j at ct, then the sum over j
+        at_ct = ml.matmul(fld, self.bil.reshape(P * nx, nt), ct).reshape(P, nx)
+        return fld.add_arr(ml.matmul(fld, at_ct, x), ml.matmul(fld, self.aff, ct))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -186,7 +177,7 @@ def build_mm_fqm(can: CanonicalRd) -> CtLinearSystem:
     n, k, r = can.n, can.k, can.r
     js = ml.all_subsets(n - k - 1, r)
     rows = ml.maximal_minors(fld, can.h_y[np.array(js, dtype=np.intp).reshape(len(js), r)], r)
-    return CtLinearSystem(fld, n, r, rows, "mm-fqm", tuple(js))
+    return CtLinearSystem(fld, n, r, rows, tuple(js))
 
 
 def build_mm_fq(mm: CtLinearSystem) -> CtLinearSystem:
@@ -200,7 +191,7 @@ def build_mm_fq(mm: CtLinearSystem) -> CtLinearSystem:
     out = fld.coeffs_arr(mm.coeffs).transpose(0, 2, 1).reshape(mm.nrows * m, nt)
     labels = tuple((mm.row_labels[p] if mm.row_labels else p, i)
                    for p in range(mm.nrows) for i in range(m))
-    return CtLinearSystem(fld.base, mm.n, mm.r, out, "mm-fq", labels)
+    return CtLinearSystem(fld.base, mm.n, mm.r, out, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +243,7 @@ def build_sm_fqm(can: CanonicalRd) -> Tuple[BilinearSystem, QPartition]:
     cols, drop = ml.subset_table(n, r + 1)
     bil = _laplace_scatter(fld, can.gen[:, cols].transpose(1, 0, 2), drop, len(subsets))
     aff = _laplace_scatter(fld, can.received[cols], drop, len(subsets))
-    sys = BilinearSystem(fld, k, n, r, subsets, bil, aff, tuple(map(tuple, cols.tolist())),
-                         "sm-fqm")
+    sys = BilinearSystem(fld, k, n, r, subsets, bil, aff, tuple(map(tuple, cols.tolist())))
     overlap = (cols <= k).sum(axis=1)
     part = QPartition(*(tuple(np.flatnonzero(sel).tolist())
                         for sel in (overlap == 0, overlap == 1, overlap >= 2)))
@@ -276,7 +266,7 @@ def build_sm_fq(sm: BilinearSystem) -> BilinearSystem:
     aff = fld.coeffs_arr(sm.aff).transpose(0, 2, 1).reshape(P * m, nt)
     labels = tuple((lab, i) for lab in sm.labels for i in range(m))
     return BilinearSystem(fld.base, k * m, sm.n, sm.r, sm.subsets,
-                          bil.reshape(P * m, k * m, nt), aff, labels, "sm-fq")
+                          bil.reshape(P * m, k * m, nt), aff, labels)
 
 
 def sm_for_minrank(inst: MinRankInstance) -> BilinearSystem:
@@ -290,12 +280,12 @@ def sm_for_minrank(inst: MinRankInstance) -> BilinearSystem:
     subsets = tuple(ml.all_subsets(n, r))
     cols, drop = ml.subset_table(n, r + 1)
     # polynomial (I, i) is row p m + i; vals is (P, m, K+1, r+1)
-    vals = np.stack(inst.mats)[:, :, cols].transpose(2, 1, 0, 3)
+    vals = inst.mats[:, :, cols].transpose(2, 1, 0, 3)
     bil = _laplace_scatter(fld, vals[:, :, 1:], drop, len(subsets))
     aff = _laplace_scatter(fld, vals[:, :, 0], drop, len(subsets))
     labels = tuple((i_set, i) for i_set in map(tuple, cols.tolist()) for i in range(m))
-    return BilinearSystem(fld, K, n, r, subsets, bil.reshape(len(cols) * m, K, -1),
-                          aff.reshape(len(cols) * m, -1), labels, "sm-minrank")
+    return BilinearSystem(fld, K, n, r, subsets, bil.reshape(len(cols) * m, K, len(subsets)),
+                          aff.reshape(len(cols) * m, len(subsets)), labels)
 
 
 def sm_fq_direct(can: CanonicalRd) -> BilinearSystem:
@@ -309,16 +299,14 @@ def sm_fq_direct(can: CanonicalRd) -> BilinearSystem:
     from .instances import RdInstance
 
     rd = RdInstance(can.field, can.n, can.k, can.r, can.gen, can.received, None)
-    sys = sm_for_minrank(rd_to_minrank(rd))
-    return BilinearSystem(sys.field, sys.nx, sys.n, sys.r, sys.subsets,
-                          sys.bil, sys.aff, sys.labels, "sm-fq-direct")
+    return sm_for_minrank(rd_to_minrank(rd))
 
 
 def subsystem(sys: BilinearSystem, indices: Sequence[int]) -> BilinearSystem:
     idx = list(indices)
     return BilinearSystem(sys.field, sys.nx, sys.n, sys.r, sys.subsets,
                           sys.bil[idx], sys.aff[idx],
-                          tuple(sys.labels[i] for i in idx), sys.tag)
+                          tuple(sys.labels[i] for i in idx))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +351,7 @@ def nf_bilinear(elim: MinorElimination, sm: BilinearSystem, rows: Sequence[int])
     subsets = tuple(sm.subsets[c] for c in free)
     return BilinearSystem(fld, sm.nx, sm.n, sm.r, subsets,
                           new_bil.reshape(P, k, len(free)), new_aff,
-                          tuple(sm.labels[i] for i in idx), sm.tag + "+")
+                          tuple(sm.labels[i] for i in idx))
 
 
 # ---------------------------------------------------------------------------

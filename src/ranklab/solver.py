@@ -286,15 +286,17 @@ def solve_minrank_linearized(inst: MinRankInstance) -> Outcome:
     tiny q, so desk-scale use sticks to b = 1; x is read at the kernel's
     minors and returned after verifying the rank condition.  With no
     matrices to combine (K = 0) the answer is the empty x if M_0 itself has
-    rank at most r, else Inconsistent.
+    rank at most r, else Inconsistent.  At r = n there is no
+    Support-Minors equation and every x is an answer, so the zero x is
+    returned after the same check.
     """
-    if inst.K == 0:
-        x = np.zeros(0, dtype=np.int64)
+    if inst.K == 0 or inst.r == inst.n:
+        x = np.zeros(inst.K, dtype=np.int64)
         return x if verify_minrank(inst, x) is not None else Inconsistent()
     minors = solve_linearized(md.macaulay(md.sm_for_minrank(inst), 1, multipliers="upto"))
     if not isinstance(minors, np.ndarray):
         return minors
-    x = x_from_minors(inst.field, np.stack(inst.mats), minors, inst.r)
+    x = x_from_minors(inst.field, inst.mats, minors, inst.r)
     return x if x is not None and verify_minrank(inst, x) is not None else Indeterminate(1)
 
 
@@ -548,17 +550,18 @@ def _consistent_systems(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, 
             yield basis, res.rref, list(res.pivots)
 
 
-def _solution_family(base: FiniteField, rref: np.ndarray, pivots: List[int], cap: int):
-    """Every solution of a consistent system, from the RREF of [A | b]."""
+def _solution_family(base: FiniteField, rref: np.ndarray, pivots: List[int], cap: int
+                     ) -> np.ndarray:
+    """Every solution of a consistent system, from the RREF of [A | b]: the
+    particular solution plus each combination of the kernel rows, one per
+    row in ``itertools.product`` order of the coefficients."""
     nvar = rref.shape[1] - 1
     kernel = ml.kernel_from_rref(base, rref[:, :nvar], pivots)
-    if base.order ** kernel.shape[0] > cap:
+    d = kernel.shape[0]
+    if base.order ** d > cap:
         raise ValueError("solution family too large to enumerate")
     part = np.zeros(nvar, dtype=np.int64)
     part[pivots] = rref[:len(pivots), nvar]
-    for coeffs in itertools.product(range(base.order), repeat=kernel.shape[0]):
-        vec = part
-        for c, krow in zip(coeffs, kernel):
-            if c:
-                vec = base.add_arr(vec, base.mul_arr(c, krow))
-        yield vec
+    grid = np.array(list(itertools.product(range(base.order), repeat=d)),
+                    dtype=np.int64).reshape(base.order ** d, d)
+    return base.add_arr(part, ml.matmul(base, grid, kernel))

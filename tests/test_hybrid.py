@@ -233,3 +233,32 @@ def test_minrank_drivers_when_the_guess_leaves_no_matrices(params, seed):
         except sv.Unsolved:
             continue
         assert sv.verify_minrank(mi, res.solution) is not None
+
+
+def _guess_lines(transcript):
+    tags = [line.split(":")[0] for line in transcript]
+    assert all(" guess " in tag for tag in tags)
+    assert len(set(tags)) == len(tags)          # one line per tried guess
+    return tags
+
+
+@pytest.mark.parametrize("driver", ["hybrid_solve_rd", "probabilistic_solve_rd"])
+@pytest.mark.parametrize("seed", [1, 5])
+def test_rd_driver_logs_every_guess(driver, seed):
+    res = getattr(hy, driver)(inst.gen_rd(2, 5, 8, 3, 2, seed), 1, seed=seed)
+    assert len(_guess_lines(res.transcript)) == res.guesses_tried
+    # failed inner decodes name the stage they ended in
+    assert any("unsolved, r'=" in line for line in res.transcript)
+    assert res.transcript[-1].endswith("verified, weight 2")
+
+
+def test_minrank_driver_logs_every_guess():
+    # every presentation fails, so all q^(a r) guesses on each are logged,
+    # the infeasible ones and those whose inner solve fails
+    with pytest.raises(sv.Unsolved) as exc:
+        hy.hybrid_solve_minrank(inst.gen_minrank(3, 3, 4, 3, 1, 1), 1, seed=1)
+    *lines, closing = exc.value.transcript
+    assert len(_guess_lines(lines)) == 5 * 3
+    assert closing == "no lift verified on 5 presentations"
+    outcomes = {line.split(": ", 1)[1] for line in lines}
+    assert outcomes == {"infeasible", str(sv.Inconsistent())}

@@ -1,5 +1,6 @@
 """File formats, experiment reports, CLI."""
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ranklab import instances as inst
+from ranklab import matlin as ml
 from ranklab import solver as sv
 from ranklab.labkit import experiments, io
 from ranklab.labkit.cli import main
@@ -184,6 +186,47 @@ def test_exact_properties_pass(prop, params):
     assert rep.verdict, rep.failures
 
 
+def _tail(n, k, s):
+    """Index of {k+1, ..., k+s} among the s-subsets of range(n): the first
+    subset of the positions past the systematic block and y."""
+    return ml.subset_rank(n, tuple(range(k + 1, k + 1 + s)))
+
+
+# (property, params, (polynomial, minor column) of the affine coefficient
+# that is changed, the failure the check must report)
+CHANGED_COEFFICIENT = [
+    # the (r+1)-minor of H_y on the tail is 1 on the tail polynomial only
+    ("q0-span", (2, 3, 5, 2, 1), lambda n, k, r, part: (_tail(n, k, r + 1), 0),
+     "measured (1,) expected (0,)"),
+    # the full minor of linear row 0 at {k} + tail is +-1 (h is 1 at k, 0 past it)
+    ("q1-correspondence", (2, 3, 5, 2, 1),
+     lambda n, k, r, part: (ml.subset_rank(n, tuple(range(k, k + r + 1))), 0),
+     "measured ('id1',) expected (0,) linear-row correspondence failed"),
+    ("lt-independence", (2, 3, 5, 2, 1), lambda n, k, r, part: (part.two_plus[0], _tail(n, k, r)),
+     "tail minor appears"),
+    ("unfold-sm", (2, 3, 5, 2, 1), lambda n, k, r, part: (0, 0), "measured (0,) expected (1,)"),
+    ("syzygy-count", (2, 7, 8, 4, 2), lambda n, k, r, part: (_tail(n, k, r + 1), 0),
+     "reduced relation not zero"),
+]
+
+
+@pytest.mark.parametrize("prop,params,pick,failure", CHANGED_COEFFICIENT,
+                         ids=[case[0] for case in CHANGED_COEFFICIENT])
+def test_exact_checks_fail_on_a_changed_coefficient(monkeypatch, prop, params, pick, failure):
+    build = experiments._canonical_systems
+
+    def changed(*args, **kwargs):
+        rd, can, mm, mmq, sm, part = build(*args, **kwargs)
+        p, t = pick(can.n, can.k, can.r, part)
+        aff = sm.aff.copy()
+        aff[p, t] = can.field.add(int(aff[p, t]), 1)
+        return rd, can, mm, mmq, dataclasses.replace(sm, aff=aff), part
+
+    monkeypatch.setattr(experiments, "_canonical_systems", changed)
+    rep = experiments.verify(prop, params, trials=1, seed=2)
+    assert rep.passes == 0 and failure in rep.failures[0], rep.failures
+
+
 def test_syzygy_property_small():
     rep = experiments.verify("syzygy-count", (2, 7, 8, 4, 2), trials=2, seed=5)
     assert rep.verdict, rep.failures
@@ -263,6 +306,16 @@ def test_cli_attack_hybrid_minrank(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["verified"] and doc["achieved_rank"] <= 2
     assert doc["infeasible_skipped"] == 0 and doc["guesses_tried"] >= 1
+
+
+def test_cli_attack_minrank_at_full_rank(tmp_path, capsys):
+    path = str(tmp_path / "i.mri")
+    assert main(["gen", "minrank", "--q", "2", "--m", "3", "--n", "3",
+                 "--K", "2", "--r", "3", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["attack", path, "--report", "machine"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True and doc["achieved_rank"] <= 3
 
 
 def test_cli_estimate_preset(capsys):

@@ -95,6 +95,14 @@ def test_sm_planted_vanishes():
     ct = ml.maximal_minors(can.field.base, can.witness.coeffs, can.r)
     vals = sm.eval_at(can.witness.x.tolist(), ct.tolist())
     assert not vals.any()
+    # systems with no polynomials: at r' = n neither the bilinear system nor
+    # its SM+ reduction has one
+    _, can, _, mmq, sm, part = systems((2, 3, 3, 1, 3), 2)
+    elim = md.eliminate_minors(mmq)
+    ct = ml.maximal_minors(can.field.base, can.witness.coeffs, can.r)
+    for sys, cols in ((sm, ct), (md.reduce_sm_plus(sm, part, elim), ct[list(elim.free_cols)])):
+        assert sys.npolys == 0
+        assert sys.eval_at(can.witness.x.tolist(), cols.tolist()).shape == (0,)
 
 
 @pytest.mark.parametrize("params", [P842, (3, 4, 7, 3, 2), (9, 2, 5, 2, 1)], ids=str)

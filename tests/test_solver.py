@@ -443,3 +443,13 @@ def test_solve_minrank_linearized():
     x = sv.solve_minrank_linearized(mi)
     assert isinstance(x, np.ndarray)
     assert ml.echelonize(mi.field, mi.low_rank_matrix(x)).rank <= 2
+
+
+@pytest.mark.parametrize("params", [(2, 3, 3, 2, 3), (3, 4, 3, 2, 3), (2, 3, 2, 1, 2)], ids=str)
+def test_solve_minrank_at_full_rank(params):
+    # at r = n no Support-Minors equation exists and every x is an answer
+    mi = inst.gen_minrank(*params, seed=1)
+    assert md.sm_for_minrank(mi).npolys == 0
+    x = sv.solve_minrank_linearized(mi)
+    assert x.tolist() == [0] * mi.K
+    assert sv.verify_minrank(mi, x) is not None
