@@ -49,7 +49,6 @@ __all__ = [
     "matmul",
     "determinant",
     "maximal_minors",
-    "subset_rank",
     "all_subsets",
     "subset_table",
     "mat_of",
@@ -357,20 +356,6 @@ def random_invertible(fld: FiniteField, n: int, rng: np.random.Generator) -> np.
 # ---------------------------------------------------------------------------
 # subset indexing (labels of the minor variables)
 # ---------------------------------------------------------------------------
-
-def subset_rank(n: int, subset: Sequence[int]) -> int:
-    """Index of a sorted subset of range(n) in lexicographic order.
-
-    The induced total order matches the minor-variable order: a larger index
-    means a larger variable, deciding on the first differing element.  The
-    index of c is C(n, r) - 1 - sum_u C(n - 1 - c_u, r - u).
-    """
-    t = tuple(subset)
-    r = len(t)
-    if any(a >= b for a, b in zip(t, t[1:])) or any(not 0 <= v < n for v in t):
-        raise ValueError(f"malformed subset {subset!r} of range({n})")
-    return comb(n, r) - 1 - sum(comb(n - 1 - v, r - u) for u, v in enumerate(t))
-
 
 def all_subsets(n: int, r: int) -> List[Tuple[int, ...]]:
     """All r-subsets of range(n) in index order (ascending variable order)."""

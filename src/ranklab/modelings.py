@@ -29,6 +29,11 @@ Unfolding reads an F_{q^m} system coordinate by coordinate: equation i of
 an unfolded block applies x -> trace(b*_i x), which is digit i of the code
 (:meth:`~ranklab.galois.FiniteField.coeffs_arr`).
 
+A Macaulay matrix (:func:`macaulay`) holds the rows of one multiplier
+degree, b - 1; the linearization solver stacks the degrees itself, and
+from b = 2 it multiplies a row basis of the system, which ``from_rows``
+reads back from the reduced b = 1 matrix.
+
 Monomials are ordered graded reverse-lexicographically with the minor
 variables below all linear variables: total degree first, then the minor
 variable (larger subset index larger), then the x-part as exponent vectors
@@ -66,6 +71,7 @@ __all__ = [
     "reduce_sm_plus",
     "nf_bilinear",
     "macaulay",
+    "from_rows",
     "basis_bb",
     "monomial_key",
     "leading_term",
@@ -406,37 +412,47 @@ class MacaulayMatrix:
     col_labels: Tuple            # (alpha, column index into subsets)
     subsets: Tuple[Tuple[int, ...], ...]
     b: int
-    multipliers: str             # "exact" | "upto"
 
 
 def _degree_tuples(nx: int, d: int) -> List[Tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(nx), d))
 
 
-def macaulay(sys: BilinearSystem, b: int, multipliers: str = "exact",
-             max_cells: int = 80_000_000) -> MacaulayMatrix:
-    """Multiply the system by x-monomials and lay out the coefficient matrix.
+def macaulay(sys: BilinearSystem, b: int, max_cells: int = 80_000_000) -> MacaulayMatrix:
+    """Multiply the system by the x-monomials of degree b-1 and lay out the
+    coefficient matrix.
 
-    ``exact`` uses multipliers of degree b-1 (the span whose dimension the
-    counting formulas predict); ``upto`` stacks all degrees 0..b-1, which is
-    what the linearization solver wants since it keeps the degree-(0,1)
-    block available for normalization.  Rows run over the multipliers, and
-    over the polynomials within one multiplier.
+    These exact-degree rows span what the counting formulas count; the
+    linearization solver stacks them degree by degree under the kernel it
+    carries from b - 1.  Rows run over the multipliers, and over the
+    polynomials within one multiplier.  ``max_cells`` bounds this matrix.
     """
     if b < 1:
         raise ValueError("need b >= 1")
-    if multipliers not in ("exact", "upto"):
-        raise ValueError("multipliers must be 'exact' or 'upto'")
-    degrees = [b - 1] if multipliers == "exact" else list(range(b))
-    mults = [a for d in degrees for a in _degree_tuples(sys.nx, d)]
+    mults = _degree_tuples(sys.nx, b - 1)
     row_mult = np.repeat(np.arange(len(mults)), sys.npolys)
     row_poly = np.tile(np.arange(sys.npolys), len(mults))
-    return _layout(sys, mults, row_mult, row_poly, b, multipliers, max_cells)
+    return _layout(sys, mults, row_mult, row_poly, b, max_cells)
+
+
+def from_rows(sys: BilinearSystem, mac: MacaulayMatrix, rows: np.ndarray) -> BilinearSystem:
+    """The polynomials in the variables of ``sys`` whose coefficients on the
+    columns of ``mac``, a b = 1 Macaulay matrix of ``sys``, are ``rows``.
+
+    With the nonzero rows of that matrix's RREF this is a row basis of
+    ``sys``: the same span of polynomials, with no dependent one.
+    """
+    nx, nt = sys.nx, len(sys.subsets)
+    var = [alpha[0] if alpha else nx for alpha, _t in mac.col_labels]
+    sub = [t for _alpha, t in mac.col_labels]
+    coef = np.zeros((rows.shape[0], nx + 1, nt), dtype=np.int64)
+    coef[:, var, sub] = rows
+    return BilinearSystem(sys.field, nx, sys.n, sys.r, sys.subsets, coef[:, :nx],
+                          coef[:, nx], tuple(range(rows.shape[0])))
 
 
 def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.ndarray,
-            row_poly: np.ndarray, b: int, multipliers: str,
-            max_cells: Optional[int]) -> MacaulayMatrix:
+            row_poly: np.ndarray, b: int, max_cells: Optional[int]) -> MacaulayMatrix:
     """The Macaulay matrix with rows x^mults[row_mult[i]] f_{row_poly[i]}.
 
     Every position comes from index arithmetic.  The monomial x^beta c_t of
@@ -461,7 +477,8 @@ def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.
         base[e] = base[e + 1] + nt * sizes[e + 1]
     mult_deg = np.array([len(a) for a in mults], dtype=np.int64)
     step = np.array([[index[len(a) + 1][tuple(sorted(a + (j,)))] for j in range(nx)]
-                     + [index[len(a)][a]] for a in mults], dtype=np.int64)
+                     + [index[len(a)][a]] for a in mults],
+                    dtype=np.int64).reshape(len(mults), nx + 1)
     coef = np.concatenate([sys.bil, sys.aff[:, None, :]], axis=1)
     tp, tj, tt = np.nonzero(coef)                   # ordered by polynomial
     # row i takes the run of its polynomial's terms, starting at searchsorted(tp, p_i)
@@ -485,7 +502,7 @@ def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.
         deg.tolist(), (rem % sizes[deg]).tolist(), (nt - 1 - rem // sizes[deg]).tolist()))
     row_labels = tuple((mults[a], sys.labels[p])
                        for a, p in zip(row_mult.tolist(), row_poly.tolist()))
-    return MacaulayMatrix(sys.field, arr, row_labels, col_labels, sys.subsets, b, multipliers)
+    return MacaulayMatrix(sys.field, arr, row_labels, col_labels, sys.subsets, b)
 
 
 def top_block(mac: MacaulayMatrix) -> np.ndarray:
@@ -514,4 +531,4 @@ def basis_bb(sys: BilinearSystem, part: QPartition, b: int) -> MacaulayMatrix:
             row_mult.append(position[alpha])
             row_poly.append(p)
     return _layout(sys, mults, np.array(row_mult, dtype=np.int64),
-                   np.array(row_poly, dtype=np.int64), b, "basis", None)
+                   np.array(row_poly, dtype=np.int64), b, None)

@@ -5,10 +5,13 @@ linear minor system and eliminates the largest minors from it once.  When
 one minor is left free the minors are read off directly (MaxMinors);
 otherwise, or when SM+ is forced, the elimination is substituted into the
 bilinear system, which is linearized at increasing bi-degree until the
-kernel is a line whose minor block gives the minors.  Every path then has
-one readout: at known minors the Support-Minors equations are linear in x
-(:func:`x_from_minors`), and the candidate they give is verified against
-the instance before being returned.
+kernel is a line whose minor block gives the minors.  The linearization is
+incremental: at bi-degree b only the rows of multiplier degree b - 1, taken
+from a row basis of the system, are reduced, against the kernel carried
+from b - 1 (:func:`linearize`).  Every path then has one readout: at known
+minors the Support-Minors equations are linear in x (:func:`x_from_minors`),
+and the candidate they give is verified against the instance before being
+returned.
 
 Also provides an exhaustive support-enumeration decoder for desk-scale
 instances; it is independent of the algebraic path and doubles as the
@@ -36,6 +39,8 @@ __all__ = [
     "DecodeConfig",
     "MODELINGS",
     "solve_mm_linear",
+    "Kernel",
+    "linearize",
     "solve_linearized",
     "x_from_minors",
     "decode_rd",
@@ -89,25 +94,71 @@ def solve_mm_linear(elim: md.MinorElimination) -> Outcome:
     return _normalized(elim.field, elim.expand(np.ones(1, dtype=np.int64)))
 
 
-def solve_linearized(mac: md.MacaulayMatrix) -> Outcome:
-    """The minor block of a Macaulay matrix's kernel, when that is a line.
+@dataclass(frozen=True)
+class Kernel:
+    """ker M_b, for M_b the Macaulay matrix of a system with multipliers of
+    every degree below b: one ``basis`` row per dimension over the column
+    labels ``cols``, (alpha, subset index) pairs referring to ``subsets``.
+    ``echelon`` is the reduction it was read from."""
+
+    field: FiniteField
+    subsets: Tuple[Tuple[int, ...], ...]
+    cols: Tuple
+    basis: np.ndarray                  # (dim, len(cols))
+    echelon: ml.EchelonResult
+
+
+def linearize(mac: md.MacaulayMatrix, prev: Optional[Kernel] = None) -> Kernel:
+    """The kernel of ``mac``'s rows stacked under the matrix of ``prev``.
+
+    With no ``prev`` it is ker ``mac``.  Otherwise ``mac`` holds the rows
+    E of multiplier degree b - 1, and the rows of lower degree are those
+    whose kernel K ``prev`` holds, over its columns C.  Every
+    kernel vector v of the stack is w K on C, so it is read from the
+    kernel of [E_new | E_old K^T] in the unknowns (v_new, w), where E_old
+    holds E's columns in C and E_new the others; both kernels have the
+    same dimension.
+    """
+    fld = mac.field
+    if prev is None:
+        res = ml.echelonize(fld, mac.arr)
+        return Kernel(fld, mac.subsets, mac.col_labels, res.kernel, res)
+    pos = {lab: i for i, lab in enumerate(prev.cols)}
+    at = np.array([pos.get(lab, -1) for lab in mac.col_labels], dtype=np.intp)
+    old = at >= 0
+    e_new = mac.arr[:, ~old]
+    # the rows of multiplier x^alpha meet only the columns x^alpha c_t of
+    # E_old, so the product is taken per multiplier and skips the others
+    alphas = [alpha for alpha, _label in mac.row_labels]
+    cuts = [i for i in range(1, len(alphas)) if alphas[i] != alphas[i - 1]]
+    kt = prev.basis[:, at[old]].T
+    carried = np.concatenate([ml.matmul(fld, blk, kt)
+                              for blk in np.split(mac.arr[:, old], cuts)])
+    res = ml.echelonize(fld, np.concatenate([e_new, carried], axis=1))
+    nnew = e_new.shape[1]
+    basis = np.concatenate([ml.matmul(fld, res.kernel[:, nnew:], prev.basis),
+                            res.kernel[:, :nnew]], axis=1)
+    cols = prev.cols + tuple(lab for lab, o in zip(mac.col_labels, old.tolist()) if not o)
+    return Kernel(fld, mac.subsets, cols, basis, res)
+
+
+def solve_linearized(ker: Kernel) -> Outcome:
+    """The minor block of a linearized system's kernel, when that is a line.
 
     The degree-(0,1) coordinates go to their subset index in
-    ``mac.subsets`` (zero where a minor has no column), normalized as in
+    ``ker.subsets`` (zero where a minor has no column), normalized as in
     :func:`solve_mm_linear`; a kernel with no such coordinate is
     Indeterminate(1).
     """
-    fld = mac.field
-    res = ml.echelonize(fld, mac.arr)
-    ncols = mac.arr.shape[1]
-    if res.rank == ncols:
+    dim = ker.basis.shape[0]
+    if dim == 0:
         return Inconsistent()
-    if res.rank < ncols - 1:
-        return Indeterminate(ncols - res.rank)
-    lin = [i for i, (alpha, _t) in enumerate(mac.col_labels) if not alpha]
-    minors = np.zeros(len(mac.subsets), dtype=np.int64)
-    minors[[mac.col_labels[i][1] for i in lin]] = res.kernel[0][lin]
-    return _normalized(fld, minors)
+    if dim > 1:
+        return Indeterminate(dim)
+    lin = [i for i, (alpha, _t) in enumerate(ker.cols) if not alpha]
+    minors = np.zeros(len(ker.subsets), dtype=np.int64)
+    minors[[ker.cols[i][1] for i in lin]] = ker.basis[0][lin]
+    return _normalized(ker.field, minors)
 
 
 def x_from_minors(fld: FiniteField, rows: np.ndarray, minors: np.ndarray, r: int
@@ -228,13 +279,18 @@ def _try_sm_plus(rd: RdInstance, can: CanonicalRd, elim: md.MinorElimination,
             return _finish(rd, can, minors, transcript, tag)
         transcript.append(f"{tag}: {len(elim.free_cols)} free minors")
         return None
+    rows, ker = plus, None
     for b in range(1, config.b_max + 1):
+        if b == 2:
+            # a row basis spans the same polynomials in rank(M_1) rows
+            rows = md.from_rows(plus, mac, ker.echelon.rref[:ker.echelon.rank])
         try:
-            mac = md.macaulay(plus, b, multipliers="upto")
+            mac = md.macaulay(rows, b)
         except md.MonomialBudgetError as exc:
             transcript.append(f"r'={can.r} b={b}: {exc}")
             return None
-        minors = solve_linearized(mac)
+        ker = linearize(mac, ker)
+        minors = solve_linearized(ker)
         tag = f"r'={can.r} smplus b={b} retry={retry}"
         if isinstance(minors, Inconsistent):
             transcript.append(f"{tag}: inconsistent")
@@ -293,7 +349,7 @@ def solve_minrank_linearized(inst: MinRankInstance) -> Outcome:
     if inst.K == 0 or inst.r == inst.n:
         x = np.zeros(inst.K, dtype=np.int64)
         return x if verify_minrank(inst, x) is not None else Inconsistent()
-    minors = solve_linearized(md.macaulay(md.sm_for_minrank(inst), 1, multipliers="upto"))
+    minors = solve_linearized(linearize(md.macaulay(md.sm_for_minrank(inst), 1)))
     if not isinstance(minors, np.ndarray):
         return minors
     x = x_from_minors(inst.field, inst.mats, minors, inst.r)
@@ -357,8 +413,7 @@ def sm_plus_kernel_dim(rd: RdInstance) -> Optional[int]:
     if len(elim.free_cols) <= 1:
         return None
     sm, part = md.build_sm_fqm(can)
-    mac = md.macaulay(md.reduce_sm_plus(sm, part, elim), 1)
-    return mac.arr.shape[1] - ml.echelonize(can.field, mac.arr).rank
+    return linearize(md.macaulay(md.reduce_sm_plus(sm, part, elim), 1)).basis.shape[0]
 
 
 @functools.lru_cache(maxsize=4096)

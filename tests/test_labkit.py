@@ -189,7 +189,7 @@ def test_exact_properties_pass(prop, params):
 def _tail(n, k, s):
     """Index of {k+1, ..., k+s} among the s-subsets of range(n): the first
     subset of the positions past the systematic block and y."""
-    return ml.subset_rank(n, tuple(range(k + 1, k + 1 + s)))
+    return ml.all_subsets(n, s).index(tuple(range(k + 1, k + 1 + s)))
 
 
 # (property, params, (polynomial, minor column) of the affine coefficient
@@ -200,7 +200,7 @@ CHANGED_COEFFICIENT = [
      "measured (1,) expected (0,)"),
     # the full minor of linear row 0 at {k} + tail is +-1 (h is 1 at k, 0 past it)
     ("q1-correspondence", (2, 3, 5, 2, 1),
-     lambda n, k, r, part: (ml.subset_rank(n, tuple(range(k, k + r + 1))), 0),
+     lambda n, k, r, part: (ml.all_subsets(n, r + 1).index(tuple(range(k, k + r + 1))), 0),
      "measured ('id1',) expected (0,) linear-row correspondence failed"),
     ("lt-independence", (2, 3, 5, 2, 1), lambda n, k, r, part: (part.two_plus[0], _tail(n, k, r)),
      "tail minor appears"),

@@ -1,5 +1,7 @@
 """Exact linear algebra, subset indexing, minors, coordinate expansion."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -168,37 +170,50 @@ def test_solve_right():
                           np.array([1, 0])) is None
 
 
+def subset_index(n, subset):
+    """The closed form of a sorted subset's index in lexicographic order:
+    C(n, r) - 1 - sum_u C(n - 1 - c_u, r - u), the formula that
+    ``subset_table`` evaluates for its faces."""
+    r = len(subset)
+    return comb(n, r) - 1 - sum(comb(n - 1 - v, r - u) for u, v in enumerate(subset))
+
+
 def test_subset_order_examples():
     # single subset when n = r
-    assert ml.subset_rank(3, (0, 1, 2)) == 0
+    assert ml.all_subsets(3, 3) == [(0, 1, 2)] and subset_index(3, (0, 1, 2)) == 0
     # order on pairs from a 3-set: {2,3} > {1,3} > {1,2} (1-based)
-    assert [ml.subset_rank(3, t) for t in [(0, 1), (0, 2), (1, 2)]] == [0, 1, 2]
-    with pytest.raises(ValueError):
-        ml.subset_rank(3, (1, 1))
-    with pytest.raises(ValueError):
-        ml.subset_rank(3, (0, 3))
+    assert ml.all_subsets(3, 2) == [(0, 1), (0, 2), (1, 2)]
+    assert [subset_index(3, t) for t in [(0, 1), (0, 2), (1, 2)]] == [0, 1, 2]
+    # the faces of {0, 2} are {2} and {0}, at indices 2 and 0
+    _, drop = ml.subset_table(3, 2)
+    assert drop[1].tolist() == [2, 0]
 
 
 def test_subset_round_trip():
     subs = ml.all_subsets(6, 3)
     assert len(subs) == 20
     for i, t in enumerate(subs):
-        assert ml.subset_rank(6, t) == i
+        assert subset_index(6, t) == i
+    _, drop = ml.subset_table(6, 4)
+    for t, row in zip(ml.all_subsets(6, 4), drop.tolist()):
+        assert row == [subset_index(6, t[:p] + t[p + 1:]) for p in range(4)]
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 8), st.data())
 def test_subset_bijection_random(n, data):
-    r = data.draw(st.integers(0, n))
-    from math import comb
-    i = data.draw(st.integers(0, comb(n, r) - 1))
-    assert ml.subset_rank(n, ml.all_subsets(n, r)[i]) == i
+    s = data.draw(st.integers(1, n))
+    i = data.draw(st.integers(0, comb(n, s) - 1))
+    cols, drop = ml.subset_table(n, s)
+    t = tuple(cols[i].tolist())
+    assert subset_index(n, t) == i
+    assert drop[i].tolist() == [subset_index(n, t[:p] + t[p + 1:]) for p in range(s)]
 
 
 def test_minors_identity_block():
     mat = np.concatenate([ml.identity(3), np.zeros((3, 2), dtype=np.int64)], axis=1)
     minors = ml.maximal_minors(F4, mat, 3)
-    assert minors[ml.subset_rank(5, (0, 1, 2))] == 1
+    assert minors[subset_index(5, (0, 1, 2))] == 1
     assert minors.sum() == 1
 
 

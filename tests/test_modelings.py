@@ -25,6 +25,11 @@ P842 = (2, 7, 8, 4, 2)
 P521 = (2, 3, 5, 2, 1)
 
 
+def subset_index(n, subset):
+    """Index of a sorted subset among the subsets of range(n) of its size."""
+    return ml.all_subsets(n, len(subset)).index(tuple(subset))
+
+
 def eval_linear(fld, row, ct):
     acc = 0
     for v in fld.mul_arr(row, ct):
@@ -37,7 +42,7 @@ def test_mm_fqm_counts_and_leading_coeff():
     assert mm.nrows == comb(3, 2)
     for p, j_rows in enumerate(mm.row_labels):
         tail = tuple(j + can.k + 1 for j in j_rows)
-        assert mm.coeffs[p][ml.subset_rank(can.n, tail)] == 1
+        assert mm.coeffs[p][subset_index(can.n, tail)] == 1
 
 
 def test_mm_planted_vanishes():
@@ -141,9 +146,9 @@ def test_sm_leading_terms_and_tail_absence():
         i_set = sm.labels[p]
         j, t = md.leading_term(sm, p)
         assert j == i_set[0]
-        assert t == ml.subset_rank(n, i_set[1:])
+        assert t == subset_index(n, i_set[1:])
         for j_rows in ml.all_subsets(n - k - 1, r):
-            tail = ml.subset_rank(n, tuple(x + k + 1 for x in j_rows))
+            tail = subset_index(n, tuple(x + k + 1 for x in j_rows))
             assert not sm.bil[p, :, tail].any()
             assert sm.aff[p, tail] == 0
 
@@ -168,7 +173,7 @@ def test_sm_fq_leading_terms():
             continue
         j, t = md.leading_term(smq, pi)
         assert j // m == i_set[0]
-        assert t == ml.subset_rank(n, i_set[1:])
+        assert t == subset_index(n, i_set[1:])
 
 
 def test_sm_fq_planted_vanishes():
@@ -231,6 +236,22 @@ def test_macaulay_b1_is_coefficient_matrix():
                 assert mac.arr[p, ci] == sys.bil[p, alpha[0], t]
 
 
+def test_from_rows_reads_back_the_system():
+    # the b = 1 matrix's own rows give the system back; its RREF rows span
+    # the same polynomials with rank(M_1) of them
+    for _, can, _, mmq, sm, part in (systems(P842, 1), systems((3, 4, 7, 3, 1), 1)):
+        plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
+        mac = md.macaulay(plus, 1)
+        back = md.from_rows(plus, mac, mac.arr)
+        assert (back.bil == plus.bil).all() and (back.aff == plus.aff).all()
+        res = ml.echelonize(can.field, mac.arr)
+        basis = md.from_rows(plus, mac, res.rref[:res.rank])
+        assert basis.npolys == res.rank
+        again = md.macaulay(basis, 1)
+        assert again.col_labels == mac.col_labels
+        assert ml.echelonize(can.field, np.concatenate([mac.arr, again.arr])).rank == res.rank
+
+
 def test_macaulay_row_counts_and_budget():
     _, can, _, mmq, sm, part = systems(P842, 1)
     q2 = md.subsystem(sm, part.two_plus)
@@ -256,15 +277,14 @@ def test_macaulay_column_order_is_descending():
 
 
 def macaulay_cases():
-    """(system, Macaulay matrix) pairs: exact and upto, b = 1 and 2, the
-    eliminated system, the basis rows, and odd characteristic."""
+    """(system, Macaulay matrix) pairs: b = 1, 2 and 3, the eliminated
+    system, the basis rows, and odd characteristic."""
     for params, seed in ((P521, 1), (P842, 2), ((3, 4, 7, 3, 1), 1)):
         _, can, _, mmq, sm, part = systems(params, seed)
         plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
         for sys in (sm, plus):
-            for b in (1, 2):
-                for mult in ("exact", "upto"):
-                    yield sys, md.macaulay(sys, b, mult)
+            for b in (1, 2, 3):
+                yield sys, md.macaulay(sys, b)
         yield sm, md.basis_bb(sm, part, 2)
 
 

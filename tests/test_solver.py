@@ -85,8 +85,8 @@ def test_solve_linearized_zero_matrix_indeterminate():
     fld = inst.gen_rd(2, 3, 5, 2, 1, seed=1).field
     cols = tuple((tuple(), t) for t in range(4))
     mac = md.MacaulayMatrix(fld, np.zeros((3, 4), dtype=np.int64), ("r",) * 3,
-                            cols, tuple(ml.all_subsets(5, 1))[:4], 1, "exact")
-    out = sv.solve_linearized(mac)
+                            cols, tuple(ml.all_subsets(5, 1))[:4], 1)
+    out = sv.solve_linearized(sv.linearize(mac))
     assert isinstance(out, sv.Indeterminate) and out.kernel_dim == 4
 
 
@@ -97,14 +97,141 @@ def test_solve_linearized_row_permutation_invariant():
     sm, part = md.build_sm_fqm(can)
     plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
     mac = md.macaulay(plus, 1)
-    out1 = sv.solve_linearized(mac)
+    out1 = sv.solve_linearized(sv.linearize(mac))
     perm = np.random.default_rng(0).permutation(mac.arr.shape[0])
     mac2 = md.MacaulayMatrix(mac.field, mac.arr[perm],
                              tuple(mac.row_labels[i] for i in perm),
-                             mac.col_labels, mac.subsets, 1, "exact")
-    out2 = sv.solve_linearized(mac2)
+                             mac.col_labels, mac.subsets, 1)
+    out2 = sv.solve_linearized(sv.linearize(mac2))
     assert isinstance(out1, np.ndarray) and isinstance(out2, np.ndarray)
     assert (out1 == out2).all()
+
+
+def carried_kernels(sys, b_max):
+    """The kernels the SM+ loop carries from b = 1 to b_max: M_1 on its own,
+    then the exact-degree rows of a row basis against the kernel before."""
+    rows, ker, out = sys, None, []
+    for b in range(1, b_max + 1):
+        if b == 2:
+            rows = md.from_rows(sys, mac, ker.echelon.rref[:ker.echelon.rank])
+        mac = md.macaulay(rows, b)
+        ker = sv.linearize(mac, ker)
+        out.append(ker)
+    return out
+
+
+def stacked_reference(sys, b):
+    """The exact-degree matrices of sys for multiplier degrees 0..b-1,
+    stacked on the union of their column labels, and those labels."""
+    macs = [md.macaulay(sys, d) for d in range(1, b + 1)]
+    cols = sorted({lab for mac in macs for lab in mac.col_labels},
+                  key=lambda lab: md.monomial_key(*lab))
+    where = {lab: i for i, lab in enumerate(cols)}
+    blocks = []
+    for mac in macs:
+        block = np.zeros((mac.arr.shape[0], len(cols)), dtype=np.int64)
+        block[:, [where[lab] for lab in mac.col_labels]] = mac.arr
+        blocks.append(block)
+    nrows = sum(block.shape[0] for block in blocks)
+    return np.concatenate(blocks).reshape(nrows, len(cols)), cols
+
+
+def check_carried_kernels(sys, b_max):
+    """Each carried kernel is ker of the stacked reference: its rows lie in
+    that kernel and are independent, and its dimension is ncols - rank.  A
+    line gives the reference kernel's normalized minors."""
+    fld = sys.field
+    for b, ker in enumerate(carried_kernels(sys, b_max), start=1):
+        arr, cols = stacked_reference(sys, b)
+        assert sorted(ker.cols) == sorted(cols)
+        where = {lab: i for i, lab in enumerate(cols)}
+        basis = np.zeros((ker.basis.shape[0], len(cols)), dtype=np.int64)
+        basis[:, [where[lab] for lab in ker.cols]] = ker.basis
+        ref = ml.echelonize(fld, arr)
+        dim = len(cols) - ref.rank
+        assert basis.shape[0] == dim
+        assert not ml.matmul(fld, arr, basis.T).any()
+        assert ml.echelonize(fld, basis).rank == dim
+        got = sv.solve_linearized(ker)
+        if dim != 1:
+            assert got == (sv.Inconsistent() if dim == 0 else sv.Indeterminate(dim))
+            continue
+        vec = ref.kernel[0]
+        lin = [i for i, (alpha, _t) in enumerate(cols) if not alpha]
+        want = np.zeros(len(sys.subsets), dtype=np.int64)
+        want[[cols[i][1] for i in lin]] = vec[lin]
+        nz = np.flatnonzero(want)
+        if nz.size == 0:
+            assert got == sv.Indeterminate(1)
+        else:
+            assert (got == fld.mul_arr(want, fld.inv(int(want[nz[-1]])))).all()
+
+
+LIN_MAX_M = {2: 6, 3: 4, 4: 3, 5: 3, 9: 2}
+
+
+@st.composite
+def linearization_cases(draw):
+    q = draw(st.sampled_from(sorted(LIN_MAX_M)))
+    m = draw(st.integers(2, LIN_MAX_M[q]))
+    n = draw(st.integers(3, 7))
+    k = draw(st.integers(1, min(3, n - 1)))
+    r = draw(st.integers(1, min(3, m, n - k)))
+    return (q, m, n, k, r), draw(st.integers(0, 50)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(linearization_cases())
+@example(((2, 9, 10, 4, 3), 7, 3))      # kernel dimension 2 at b = 2 and 3
+@example(((2, 7, 8, 4, 2), 2, 2))
+def test_carried_kernel_matches_stacked_reference(case):
+    params, seed, b_max = case
+    can = inst.canonicalize(inst.gen_rd(*params, seed=seed))
+    elim = md.eliminate_minors(md.build_mm_fq(md.build_mm_fqm(can)))
+    sm, part = md.build_sm_fqm(can)
+    plus = md.reduce_sm_plus(sm, part, elim)
+    assume(plus.npolys > 0)
+    check_carried_kernels(plus, b_max)
+
+
+def hand_system(fld, bil, aff):
+    """A system with the given (P, nx, nt) and (P, nt) coefficients."""
+    P, nx, nt = bil.shape
+    subsets = tuple((t,) for t in range(nt))
+    return md.BilinearSystem(fld, nx, nt, 1, subsets, bil, aff, tuple(range(P)))
+
+
+def zeros(*shape):
+    return np.zeros(shape, dtype=np.int64)
+
+
+@pytest.mark.parametrize("bil,aff", [
+    # every polynomial zero: M_1 has no column, so rank(M_1) = 0 and the
+    # kernel is zero at every b
+    pytest.param(zeros(2, 2, 3), zeros(2, 3), id="rank-0"),
+    # f = c_0: kappa = 0 at b = 1, and x_0 c_0 is the only column at b = 2
+    pytest.param(zeros(1, 1, 1), np.ones((1, 1), dtype=np.int64), id="kappa-0"),
+    # no x variable: from b = 2 there is no multiplier, so no new row or column
+    pytest.param(zeros(1, 0, 2), np.ones((1, 2), dtype=np.int64), id="no-new-columns"),
+    # x_0 c_0 + x_0 c_1 and c_0: a line at b = 1, carried into b = 2 and 3
+    pytest.param(np.array([[[1, 1, 0]], [[0, 0, 0]]], dtype=np.int64),
+                 np.array([[0, 0, 0], [1, 0, 0]], dtype=np.int64), id="line"),
+])
+def test_carried_kernel_edge_cases(bil, aff):
+    fld = inst.gen_rd(3, 2, 3, 1, 1, seed=1).field
+    check_carried_kernels(hand_system(fld, bil, aff), 3)
+
+
+def test_seed_7_runaway_ends_with_kernel_dimension_2():
+    # one decoding's worth of rank is missing at every b: the carried kernel
+    # keeps dimension 2 from b = 2 on, as the whole Macaulay matrix did
+    rd = inst.gen_rd(2, 9, 10, 4, 3, 7)
+    with pytest.raises(sv.Unsolved) as exc:
+        sv.decode_rd(rd, sv.DecodeConfig(b_max=3))
+    assert exc.value.transcript == ("r'=1: linear minor system inconsistent",
+                                    "r'=2: linear minor system inconsistent") + tuple(
+        f"r'=3 smplus b={b} retry={retry}: kernel dimension {35 if b == 1 else 2}"
+        for retry in range(3) for b in (1, 2, 3))
 
 
 def planted_minors(can):
@@ -126,7 +253,7 @@ def test_extract_solution_matches_planted():
     elim = md.eliminate_minors(md.build_mm_fq(md.build_mm_fqm(can)))
     sm, part = md.build_sm_fqm(can)
     plus = md.reduce_sm_plus(sm, part, elim)
-    c_free = sv.solve_linearized(md.macaulay(plus, 1))
+    c_free = sv.solve_linearized(sv.linearize(md.macaulay(plus, 1)))
     assert isinstance(c_free, np.ndarray)
     c_full = elim.expand(c_free)
     assert (c_full == planted_minors(can)).all()
