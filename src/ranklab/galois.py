@@ -154,7 +154,6 @@ class FiniteField:
         self._total_deg = self.degree * (base._total_deg if base else 1)   # over F_p
         self._build_log_tables()
         self._dual_basis: Optional[Tuple[int, ...]] = None  # lazily built, extensions only
-        self._bit_matrices: Optional[np.ndarray] = None     # lazily built, characteristic 2
 
     # -- construction helpers ------------------------------------------------
 
@@ -353,24 +352,6 @@ class FiniteField:
         a = np.asarray(a, dtype=np.int64)
         e = pow(self.base.order, ell % self.degree, self.order - 1)
         return self._exp[self._log[a] * e % (self.order - 1)] * (a != 0)
-
-    def bit_matrices(self) -> np.ndarray:
-        """Multiplication by each single-bit code, as GF(2) matrices.
-
-        In characteristic 2 the d bits of a code (order 2^d) are its
-        coordinates over F_2 at every level of the tower, so x -> (1 << i) x
-        is F_2-linear on them.  Entry [i, j, k] of the (d, d, d) boolean
-        array is bit j of (1 << i)(1 << k).  Built on first use.
-        """
-        if self.char != 2:
-            raise ValueError("bit matrices need characteristic 2")
-        if self._bit_matrices is None:
-            d = self.order.bit_length() - 1
-            prods = np.array([[self.mul(1 << i, 1 << k) for k in range(d)]
-                              for i in range(d)], dtype=np.int64)
-            bits = (prods[:, None, :] >> np.arange(d)[None, :, None]) & 1
-            self._bit_matrices = bits.astype(bool)
-        return self._bit_matrices
 
     def trace(self, x: int) -> int:
         """Relative trace onto the base field: sum of all Frobenius iterates."""

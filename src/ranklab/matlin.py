@@ -9,21 +9,17 @@ Includes maximal-minor (Pluecker coordinate) extraction over stacks of
 matrices, the subset tables that label and index the minor variables,
 and the coordinate matrix of an extension-field vector over the base field.
 
-Row reduction has three interchangeable backends, cross-checked in the
-test suite, and ``echelonize`` picks one from the field and the matrix:
+Row reduction has two backends, cross-checked in the test suite, and
+``echelonize`` picks one from the field:
 
 * GF(2): one eliminator over stacks of matrices whose rows are packed into
   uint64 words.  Its batched entry point :func:`rref_gf2_batch` reduces a
   (B, rows, words) stack in step; ``echelonize`` uses it on a stack of one,
   and the q = 2 exhaustive oracle on the stacked systems of the supports
   its bit-sliced consistency sweep kept.
-* F_{2^d}, d >= 2, with at least ``_CHAR2_MIN_CELLS`` entries: the matrix
-  as d packed GF(2) bit-planes, reduced with per-pivot lookup tables of the
-  pivot row's multiples (Albrecht, "The M4RIE library for dense linear
-  algebra over small fields with even characteristic", ISSAC 2012).
-* Every other case, and ``force_generic=True``: a generic table-driven
-  Gauss-Jordan, exact in every characteristic.  Below the crossover its
-  few numpy calls per pivot beat the bit-plane tables' set-up.
+* Every other field, and ``force_generic=True``: a generic table-driven
+  Gauss-Jordan, exact in every characteristic.  It updates only the rows
+  that hold the pivot column, which suits the sparse Macaulay matrices.
 """
 
 from __future__ import annotations
@@ -201,75 +197,6 @@ def _rref_gf2_packed(mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return unpack_gf2(packed[0], ncols), np.flatnonzero(pivots[0]).tolist()
 
 
-_TABLE_BITS = 8             # at most this many scalar bits per table of pivot-row multiples
-_CHAR2_MIN_CELLS = 150_000  # the generic path is faster on smaller matrices (measured
-                            # on Macaulay matrices over F_{2^7} and F_{2^9})
-
-
-def _rref_char2(fld: FiniteField, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Gauss-Jordan over F_{2^d}, d >= 2, on d packed GF(2) bit-planes.
-
-    A code's d bits are its coordinates over F_2, so addition is XOR and
-    multiplication by a scalar is a d x d GF(2) matrix
-    (:meth:`FiniteField.bit_matrices`).  ``planes[w, i, k]`` holds bit k of
-    the entries of row i in columns 64w..64w+63; the words at or after the
-    pivot column form one contiguous block, and only it is touched.  For
-    each pivot row p, every scalar multiple of p is tabulated, one table per
-    group of at most ``_TABLE_BITS`` bits of the scalar, and each row i is
-    reduced by XORing in the table entries of its factor f_i.  The pivot row itself takes
-    f = s + 1 for s its inverse pivot entry, so p + (s + 1) p = s p scales it.
-    """
-    nrows, ncols = mat.shape
-    d = fld.order.bit_length() - 1
-    nwords = (ncols + 63) // 64
-    planes = np.empty((nwords, nrows, d), dtype=np.uint64)
-    for k in range(d):
-        planes[:, :, k] = pack_gf2((mat >> k) & 1).T
-    masks = np.where(fld.bit_matrices(), ~np.uint64(0), np.uint64(0))[:, None]
-    ntables = -(-d // _TABLE_BITS)
-    width = -(-d // ntables)                        # groups as even as possible
-    chunks = [(lo, min(lo + width, d)) for lo in range(0, d, width)]
-    tables = [np.empty(nwords * (d << (hi - lo)), dtype=np.uint64) for lo, hi in chunks]
-    gather = np.empty(planes.size, dtype=np.uint64)
-    weights = 1 << np.arange(d, dtype=np.int64)
-    pivots: List[int] = []
-    rr = 0
-    for c in range(ncols):
-        if rr == nrows:
-            break
-        w = c // 64
-        codes = ((planes[w] >> np.uint64(c % 64)) & np.uint64(1)).view(np.int64) @ weights
-        nz = codes[rr:].nonzero()[0]
-        if nz.size == 0:
-            continue
-        pr = rr + int(nz[0])
-        if pr != rr:
-            planes[:, [rr, pr]] = planes[:, [pr, rr]]
-            codes[[rr, pr]] = codes[[pr, rr]]
-        inv = fld.inv(int(codes[rr]))
-        factors = fld.mul_arr(codes, inv)
-        factors[rr] = inv ^ 1
-        live = planes[w:]
-        nw = live.shape[0]
-        # (1 << i) p for each bit i, as (d, nw, d) planes
-        basis = np.bitwise_xor.reduce(masks & live[None, :, rr, None, :], axis=3)
-        out = gather[:live.size].reshape(live.shape)
-        for (lo, hi), buf in zip(chunks, tables):
-            table = buf[:nw * (d << (hi - lo))].reshape(nw, 1 << (hi - lo), d)
-            table[:, 0] = 0
-            for i in range(hi - lo):
-                np.bitwise_xor(table[:, :1 << i], basis[lo + i, :, None],
-                               out=table[:, 1 << i:2 << i])
-            np.take(table, (factors >> lo) & ((1 << (hi - lo)) - 1), axis=1, out=out)
-            live ^= out
-        pivots.append(c)
-        rr += 1
-    rref = np.zeros((nrows, ncols), dtype=np.int64)
-    for k in range(d):
-        rref |= unpack_gf2(planes[:, :, k].T, ncols) << k
-    return rref, pivots
-
-
 def echelonize(fld: FiniteField, mat: np.ndarray, force_generic: bool = False) -> EchelonResult:
     """RREF with rank, pivot columns and a right-kernel basis."""
     mat = np.asarray(mat, dtype=np.int64)
@@ -277,8 +204,6 @@ def echelonize(fld: FiniteField, mat: np.ndarray, force_generic: bool = False) -
         raise ValueError("expected a 2-D matrix")
     if fld.order == 2 and not force_generic:
         rref, pivots = _rref_gf2_packed(mat)
-    elif fld.char == 2 and mat.size >= _CHAR2_MIN_CELLS and not force_generic:
-        rref, pivots = _rref_char2(fld, mat)
     else:
         rref, pivots = _rref_generic(fld, mat)
     kernel = kernel_from_rref(fld, rref, pivots)

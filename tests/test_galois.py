@@ -272,21 +272,6 @@ def test_trace_commutes_with_base_field_matrices():
     assert (lhs == rhs).all()
 
 
-@pytest.mark.parametrize("fld", [F4, F8, F45, make_ext_field(16, 2)], ids=str)
-def test_bit_matrices_multiply_codes(fld):
-    d = fld.order.bit_length() - 1
-    mats = fld.bit_matrices().astype(np.int64)
-    assert mats.shape == (d, d, d) and fld.bit_matrices() is fld.bit_matrices()
-    rng = np.random.default_rng(3)
-    for x in rng.integers(0, fld.order, 20):
-        bits = (int(x) >> np.arange(d)) & 1
-        for i in range(d):
-            prod = fld.mul(1 << i, int(x))
-            assert ((mats[i] @ bits) % 2 == (prod >> np.arange(d)) & 1).all()
-    with pytest.raises(ValueError):
-        make_base_field(3).bit_matrices()
-
-
 def test_order_limit_guard():
     with pytest.raises(ValueError):
         make_ext_field(2, 73)

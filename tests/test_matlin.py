@@ -15,9 +15,6 @@ F8 = make_ext_field(2, 3)
 F9 = make_base_field(9)
 # characteristic 2 above order 2: prime-field towers and towers over F_4, F_16
 CHAR2 = [F4, F8, make_ext_field(2, 9), make_ext_field(4, 3), make_ext_field(16, 2)]
-# shapes that cross the 64-column word boundary, below and above the crossover
-CHAR2_SHAPES = [(1, 1), (4, 11), (6, 64), (9, 65), (40, 130),
-                (ml._CHAR2_MIN_CELLS // 200 + 1, 200)]
 
 
 def test_echelon_examples():
@@ -65,11 +62,25 @@ def test_packed_batch_across_words(rows, cols):
     assert (ml.unpack_gf2(ml.pack_gf2(stack), cols) == stack).all()
 
 
+def f2_expansion(fld, mat):
+    """The F_2-linear map of mat over F_{2^d} on the bits of the codes.
+
+    Entry a becomes the d x d block whose column j holds the bits of
+    a * (1 << j); a matrix of rank rho over F_{2^d} expands to rank d rho.
+    """
+    d = fld.order.bit_length() - 1
+    prods = fld.mul_arr(mat[..., None], 1 << np.arange(d))
+    bits = (prods[:, None] >> np.arange(d)[None, :, None, None]) & 1
+    return bits.reshape(mat.shape[0] * d, mat.shape[1] * d)
+
+
+# shapes whose F_2 expansions (d times as many columns) fill one or several
+# 64-column words of the packed GF(2) eliminator
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(CHAR2), st.sampled_from(CHAR2_SHAPES),
+@given(st.sampled_from(CHAR2), st.sampled_from([(1, 1), (4, 11), (6, 64), (9, 65), (40, 130)]),
        st.sampled_from(["dense", "zero-columns", "repeated-rows", "zero"]),
        st.integers(0, 2**30 - 1))
-def test_char2_matches_generic(fld, shape, pattern, seed):
+def test_char2_rank_matches_f2_expansion(fld, shape, pattern, seed):
     rng = np.random.default_rng(seed)
     mat = fld.rand_elements(rng, shape)
     if pattern == "zero-columns":
@@ -79,38 +90,31 @@ def test_char2_matches_generic(fld, shape, pattern, seed):
         mat[shape[0] // 2:] = mat[:shape[0] - shape[0] // 2]
     elif pattern == "zero":
         mat[:] = 0
-    generic = ml.echelonize(fld, mat, force_generic=True)
-    # the bit-plane kernel on every shape, and whichever path echelonize picks
-    rref, pivots = ml._rref_char2(fld, mat)
-    bitsliced = ml.EchelonResult(len(pivots), rref, tuple(pivots),
-                                 ml.kernel_from_rref(fld, rref, pivots))
-    for res in (bitsliced, ml.echelonize(fld, mat)):
-        assert res.rank == generic.rank
-        assert res.pivots == generic.pivots
-        assert (res.rref == generic.rref).all()
-        assert (res.kernel == generic.kernel).all()
+    res = ml.echelonize(fld, mat)
+    d = fld.order.bit_length() - 1
+    assert ml.echelonize(F2, f2_expansion(fld, mat)).rank == d * res.rank
+    assert res.kernel.shape == (shape[1] - res.rank, shape[1])
+    assert not ml.matmul(fld, mat, res.kernel.T).any()
 
 
-@pytest.mark.parametrize("fld,shape,force,path", [
-    (F2, (3, 5), False, "_rref_gf2_packed"),
-    (F2, (3, 5), True, "_rref_generic"),
-    (F8, (3, 5), False, "_rref_generic"),
-    (F8, (ml._CHAR2_MIN_CELLS, 1), False, "_rref_char2"),
-    (F8, (ml._CHAR2_MIN_CELLS, 1), True, "_rref_generic"),
-    (F9, (ml._CHAR2_MIN_CELLS, 1), False, "_rref_generic"),
-], ids=["gf2", "gf2-forced", "f8-small", "f8-large", "f8-forced", "odd-large"])
-def test_echelonize_picks_backend(monkeypatch, fld, shape, force, path):
+@pytest.mark.parametrize("fld,force,path", [
+    (F2, False, "_rref_gf2_packed"),
+    (F2, True, "_rref_generic"),
+    (F8, False, "_rref_generic"),
+    (F9, False, "_rref_generic"),
+], ids=["gf2", "gf2-forced", "f8", "odd"])
+def test_echelonize_picks_backend(monkeypatch, fld, force, path):
     called = []
 
     def spy(name):
         def run(*args):
             called.append(name)
-            return np.zeros(shape, dtype=np.int64), []
+            return np.zeros((3, 5), dtype=np.int64), []
         return run
 
-    for name in ("_rref_gf2_packed", "_rref_generic", "_rref_char2"):
+    for name in ("_rref_gf2_packed", "_rref_generic"):
         monkeypatch.setattr(ml, name, spy(name))
-    ml.echelonize(fld, np.zeros(shape, dtype=np.int64), force_generic=force)
+    ml.echelonize(fld, np.zeros((3, 5), dtype=np.int64), force_generic=force)
     assert called == [path]
 
 
