@@ -6,9 +6,12 @@ field over its subfield.  For characteristic 2 this makes addition a plain
 XOR of codes at every level of the tower.  Multiplication uses discrete
 log/antilog tables built once per field, and so does array addition in odd
 characteristic, through Zech logarithms Z(k) = log(1 + g^k):
-log(a + b) = log a + Z(log b - log a).  The scalar ``add`` and ``neg`` work
-digit by digit instead.  Fields are immutable after construction (up to
-tables built on first use) and safe to share between threads.
+log(a + b) = log a + Z(log b - log a).  The Zech table covers every
+difference of logs, the log sentinel of 0 included, and its outer regions
+answer a zero summand, so an array sum is one gather with no test for 0.
+The scalar ``add`` and ``neg`` work digit by digit instead.  Fields are
+immutable after construction (up to tables built on first use) and safe to
+share between threads.
 
 Each extension is built by linear algebra over its base: x in F_q[z]/(f)
 acts on coordinates as its m x m multiplication matrix, which gives the
@@ -192,10 +195,26 @@ class FiniteField:
         self._exp_pad = pad
         self._inv = inv
         if self.char != 2:
-            # Zech logarithms Z[k] = log(1 + g^k): the code 1 is F_p digit 0,
-            # so adding it only steps the lowest base-p digit of each code
-            p = self.char
-            self._zech = log[exp + 1 - p * (exp % p == p - 1)]
+            self._zech = self._zech_table(sentinel)
+
+    def _zech_table(self, sentinel: int) -> np.ndarray:
+        """Zech logarithms, indexed by d + S for d = log b - log a and S the
+        log sentinel, so that log(a + b) = log a + zech[d + S] for all a, b.
+
+        For |d| <= Q - 2 the entry is Z(d mod (Q - 1)) = log(1 + g^d), the
+        sentinel where 1 + g^d = 0.  Below, a = 0 and the entry is d; above,
+        b = 0 and it is 0; a = b = 0 lands on Z(0) and reads as 0.  The code
+        1 is F_p digit 0, so adding it only steps the lowest base-p digit of
+        each code.  Filled by slices, in int32, to keep the peak low.
+        """
+        p, mo, chunk = self.char, self.order - 1, 1 << 16
+        zech = np.zeros(2 * sentinel + 1, dtype=np.int32)
+        zech[:sentinel - mo + 1] = np.arange(-sentinel, -mo + 1, dtype=np.int32)
+        for lo in range(0, mo, chunk):
+            e = self._exp[lo:lo + chunk]
+            zech[sentinel + lo:][:e.size] = self._log[e + 1 - p * (e % p == p - 1)]
+        zech[sentinel - mo + 1:sentinel] = zech[sentinel + 1:sentinel + mo]
+        return zech
 
     def _generator_over_base(self, factors: Sequence[int]) -> Tuple[int, np.ndarray]:
         """The generator, its powers taken as multiplication matrices over the
@@ -268,15 +287,15 @@ class FiniteField:
     # -- vectorised arithmetic on numpy arrays of codes -----------------------
 
     def add_arr(self, a: np.ndarray, b) -> np.ndarray:
-        """Elementwise sum; in odd characteristic by Zech logarithms,
-        log(a + b) = log a + Z(log b - log a), with 0 + b = b and a + 0 = a."""
+        """Elementwise sum; in odd characteristic by one gather through the
+        Zech table, log(a + b) = log a + Z(log b - log a), whose outer
+        regions answer a zero summand."""
         if self.char == 2:
             return np.bitwise_xor(a, b)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        la, lb = self._log[a], self._log[b]
-        out = self._exp_pad[la + self._zech[(lb - la) % (self.order - 1)]]
-        return np.where(a == 0, b, np.where(b == 0, a, out))
+        la = self._log[np.asarray(a, dtype=np.int64)]
+        d = self._log[np.asarray(b, dtype=np.int64)] - la
+        d += self._log[0]
+        return self._exp_pad[la + self._zech[d]]
 
     def sub_arr(self, a: np.ndarray, b) -> np.ndarray:
         if self.char == 2:

@@ -176,8 +176,8 @@ def reduce_minrank(inst: MinRankInstance, guess: GuessMatrix, a: int
         return MinRankReduction(inst, guess, ml.identity(inst.K),
                                 np.zeros(0, dtype=np.int64), inst)
     p_a = p_matrix(fld, guess.a, inst.n)
-    mats_t = [ml.matmul(fld, mi, p_a) for mi in inst.mats]
-    rows = np.stack([flatten_matrix(mi) for mi in mats_t[1:]])
+    mats_t = ml.matmul(fld, inst.mats.reshape(-1, inst.n), p_a).reshape(inst.mats.shape)
+    rows = mats_t[1:].swapaxes(1, 2).reshape(inst.K, -1)      # flatten_matrix of each
     tail = list(range(inst.m * (inst.n - a), inst.m * inst.n))
     sh = shorten(fld, rows, tail)
     if sh.dim != inst.K - am or sh.b_block is None:
@@ -235,7 +235,7 @@ def rerandomize_minrank(inst: MinRankInstance, seed: int
     fld = inst.field
     rng = np.random.default_rng(seed)
     p = ml.random_invertible(fld, inst.n, rng)
-    mats = tuple(ml.matmul(fld, mi, p) for mi in inst.mats)
+    mats = ml.matmul(fld, inst.mats.reshape(-1, inst.n), p).reshape(inst.mats.shape)
     return MinRankInstance(fld, inst.m, inst.n, inst.K, inst.r, mats,
                            inst.witness), p
 

@@ -73,16 +73,41 @@ def identity(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+_MATMUL_CELLS = 1 << 16      # bound on the cells of each temporary of matmul
+
+
 def matmul(fld: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the field; a is (r x n), b is (n x c)."""
+    """Matrix product over the field; a is (r x n), b is (n x c).
+
+    Only the nonzero entries of a are multiplied: term k of output row i is
+    the k-th nonzero of row i times the matching row of b.  A block of rows
+    takes its terms from one ``mul_arr`` into a (rows, c, width) array and
+    adds them with one ``sum_arr``; blocks hold at most ``_MATMUL_CELLS``
+    terms, and a row with more is summed in slices of its slots, whose
+    partial sums are added.
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for t in range(a.shape[1]):
-        col = a[:, t]
-        if not col.any():
-            continue
-        out = fld.add_arr(out, fld.mul_outer(col, b[t]))
+    nrows, ncols = a.shape[0], b.shape[1]
+    out = np.zeros((nrows, ncols), dtype=np.int64)
+    rows, inner = np.nonzero(a)                   # row-major, so rows ascend
+    if rows.size == 0 or ncols == 0:
+        return out
+    width = int(np.bincount(rows).max())
+    slot = np.arange(rows.size) - np.searchsorted(rows, rows)
+    coef = np.zeros((nrows, width), dtype=np.int64)
+    coef[rows, slot] = a[rows, inner]
+    at = np.zeros((nrows, width), dtype=np.intp)  # padding slots have coefficient 0
+    at[rows, slot] = inner
+    step = max(1, _MATMUL_CELLS // ncols)         # slots per slice
+    block = max(1, _MATMUL_CELLS // (ncols * width))
+    for lo in range(0, nrows, block):
+        rs = slice(lo, lo + block)
+        for s in range(0, width, step):
+            terms = fld.mul_arr(coef[rs, None, s:s + step],
+                                b[at[rs, s:s + step]].transpose(0, 2, 1))
+            part = fld.sum_arr(terms)
+            out[rs] = part if s == 0 else fld.add_arr(out[rs], part)
     return out
 
 

@@ -159,13 +159,20 @@ class MinorElimination:
     pivot_cols: Tuple[int, ...]
     pivot_expr: np.ndarray            # (#pivots, #free) over F_q
 
+    @property
+    def expression(self) -> np.ndarray:
+        """(#minors, #free) over F_q: row T writes c_T in the free minors,
+        a unit row at a free minor and its ``pivot_expr`` row at a pivot."""
+        nfree = len(self.free_cols)
+        out = np.zeros((nfree + len(self.pivot_cols), nfree), dtype=np.int64)
+        out[list(self.free_cols), np.arange(nfree)] = 1
+        out[list(self.pivot_cols)] = self.pivot_expr
+        return out
+
     def expand(self, c_free: np.ndarray) -> np.ndarray:
         """The full minor vector whose free minors are ``c_free``."""
         c_free = np.asarray(c_free, dtype=np.int64)
-        out = np.zeros(len(self.free_cols) + len(self.pivot_cols), dtype=np.int64)
-        out[list(self.free_cols)] = c_free
-        out[list(self.pivot_cols)] = ml.matmul(self.field, c_free[None, :], self.pivot_expr.T)[0]
-        return out
+        return ml.matmul(self.field, self.expression, c_free[:, None])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +350,16 @@ def reduce_sm_plus(sm: BilinearSystem, part: QPartition, elim: MinorElimination)
 
 def nf_bilinear(elim: MinorElimination, sm: BilinearSystem, rows: Sequence[int]) -> BilinearSystem:
     """Normal form of bilinear rows under the elimination: each eliminated
-    c_T is replaced by its expression in the free minors."""
+    c_T is replaced by its expression in the free minors, so the (bil | aff)
+    rows are one product with the elimination's expression matrix."""
     fld = sm.field
     idx = list(rows)
-    free = list(elim.free_cols)
-    piv = list(elim.pivot_cols)
-    nb = sm.bil[idx]
-    na = sm.aff[idx]
-    P, k, _ = nb.shape
-    flat = nb.reshape(P * k, nb.shape[-1])
-    new_bil = fld.add_arr(flat[:, free], ml.matmul(fld, flat[:, piv], elim.pivot_expr))
-    new_aff = fld.add_arr(na[:, free], ml.matmul(fld, na[:, piv], elim.pivot_expr))
-    subsets = tuple(sm.subsets[c] for c in free)
-    return BilinearSystem(fld, sm.nx, sm.n, sm.r, subsets,
-                          new_bil.reshape(P, k, len(free)), new_aff,
+    coef = np.concatenate([sm.bil[idx], sm.aff[idx, None]], axis=1)
+    P, k1, nt = coef.shape
+    nfree = len(elim.free_cols)
+    new = ml.matmul(fld, coef.reshape(P * k1, nt), elim.expression).reshape(P, k1, nfree)
+    subsets = tuple(sm.subsets[c] for c in elim.free_cols)
+    return BilinearSystem(fld, sm.nx, sm.n, sm.r, subsets, new[:, :-1], new[:, -1],
                           tuple(sm.labels[i] for i in idx))
 
 

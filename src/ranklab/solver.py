@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -117,16 +117,17 @@ def linearize(mac: md.MacaulayMatrix, prev: Optional[Kernel] = None) -> Kernel:
     kernel vector v of the stack is w K on C, so it is read from the
     kernel of [E_new | E_old K^T] in the unknowns (v_new, w), where E_old
     holds E's columns in C and E_new the others; both kernels have the
-    same dimension.
+    same dimension.  Once that matrix is formed, ``mac`` is dropped, so a
+    caller that holds no other reference to it frees it before the reduction.
     """
-    fld = mac.field
+    fld, subsets = mac.field, mac.subsets
     if prev is None:
         res = ml.echelonize(fld, mac.arr)
-        return Kernel(fld, mac.subsets, mac.col_labels, res.kernel, res)
+        return Kernel(fld, subsets, mac.col_labels, res.kernel, res)
     pos = {lab: i for i, lab in enumerate(prev.cols)}
     at = np.array([pos.get(lab, -1) for lab in mac.col_labels], dtype=np.intp)
     old = at >= 0
-    e_new = mac.arr[:, ~old]
+    cols = prev.cols + tuple(lab for lab, o in zip(mac.col_labels, old.tolist()) if not o)
     # the rows of multiplier x^alpha meet only the columns x^alpha c_t of
     # E_old, so the product is taken per multiplier and skips the others
     alphas = [alpha for alpha, _label in mac.row_labels]
@@ -134,12 +135,13 @@ def linearize(mac: md.MacaulayMatrix, prev: Optional[Kernel] = None) -> Kernel:
     kt = prev.basis[:, at[old]].T
     carried = np.concatenate([ml.matmul(fld, blk, kt)
                               for blk in np.split(mac.arr[:, old], cuts)])
-    res = ml.echelonize(fld, np.concatenate([e_new, carried], axis=1))
-    nnew = e_new.shape[1]
+    stack = np.concatenate([mac.arr[:, ~old], carried], axis=1)
+    del mac, carried
+    res = ml.echelonize(fld, stack)
+    nnew = len(cols) - len(prev.cols)
     basis = np.concatenate([ml.matmul(fld, res.kernel[:, nnew:], prev.basis),
                             res.kernel[:, :nnew]], axis=1)
-    cols = prev.cols + tuple(lab for lab, o in zip(mac.col_labels, old.tolist()) if not o)
-    return Kernel(fld, mac.subsets, cols, basis, res)
+    return Kernel(fld, subsets, cols, basis, res)
 
 
 def solve_linearized(ker: Kernel) -> Outcome:
@@ -222,10 +224,16 @@ def decode_rd(rd: RdInstance, config: DecodeConfig = DecodeConfig()) -> RdSoluti
     zero_sol = _try_weight_zero(rd)
     if zero_sol is not None:
         return zero_sol
+    # a canonical form depends on G, y and the permutation only, so each
+    # retry's form is made once, on first use, and serves every r'
+    forms: Dict[int, CanonicalRd] = {}
     for r_prime in range(1, rd.r + 1):
-        sub = RdInstance(fld, rd.n, rd.k, r_prime, rd.gen, rd.received, None)
         for retry in range(RETRIES):
-            can = canonicalize(sub, perm_seed=None if retry == 0 else 7919 * retry)
+            if retry not in forms:
+                forms[retry] = canonicalize(
+                    RdInstance(fld, rd.n, rd.k, rd.r, rd.gen, rd.received, None),
+                    perm_seed=None if retry == 0 else 7919 * retry)
+            can = replace(forms[retry], r=r_prime)
             elim = md.eliminate_minors(md.build_mm_fq(md.build_mm_fqm(can)))
             minors = solve_mm_linear(elim)
             if isinstance(minors, Inconsistent):
@@ -283,13 +291,17 @@ def _try_sm_plus(rd: RdInstance, can: CanonicalRd, elim: md.MinorElimination,
     for b in range(1, config.b_max + 1):
         if b == 2:
             # a row basis spans the same polynomials in rank(M_1) rows
-            rows = md.from_rows(plus, mac, ker.echelon.rref[:ker.echelon.rank])
+            rows = md.from_rows(plus, first, ker.echelon.rref[:ker.echelon.rank])
         try:
-            mac = md.macaulay(rows, b)
+            if b == 1:
+                first = md.macaulay(rows, 1)
+                ker = linearize(first)
+            else:
+                # held by linearize alone, which frees it before reducing
+                ker = linearize(md.macaulay(rows, b), ker)
         except md.MonomialBudgetError as exc:
             transcript.append(f"r'={can.r} b={b}: {exc}")
             return None
-        ker = linearize(mac, ker)
         minors = solve_linearized(ker)
         tag = f"r'={can.r} smplus b={b} retry={retry}"
         if isinstance(minors, Inconsistent):

@@ -136,18 +136,34 @@ def _matmul_scalar(fld, a, b):
 
 
 @pytest.mark.parametrize("fld", [make_base_field(3), make_base_field(5), F9,
-                                 make_ext_field(3, 7), make_ext_field(5, 3)], ids=str)
-def test_matmul_matches_scalar_triple_loop(fld):
+                                 make_ext_field(3, 7), make_ext_field(5, 3),
+                                 F2, F4, F8, make_ext_field(2, 9)], ids=str)
+def test_matmul_matches_scalar_triple_loop(fld, monkeypatch):
     rng = np.random.default_rng(fld.order)
     base = fld.base or fld
+
+    def check(a, c):
+        b = fld.rand_elements(rng, (a.shape[1], c))
+        on_base = base.rand_elements(rng, (a.shape[1], c))   # as nf_bilinear passes
+        for right in (b, on_base):
+            assert (ml.matmul(fld, a, right) == _matmul_scalar(fld, a, right)).all()
+
     for r, n, c in [(4, 0, 3), (5, 6, 4), (2, 9, 1)]:
         a = fld.rand_elements(rng, (r, n))
         a[-1] = 0                                     # a zero row
         a[:, :n // 3] = 0                             # zero columns, skipped
-        b = fld.rand_elements(rng, (n, c))
-        on_base = base.rand_elements(rng, (n, c))     # as nf_bilinear passes
-        for right in (b, on_base):
-            assert (ml.matmul(fld, a, right) == _matmul_scalar(fld, a, right)).all()
+        check(a, c)
+    # row i holds min(i, 6) nonzeros, so the rows have different widths
+    ragged = rng.integers(1, fld.order, (8, 6)) * (np.arange(6) < np.arange(8)[:, None])
+    check(ragged, 3)
+    check(fld.rand_elements(rng, (1, 7)), 5)          # a row vector
+    # with a bound of 8 cells, the 20 slots of the wide row are summed in ten
+    # slices of 2, and the rows of at most 2 nonzeros go 4 to a block
+    monkeypatch.setattr(ml, "_MATMUL_CELLS", 8)
+    wide = rng.integers(1, fld.order, (3, 20)) * (np.arange(3)[:, None] != 2)
+    check(wide, 3)
+    narrow = rng.integers(1, fld.order, (9, 4)) * (np.arange(4) < 2)
+    check(narrow, 1)
 
 
 def test_rank_invariance_under_transforms():

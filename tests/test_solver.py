@@ -234,6 +234,23 @@ def test_seed_7_runaway_ends_with_kernel_dimension_2():
         for retry in range(3) for b in (1, 2, 3, 4))
 
 
+def test_one_canonical_form_per_retry(monkeypatch):
+    # the form depends on G, y and the permutation only, so r' = 1, 2 and 3
+    # share each retry's form: a decode-b2 decode makes one, and an
+    # unsolved decode one per retry, not one per retry and weight
+    seeds = []
+    real = sv.canonicalize
+    monkeypatch.setattr(sv, "canonicalize",
+                        lambda rd, perm_seed=None: seeds.append(perm_seed) or real(rd, perm_seed))
+    sol = sv.decode_rd(inst.gen_rd(2, 9, 10, 4, 3, 1))
+    assert sol.transcript[-1] == "r'=3 smplus b=2 retry=0: verified, weight 3"
+    assert seeds == [None]
+    seeds.clear()
+    with pytest.raises(sv.Unsolved):
+        sv.decode_rd(inst.gen_rd(2, 9, 10, 4, 3, 7), sv.DecodeConfig(b_max=1))
+    assert seeds == [None, 7919, 2 * 7919]
+
+
 def planted_minors(can):
     """The minors of the planted support matrix, normalized like the solvers'."""
     base = can.field.base
