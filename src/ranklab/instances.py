@@ -8,8 +8,8 @@ Conventions used throughout the package:
   exactly r.  The codeword part is therefore c = -x G = y - e.
 * A MinRank instance is (M_0, ..., M_K) over F_q with a planted x such
   that M_0 + sum x_i M_i has rank exactly r.
-* Every transformation (canonical form, shortening, puncturing, variable
-  changes) records enough data to transport witnesses in both directions;
+* Every transformation (canonical form, shortening, variable changes)
+  records enough data to transport witnesses in both directions;
   the proofs these forms come from perform the bookkeeping silently, but
   end-to-end tests need to map solutions back to the original instance.
 """
@@ -36,7 +36,6 @@ __all__ = [
     "gen_rd",
     "canonicalize",
     "shorten",
-    "puncture_rd",
     "rd_to_minrank",
     "gen_minrank",
     "flatten_matrix",
@@ -177,10 +176,6 @@ class CanonicalRd:
         out[self.perm] = e
         return out
 
-    def error_from_origin(self, e_orig: np.ndarray) -> np.ndarray:
-        fld = self.field
-        return fld.mul_arr(np.asarray(e_orig)[self.perm], self.scale)
-
 
 def canonicalize(rd: RdInstance, perm_seed: Optional[int] = None) -> CanonicalRd:
     """Permute/offset/scale an RD instance into the systematic shape.
@@ -251,7 +246,7 @@ def _check_canonical(can: CanonicalRd) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shortening / puncturing
+# shortening
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -297,23 +292,6 @@ def shorten(fld: FiniteField, gen: np.ndarray, positions: Sequence[int]) -> Shor
         b_block = on_comp[piv_rows]
     return ShortenResult(dim, gen_short, b_block, transform,
                          tuple(j_set), tuple(comp))
-
-
-def puncture_rd(rd: RdInstance, p: int) -> RdInstance:
-    """Drop the last p positions; the witness survives when its support does."""
-    if not 0 <= p < rd.n - rd.k:
-        raise InstanceError("puncturing depth out of range")
-    if p == 0:
-        return rd
-    n2 = rd.n - p
-    fld = rd.field
-    witness = None
-    if rd.witness is not None:
-        e2 = rd.witness.error[:n2]
-        if ml.rank_weight(fld, e2) == rd.r:
-            witness = RdWitness(rd.witness.x, rd.witness.support,
-                                rd.witness.coeffs[:, :n2], e2)
-    return RdInstance(fld, n2, rd.k, rd.r, rd.gen[:, :n2], rd.received[:n2], witness)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ Row reduction has two backends, cross-checked in the test suite, and
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -312,6 +313,7 @@ def all_subsets(n: int, r: int) -> List[Tuple[int, ...]]:
     return list(itertools.combinations(range(n), r))
 
 
+@functools.lru_cache(maxsize=256)
 def subset_table(n: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
     """The s-subsets (s >= 1) of range(n) in index order, and their faces.
 
@@ -319,13 +321,15 @@ def subset_table(n: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
     ``drop`` (C(n, s), s), where ``drop[i, pos]`` is the index among the
     (s-1)-subsets of subset i without its element at position ``pos``.
     Index order is lexicographic, so a sorted subset c has the index
-    C(n, s) - 1 - sum_u C(n - 1 - c_u, s - u).
+    C(n, s) - 1 - sum_u C(n - 1 - c_u, s - u).  Cached, so read-only.
     """
     binom = np.array([[comb(a, b) for b in range(n + 1)] for a in range(n + 1)],
                      dtype=np.int64)
     cols = np.array(all_subsets(n, s), dtype=np.intp).reshape(comb(n, s), s)
     faces = np.stack([np.delete(cols, pos, axis=1) for pos in range(s)], axis=1)
     drop = comb(n, s - 1) - 1 - binom[n - 1 - faces, s - 1 - np.arange(s - 1)].sum(axis=-1)
+    for arr in (cols, drop):
+        arr.setflags(write=False)
     return cols, drop.reshape(-1, s)
 
 

@@ -30,9 +30,10 @@ an unfolded block applies x -> trace(b*_i x), which is digit i of the code
 (:meth:`~ranklab.galois.FiniteField.coeffs_arr`).
 
 A Macaulay matrix (:func:`macaulay`) holds the rows of one multiplier
-degree, b - 1; the linearization solver stacks the degrees itself, and
-from b = 2 it multiplies a row basis of the system, which ``from_rows``
-reads back from the reduced b = 1 matrix.
+degree, b - 1, in at most ``MAX_CELLS`` entries; the solver's
+``carried_kernels`` stacks the degrees, and from b = 2 it multiplies a row
+basis of the system, which ``from_rows`` reads back from the reduced b = 1
+matrix.
 
 Monomials are ordered graded reverse-lexicographically with the minor
 variables below all linear variables: total degree first, then the minor
@@ -80,7 +81,10 @@ __all__ = [
 
 
 class MonomialBudgetError(Exception):
-    """Macaulay matrix would exceed the configured cell budget."""
+    """A Macaulay matrix would have more than ``MAX_CELLS`` entries."""
+
+
+MAX_CELLS = 80_000_000             # the most entries a Macaulay matrix may have
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +425,21 @@ def _degree_tuples(nx: int, d: int) -> List[Tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(nx), d))
 
 
-def macaulay(sys: BilinearSystem, b: int, max_cells: int = 80_000_000) -> MacaulayMatrix:
+def macaulay(sys: BilinearSystem, b: int) -> MacaulayMatrix:
     """Multiply the system by the x-monomials of degree b-1 and lay out the
     coefficient matrix.
 
     These exact-degree rows span what the counting formulas count; the
     linearization solver stacks them degree by degree under the kernel it
     carries from b - 1.  Rows run over the multipliers, and over the
-    polynomials within one multiplier.  ``max_cells`` bounds this matrix.
+    polynomials within one multiplier.
     """
     if b < 1:
         raise ValueError("need b >= 1")
     mults = _degree_tuples(sys.nx, b - 1)
     row_mult = np.repeat(np.arange(len(mults)), sys.npolys)
     row_poly = np.tile(np.arange(sys.npolys), len(mults))
-    return _layout(sys, mults, row_mult, row_poly, b, max_cells)
+    return _layout(sys, mults, row_mult, row_poly, b)
 
 
 def from_rows(sys: BilinearSystem, mac: MacaulayMatrix, rows: np.ndarray) -> BilinearSystem:
@@ -455,7 +459,7 @@ def from_rows(sys: BilinearSystem, mac: MacaulayMatrix, rows: np.ndarray) -> Bil
 
 
 def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.ndarray,
-            row_poly: np.ndarray, b: int, max_cells: Optional[int]) -> MacaulayMatrix:
+            row_poly: np.ndarray, b: int) -> MacaulayMatrix:
     """The Macaulay matrix with rows x^mults[row_mult[i]] f_{row_poly[i]}.
 
     Every position comes from index arithmetic.  The monomial x^beta c_t of
@@ -467,8 +471,7 @@ def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.
     table gives, for each multiplier alpha and variable j, idx(alpha + j)
     (idx(alpha) for j = nx).  No two terms of one row share a monomial, so
     entries are assigned, not summed.  The columns are the ids that occur;
-    ``max_cells`` (None: no limit) is checked against them before the
-    matrix is allocated.
+    ``MAX_CELLS`` is checked against them before the matrix is allocated.
     """
     nx, nt = sys.nx, len(sys.subsets)
     top = b                                         # multipliers have degree < b
@@ -494,7 +497,7 @@ def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.
     cols, col_of = np.unique(base[deg] + (nt - 1 - t) * sizes[deg] + step[a, j],
                              return_inverse=True)
     nrows = row_poly.size
-    if max_cells is not None and nrows * cols.size > max_cells:
+    if nrows * cols.size > MAX_CELLS:
         raise MonomialBudgetError(f"{nrows} x {cols.size} exceeds the cell budget")
     arr = np.zeros((nrows, cols.size), dtype=np.int64)
     arr[row, col_of] = coef[tp[term], j, t]
@@ -534,4 +537,4 @@ def basis_bb(sys: BilinearSystem, part: QPartition, b: int) -> MacaulayMatrix:
             row_mult.append(position[alpha])
             row_poly.append(p)
     return _layout(sys, mults, np.array(row_mult, dtype=np.int64),
-                   np.array(row_poly, dtype=np.int64), b, None)
+                   np.array(row_poly, dtype=np.int64), b)

@@ -5,13 +5,13 @@ linear minor system and eliminates the largest minors from it once.  When
 one minor is left free the minors are read off directly (MaxMinors);
 otherwise, or when SM+ is forced, the elimination is substituted into the
 bilinear system, which is linearized at increasing bi-degree until the
-kernel is a line whose minor block gives the minors.  The linearization is
-incremental: at bi-degree b only the rows of multiplier degree b - 1, taken
-from a row basis of the system, are reduced, against the kernel carried
-from b - 1 (:func:`linearize`).  Every path then has one readout: at known
-minors the Support-Minors equations are linear in x (:func:`x_from_minors`),
-and the candidate they give is verified against the instance before being
-returned.
+kernel is a line whose minor block gives the minors.  One generator makes
+the kernels of every Support-Minors system (:func:`carried_kernels`): at
+bi-degree b only the rows of multiplier degree b - 1, taken from a row basis
+of the system, are reduced, against the kernel carried from b - 1
+(:func:`linearize`).  Every path then has one readout: at known minors the
+Support-Minors equations are linear in x (:func:`x_from_minors`), and the
+candidate they give is verified against the instance before being returned.
 
 Also provides an exhaustive support-enumeration decoder for desk-scale
 instances; it is independent of the algebraic path and doubles as the
@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "solve_mm_linear",
     "Kernel",
     "linearize",
+    "carried_kernels",
     "solve_linearized",
     "x_from_minors",
     "decode_rd",
@@ -142,6 +143,25 @@ def linearize(mac: md.MacaulayMatrix, prev: Optional[Kernel] = None) -> Kernel:
     basis = np.concatenate([ml.matmul(fld, res.kernel[:, nnew:], prev.basis),
                             res.kernel[:, :nnew]], axis=1)
     return Kernel(fld, subsets, cols, basis, res)
+
+
+def carried_kernels(sys: md.BilinearSystem, b_max: int) -> Iterator[Kernel]:
+    """ker M_b for b = 1, ..., b_max, each carried into the next.
+
+    From b = 2 the rows multiplied are a row basis of ``sys`` read from the
+    reduction of M_1: the same polynomials in rank(M_1) rows.  A Macaulay
+    matrix over the cell budget raises ``MonomialBudgetError`` in place of
+    its kernel.
+    """
+    mac = md.macaulay(sys, 1)
+    ker = linearize(mac)
+    yield ker
+    rows = md.from_rows(sys, mac, ker.echelon.rref[:ker.echelon.rank])
+    del mac
+    for b in range(2, b_max + 1):
+        # held by linearize alone, which frees it before reducing
+        ker = linearize(md.macaulay(rows, b), ker)
+        yield ker
 
 
 def solve_linearized(ker: Kernel) -> Outcome:
@@ -287,18 +307,10 @@ def _try_sm_plus(rd: RdInstance, can: CanonicalRd, elim: md.MinorElimination,
             return _finish(rd, can, minors, transcript, tag)
         transcript.append(f"{tag}: {len(elim.free_cols)} free minors")
         return None
-    rows, ker = plus, None
+    kernels = carried_kernels(plus, config.b_max)
     for b in range(1, config.b_max + 1):
-        if b == 2:
-            # a row basis spans the same polynomials in rank(M_1) rows
-            rows = md.from_rows(plus, first, ker.echelon.rref[:ker.echelon.rank])
         try:
-            if b == 1:
-                first = md.macaulay(rows, 1)
-                ker = linearize(first)
-            else:
-                # held by linearize alone, which frees it before reducing
-                ker = linearize(md.macaulay(rows, b), ker)
+            ker = next(kernels)
         except md.MonomialBudgetError as exc:
             transcript.append(f"r'={can.r} b={b}: {exc}")
             return None
@@ -350,18 +362,18 @@ def verify_rd(rd: RdInstance, e: np.ndarray, bound: int, transcript: List[str],
 def solve_minrank_linearized(inst: MinRankInstance) -> Outcome:
     """Solve a small MinRank instance by linearizing the bilinear modeling.
 
-    Multiplier degrees above 1 would interact with the field equations for
-    tiny q, so desk-scale use sticks to b = 1; x is read at the kernel's
-    minors and returned after verifying the rank condition.  With no
-    matrices to combine (K = 0) the answer is the empty x if M_0 itself has
-    rank at most r, else Inconsistent.  At r = n there is no
-    Support-Minors equation and every x is an answer, so the zero x is
-    returned after the same check.
+    Only the b = 1 kernel of :func:`carried_kernels` is read: run to b = 4,
+    (5,4,5,6,2) seeds 0-2 took 2.7 s each and still ended Indeterminate(50),
+    and (2,5,6,7,2) seed 1 took 5.8 s.  x is read at the kernel's minors and
+    returned after verifying the rank condition.  With no matrices to
+    combine (K = 0) the answer is the empty x if M_0 itself has rank at most
+    r, else Inconsistent.  At r = n there is no Support-Minors equation and
+    every x is an answer, so the zero x is returned after the same check.
     """
     if inst.K == 0 or inst.r == inst.n:
         x = np.zeros(inst.K, dtype=np.int64)
         return x if verify_minrank(inst, x) is not None else Inconsistent()
-    minors = solve_linearized(linearize(md.macaulay(md.sm_for_minrank(inst), 1)))
+    minors = solve_linearized(next(carried_kernels(md.sm_for_minrank(inst), 1)))
     if not isinstance(minors, np.ndarray):
         return minors
     x = x_from_minors(inst.field, inst.mats, minors, inst.r)
@@ -425,7 +437,7 @@ def sm_plus_kernel_dim(rd: RdInstance) -> Optional[int]:
     if len(elim.free_cols) <= 1:
         return None
     sm, part = md.build_sm_fqm(can)
-    return linearize(md.macaulay(md.reduce_sm_plus(sm, part, elim), 1)).basis.shape[0]
+    return next(carried_kernels(md.reduce_sm_plus(sm, part, elim), 1)).basis.shape[0]
 
 
 @functools.lru_cache(maxsize=4096)

@@ -255,6 +255,16 @@ def test_minors_match_determinants():
         assert minors[i] == ml.determinant(F8, mat[:, list(t)])
 
 
+def test_subset_table_is_cached_read_only():
+    cols, drop = ml.subset_table(7, 3)
+    again = ml.subset_table(7, 3)
+    assert again[0] is cols and again[1] is drop
+    for arr in (cols, drop):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0
+
+
 def test_subset_table_faces():
     for n in range(1, 8):
         for s in range(1, n + 1):

@@ -252,15 +252,16 @@ def test_from_rows_reads_back_the_system():
         assert ml.echelonize(can.field, np.concatenate([mac.arr, again.arr])).rank == res.rank
 
 
-def test_macaulay_row_counts_and_budget():
+def test_macaulay_row_counts_and_budget(monkeypatch):
     _, can, _, mmq, sm, part = systems(P842, 1)
     q2 = md.subsystem(sm, part.two_plus)
     mac2 = md.macaulay(q2, 2)
     assert mac2.arr.shape[0] == comb(4 + 2 - 2, 1) * 40
     mac3 = md.macaulay(q2, 3)
     assert mac3.arr.shape[0] == comb(4 + 3 - 2, 2) * 40
+    monkeypatch.setattr(md, "MAX_CELLS", 10)
     with pytest.raises(md.MonomialBudgetError):
-        md.macaulay(q2, 3, max_cells=10)
+        md.macaulay(q2, 3)
 
 
 def test_macaulay_column_order_is_descending():
@@ -312,14 +313,15 @@ def test_macaulay_rows_are_multiplied_polynomials():
                 assert acc == fld.mul(monomial(alpha), int(values[poly_of[label]]))
 
 
-def test_macaulay_budget_checked_before_allocation():
+def test_macaulay_budget_checked_before_allocation(monkeypatch):
     _, can, _, mmq, sm, part = systems(P842, 1)
     q2 = md.subsystem(sm, part.two_plus)
     full = md.macaulay(q2, 3)
+    monkeypatch.setattr(md, "MAX_CELLS", full.arr.size - 1)
     tracemalloc.start()
     try:
         with pytest.raises(md.MonomialBudgetError):
-            md.macaulay(q2, 3, max_cells=full.arr.size - 1)
+            md.macaulay(q2, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

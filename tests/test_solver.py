@@ -107,19 +107,6 @@ def test_solve_linearized_row_permutation_invariant():
     assert (out1 == out2).all()
 
 
-def carried_kernels(sys, b_max):
-    """The kernels the SM+ loop carries from b = 1 to b_max: M_1 on its own,
-    then the exact-degree rows of a row basis against the kernel before."""
-    rows, ker, out = sys, None, []
-    for b in range(1, b_max + 1):
-        if b == 2:
-            rows = md.from_rows(sys, mac, ker.echelon.rref[:ker.echelon.rank])
-        mac = md.macaulay(rows, b)
-        ker = sv.linearize(mac, ker)
-        out.append(ker)
-    return out
-
-
 def stacked_reference(sys, b):
     """The exact-degree matrices of sys for multiplier degrees 0..b-1,
     stacked on the union of their column labels, and those labels."""
@@ -141,7 +128,7 @@ def check_carried_kernels(sys, b_max):
     that kernel and are independent, and its dimension is ncols - rank.  A
     line gives the reference kernel's normalized minors."""
     fld = sys.field
-    for b, ker in enumerate(carried_kernels(sys, b_max), start=1):
+    for b, ker in enumerate(sv.carried_kernels(sys, b_max), start=1):
         arr, cols = stacked_reference(sys, b)
         assert sorted(ker.cols) == sorted(cols)
         where = {lab: i for i, lab in enumerate(cols)}
@@ -234,6 +221,19 @@ def test_seed_7_runaway_ends_with_kernel_dimension_2():
         for retry in range(3) for b in (1, 2, 3, 4))
 
 
+def test_decode_reports_b2_matrix_over_budget(monkeypatch):
+    # this instance's b = 1 matrix has 155 x 150 cells and its b = 2 matrix
+    # 460 x 420, so a budget between them stops every retry at b = 2
+    monkeypatch.setattr(md, "MAX_CELLS", 100_000)
+    with pytest.raises(sv.Unsolved) as exc:
+        sv.decode_rd(inst.gen_rd(2, 9, 10, 4, 3, 1))
+    assert exc.value.transcript == ("r'=1: linear minor system inconsistent",
+                                    "r'=2: linear minor system inconsistent") + tuple(
+        line for retry in range(sv.RETRIES)
+        for line in (f"r'=3 smplus b=1 retry={retry}: kernel dimension 35",
+                     "r'=3 b=2: 460 x 420 exceeds the cell budget"))
+
+
 def test_one_canonical_form_per_retry(monkeypatch):
     # the form depends on G, y and the permutation only, so r' = 1, 2 and 3
     # share each retry's form: a decode-b2 decode makes one, and an
@@ -270,7 +270,7 @@ def test_extract_solution_matches_planted():
     elim = md.eliminate_minors(md.build_mm_fq(md.build_mm_fqm(can)))
     sm, part = md.build_sm_fqm(can)
     plus = md.reduce_sm_plus(sm, part, elim)
-    c_free = sv.solve_linearized(sv.linearize(md.macaulay(plus, 1)))
+    c_free = sv.solve_linearized(next(sv.carried_kernels(plus, 1)))
     assert isinstance(c_free, np.ndarray)
     c_full = elim.expand(c_free)
     assert (c_full == planted_minors(can)).all()
