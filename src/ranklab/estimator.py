@@ -371,9 +371,7 @@ def best_attack(preset: Dict, conv: CostConventions = DEFAULT,
         if "kernel" in wanted:
             out.append(kernel_cost(prm, conv=conv))
         if "sm" in wanted:
-            out.append(hybrid_minimize(
-                lambda p, a=0, conv=conv: sm_generic_cost(p, a=a, conv=conv),
-                prm, conv=conv))
+            out.append(hybrid_minimize(sm_generic_cost, prm, conv=conv))
     return sorted(out, key=lambda e: e.bits)
 
 

@@ -78,7 +78,7 @@ def p_matrix(fld: FiniteField, guess: np.ndarray, n: int) -> np.ndarray:
     """Unit upper-triangular transform fixing all but the last ``a`` columns."""
     r, a = guess.shape
     if r + a > n:
-        raise ValueError("guess wider than the instance")
+        raise InstanceError("guess wider than the instance")
     p = ml.identity(n)
     if a:
         p[:r, n - a:] = fld.neg_arr(guess)

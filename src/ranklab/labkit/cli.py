@@ -97,6 +97,8 @@ def _cmd_gen(args) -> int:
         check_params(args.kind, args.q, args.m, args.n, size, args.r)
     except ValueError as exc:
         raise SystemExit(f"ranklab gen: {exc}")
+    if args.seed < 0:
+        raise SystemExit(f"ranklab gen: need --seed >= 0, got {args.seed}")
     if args.kind == "minrank":
         inst = gen_minrank(args.q, args.m, args.n, size, args.r, args.seed)
     elif args.unique_envelope:
@@ -135,6 +137,8 @@ def _attack_option_problem(args, is_rd: bool) -> Optional[str]:
         return f"need --a >= 0, got {args.a}"
     if args.b_max is not None and args.b_max < 1:
         return f"need --b-max >= 1, got {args.b_max}"
+    if args.seed is not None and args.seed < 0:
+        return f"need --seed >= 0, got {args.seed}"
     decode_opt = ("--modeling" if args.modeling is not None
                   else "--b-max" if args.b_max is not None else None)
     if decode_opt and args.a > 0:
@@ -190,6 +194,8 @@ def _run_attack(args, inst, t0) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if not 2 <= args.omega <= 3:        # refuses nan too
+        raise SystemExit(f"ranklab estimate: need 2 <= --omega <= 3, got {args.omega}")
     conv = es.CostConventions(omega=args.omega)
     attacks = args.attacks.split(",") if args.attacks else None
     if args.preset:
@@ -251,7 +257,7 @@ def _cmd_verify(args) -> int:
         raise SystemExit(f"ranklab verify: --params must be comma-separated integers, "
                          f"got {args.params!r}")
     try:
-        experiments.check_arguments(args.property, params, args.trials)
+        experiments.check_arguments(args.property, params, args.trials, args.seed)
     except ValueError as exc:
         raise SystemExit(f"ranklab verify: {exc}")
     rep = experiments.verify(args.property, params, trials=args.trials,

@@ -247,14 +247,17 @@ PROPERTIES: Dict[str, Tuple[Callable, float]] = {
 }
 
 
-def check_arguments(property_name: str, params: Sequence[int], trials: int) -> None:
+def check_arguments(property_name: str, params: Sequence[int], trials: int,
+                    seed: int = 1) -> None:
     """Raise ValueError, with a one-line reason, unless the named property
-    can run ``trials`` trials at ``params``."""
+    can run ``trials`` trials at ``params`` from ``seed``."""
     if property_name not in PROPERTIES:
         raise ValueError(f"unknown property {property_name!r}; "
                          f"known: {sorted(PROPERTIES)}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"need seed >= 0, got {seed}")
     kind = "minrank" if property_name == "hybrid-correct-minrank" else "rd"
     if len(params) != 5:
         raise ValueError(f"{property_name} takes five parameters q,m,n,"
@@ -268,7 +271,7 @@ def check_arguments(property_name: str, params: Sequence[int], trials: int) -> N
 def verify(property_name: str, params: Sequence[int], trials: int = 10,
            seed: int = 1) -> ExperimentReport:
     """Run the named check on fresh seeded instances and report verdicts."""
-    check_arguments(property_name, params, trials)
+    check_arguments(property_name, params, trials, seed)
     check, threshold = PROPERTIES[property_name]
     t0 = time.perf_counter()
     passes = 0

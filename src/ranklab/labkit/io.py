@@ -45,27 +45,18 @@ _MR_KEYS = {"kind", "q_char", "q_deg", "q_modulus", "m", "ext_modulus", "n",
             "k_or_K", "r", "matrices", "witness"}
 
 
+def _base_header(base) -> Dict:
+    """q_char, q_deg and q_modulus of the base field F_q."""
+    prime = base.base is None
+    return {"q_char": base.char, "q_deg": 1 if prime else base.degree,
+            "q_modulus": [0, 1] if prime else list(base.modulus)}
+
+
 def _field_header(inst: Union[RdInstance, MinRankInstance]) -> Dict:
     if isinstance(inst, RdInstance):
         ext = inst.field
-        base = ext.base
-        prime = base.base
-        return {
-            "q_char": base.char,
-            "q_deg": 1 if prime is None else base.degree,
-            "q_modulus": [0, 1] if prime is None else list(base.modulus),
-            "m": ext.degree,
-            "ext_modulus": list(ext.modulus),
-        }
-    base = inst.field
-    prime = base.base
-    return {
-        "q_char": base.char,
-        "q_deg": 1 if prime is None else base.degree,
-        "q_modulus": [0, 1] if prime is None else list(base.modulus),
-        "m": inst.m,
-        "ext_modulus": [],
-    }
+        return {**_base_header(ext.base), "m": ext.degree, "ext_modulus": list(ext.modulus)}
+    return {**_base_header(inst.field), "m": inst.m, "ext_modulus": []}
 
 
 def write_instance(path: str, inst: Union[RdInstance, MinRankInstance]) -> None:
@@ -122,8 +113,7 @@ def read_instance(path: str) -> Union[RdInstance, MinRankInstance]:
     if base.char != doc["q_char"]:
         raise ValueError(f"q_char {doc['q_char']} is not a prime")
     q = base.order
-    base_mod = [0, 1] if base.base is None else list(base.modulus)
-    if doc["q_modulus"] != base_mod:
+    if doc["q_modulus"] != _base_header(base)["q_modulus"]:
         raise ValueError("base-field modulus does not match the deterministic choice")
     fld = check_params(kind, q, m, n, k, r)
     if kind == "rd":

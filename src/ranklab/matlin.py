@@ -12,11 +12,8 @@ and the coordinate matrix of an extension-field vector over the base field.
 Row reduction has two backends, cross-checked in the test suite, and
 ``echelonize`` picks one from the field:
 
-* GF(2): one eliminator over stacks of matrices whose rows are packed into
-  uint64 words.  Its batched entry point :func:`rref_gf2_batch` reduces a
-  (B, rows, words) stack in step; ``echelonize`` uses it on a stack of one,
-  and the q = 2 exhaustive oracle on the stacked systems of the supports
-  its bit-sliced consistency sweep kept.
+* GF(2): a Gauss-Jordan on one matrix whose rows are packed into uint64
+  words, XORing a pivot row into the other rows with the pivot bit.
 * Every other field, and ``force_generic=True``: a generic table-driven
   Gauss-Jordan, exact in every characteristic.  It updates only the rows
   that hold the pivot column, which suits the sparse Macaulay matrices.
@@ -41,7 +38,6 @@ __all__ = [
     "kernel_from_rref",
     "pack_gf2",
     "unpack_gf2",
-    "rref_gf2_batch",
     "solve_right",
     "matmul",
     "determinant",
@@ -173,54 +169,37 @@ def unpack_gf2(packed: np.ndarray, ncols: int) -> np.ndarray:
 _BITS = [np.uint64(1 << b) for b in range(64)]     # the bit of each column in its word
 
 
-def rref_gf2_batch(packed: np.ndarray, ncols: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduce each matrix of a (B, rows, words) stack of packed GF(2) rows.
+def _rref_gf2(mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
+    """Gauss-Jordan over GF(2) on rows packed into uint64 words.
 
-    The C-contiguous stack is brought to reduced row-echelon form in place,
-    all B matrices in step, one column at a time.  A pivot row stays where
-    it is while the columns are swept; the rows are put in echelon order
-    once at the end.  Returns the ranks (B,) and a (B, ncols) boolean mask
-    of the pivot columns.
+    The pivot row of a column is the first free row (one holding no pivot
+    yet) with its bit; it is XORed into every other row with the bit and
+    stays where it is.  Left of the column the pivot row is zero, so the
+    XOR starts at the column's word.  The rows are put in echelon order
+    once at the end: pivot rows by pivot column, then the free rows, which
+    are zero.
     """
-    if not packed.flags.c_contiguous:
-        raise ValueError("the packed stack must be C-contiguous")
-    nb, nrows, nwords = packed.shape
-    rows = packed.reshape(nb * nrows, nwords)
-    first = np.arange(nb) * nrows                   # flat index of each row 0
-    free = np.ones((nb, nrows), dtype=bool)         # rows holding no pivot yet
-    pivot_src = np.zeros((ncols, nb), dtype=np.intp)
-    is_pivot = np.zeros((ncols, nb), dtype=bool)
-    for c in range(ncols if nrows else 0):
-        hit = (packed[..., c // 64] & _BITS[c % 64]) != 0
-        cand = hit & free
-        src = first + cand.argmax(axis=1)
-        has = cand.reshape(-1)[src]
-        found = np.count_nonzero(has)
-        if found == 0:
-            continue
-        if found < nb:
-            hit &= has[:, None]                     # matrices without a pivot stay as they are
-        hit.reshape(-1)[src] = False
-        packed ^= rows[src][:, None, :] * hit[:, :, None]
-        free.reshape(-1)[src[has]] = False
-        pivot_src[c] = src - first
-        is_pivot[c] = has
-        if c + 1 >= nrows and not free.any():
+    nrows, ncols = mat.shape
+    rows = pack_gf2(mat)
+    free = np.ones(nrows, dtype=bool)
+    pivots: List[int] = []
+    order: List[int] = []
+    for c in range(ncols):
+        if len(pivots) == nrows:
             break
-    # pivot rows by pivot column, then the rows left free, which are zero
-    key = np.tile(np.arange(ncols, ncols + nrows), (nb, 1))
-    cols, mats = np.nonzero(is_pivot)
-    key[mats, pivot_src[cols, mats]] = cols
-    packed[:] = packed[np.arange(nb)[:, None], np.argsort(key, axis=1)]
-    return is_pivot.sum(axis=0), is_pivot.T
-
-
-def _rref_gf2_packed(mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Single-matrix entry point of :func:`rref_gf2_batch`."""
-    ncols = mat.shape[1]
-    packed = pack_gf2(mat)[None]
-    _, pivots = rref_gf2_batch(packed, ncols)
-    return unpack_gf2(packed[0], ncols), np.flatnonzero(pivots[0]).tolist()
+        w = c // 64
+        hit = (rows[:, w] & _BITS[c % 64]) != 0
+        cand = np.flatnonzero(hit & free)
+        if cand.size == 0:
+            continue
+        p = int(cand[0])
+        hit[p] = False
+        rows[hit, w:] ^= rows[p, w:]
+        free[p] = False
+        pivots.append(c)
+        order.append(p)
+    order += np.flatnonzero(free).tolist()
+    return unpack_gf2(rows[order], ncols), pivots
 
 
 def echelonize(fld: FiniteField, mat: np.ndarray, force_generic: bool = False) -> EchelonResult:
@@ -229,7 +208,7 @@ def echelonize(fld: FiniteField, mat: np.ndarray, force_generic: bool = False) -
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix")
     if fld.order == 2 and not force_generic:
-        rref, pivots = _rref_gf2_packed(mat)
+        rref, pivots = _rref_gf2(mat)
     else:
         rref, pivots = _rref_generic(fld, mat)
     kernel = kernel_from_rref(fld, rref, pivots)

@@ -506,11 +506,11 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
     """All errors e with rank weight <= r and y - e in the code.
 
     Enumerates candidate supports as subspaces of F_{q^m}; per support the
-    syndrome condition is a small base-field linear system.  At q = 2 one
-    bit-sliced sweep decides every system's consistency and only the
-    consistent ones are reduced (:func:`_consistent_systems_gf2`); at
-    q > 2 each system is reduced on its own.  Independent of the algebraic
-    attack path; intended for desk-scale oracles only.
+    syndrome condition is a small base-field linear system, reduced on its
+    own (:func:`_consistent_systems`).  At q = 2 a bit-sliced sweep first
+    drops the supports whose system has no solution (:func:`_swept_bases`),
+    and only the rest are reduced.  Independent of the algebraic attack
+    path; intended for desk-scale oracles only.
     ``stop_after`` returns early once more than that many distinct errors
     are known (uniqueness screening).  A consistent support whose solution
     family has more than ``cap`` members raises ValueError.
@@ -523,8 +523,9 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
     found: Dict[Tuple[int, ...], np.ndarray] = {}
     if not synd.any():
         found[tuple([0] * n)] = np.zeros(n, dtype=np.int64)
-    systems = _consistent_systems_gf2 if base.order == 2 else _consistent_systems
-    for basis, rref, pivots in systems(fld, parity, synd, r):
+    bases = (_swept_bases(fld, parity, synd, r) if base.order == 2
+             else _subspace_bases(base.order, fld.degree, r))
+    for basis, rref, pivots in _consistent_systems(fld, parity, synd, bases):
         s = np.array([fld.from_coeffs(row) for row in basis.tolist()], dtype=np.int64)
         for vec in _solution_family(base, rref, pivots, cap):
             e = ml.matmul(fld, s[None, :], vec.reshape(r, n))[0]
@@ -545,41 +546,20 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
 _LANE_CHUNK = 64 * 64   # supports swept together; a multiple of 64, bounds the temporaries
 
 
-def _consistent_systems_gf2(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, r: int):
-    """(basis, RREF of [A | b], pivots) for each support with a solution, q = 2.
-
-    The supports are swept ``_LANE_CHUNK`` at a time, one per bit lane
-    (:func:`_consistent_lanes`), which decides every system's consistency
-    without storing any of them as rows.  Only the consistent supports get
-    their systems built as packed rows, each an XOR of the packed rows of
-    z^t H placed at block u, and those are reduced as one stack.
-    """
+def _swept_bases(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, r: int):
+    """At q = 2, the supports whose syndrome system the lane sweep
+    (:func:`_consistent_lanes`) finds consistent, ``_LANE_CHUNK`` at a time.
+    A chunk is swept only after the caller has taken every support kept
+    from the one before, so a caller that stops early skips the rest."""
     m = fld.degree
     nk, n = parity.shape
-    nrows, ncols = m * nk, r * n + 1
     zh = fld.coeffs_arr(fld.mul_arr(np.array(fld.basis)[:, None, None], parity))
-    zh = zh.swapaxes(-1, -2).reshape(m, nrows, n)        # coordinate l of z^t H at row i m + l
-    placed = np.zeros((m, r, nrows, ncols), dtype=np.int64)
-    for u in range(r):
-        placed[:, u, :, u * n:(u + 1) * n] = zh
-    words = ml.pack_gf2(placed)                      # (m, r, rows, words)
+    zh = zh.swapaxes(-1, -2).reshape(m, m * nk, n)       # coordinate l of z^t H at row i m + l
     rhs_bits = fld.coeffs_arr(synd).reshape(-1)
-    rhs = np.zeros((nrows, ncols), dtype=np.int64)
-    rhs[:, -1] = rhs_bits
-    rhs_words = ml.pack_gf2(rhs)
     bases = _subspace_bases(2, m, r)
     for start in range(0, len(bases), _LANE_CHUNK):
         chunk = bases[start:start + _LANE_CHUNK]
-        good = chunk[_consistent_lanes(zh, rhs_bits, chunk)]
-        stack = np.repeat(rhs_words[None], len(good), axis=0)
-        for t in range(m):
-            for u in range(r):
-                stack ^= words[t, u] * (good[:, u, t] != 0)[:, None, None]
-        _, pivots = ml.rref_gf2_batch(stack, ncols)
-        if pivots[:, -1].any():
-            raise RuntimeError("the lane sweep kept a support whose system is inconsistent")
-        for b in range(len(good)):
-            yield good[b], ml.unpack_gf2(stack[b], ncols), np.flatnonzero(pivots[b]).tolist()
+        yield from chunk[_consistent_lanes(zh, rhs_bits, chunk)]
 
 
 def _consistent_lanes(zh: np.ndarray, rhs_bits: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -615,17 +595,18 @@ def _consistent_lanes(zh: np.ndarray, rhs_bits: np.ndarray, bases: np.ndarray) -
     return np.flatnonzero(ml.unpack_gf2(~bad, len(bases)))
 
 
-def _consistent_systems(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, r: int):
-    """As :func:`_consistent_systems_gf2`, one support at a time, any q."""
-    base = fld.base
+def _consistent_systems(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, bases):
+    """(basis, RREF of [A | b], pivots) for each support in ``bases`` whose
+    syndrome system has a solution; each system is built and reduced on
+    its own, at every q."""
     m = fld.degree
     nk, n = parity.shape
     rhs = fld.coeffs_arr(synd).reshape(-1, 1)
-    for basis in _subspace_bases(base.order, m, r):
+    for basis in bases:
         blocks = [fld.coeffs_arr(fld.mul_arr(fld.from_coeffs(row), parity)).swapaxes(-1, -2)
                   .reshape(m * nk, n) for row in basis.tolist()]
-        res = ml.echelonize(base, np.concatenate(blocks + [rhs], axis=1))
-        if r * n not in res.pivots:
+        res = ml.echelonize(fld.base, np.concatenate(blocks + [rhs], axis=1))
+        if len(basis) * n not in res.pivots:
             yield basis, res.rref, list(res.pivots)
 
 

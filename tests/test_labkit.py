@@ -375,8 +375,13 @@ def test_cli_verify(capsys):
      "6 is not a prime power"),
     (["gen", "minrank", "--q", "2", "--m", "6", "--n", "8", "--K", "14", "--r", "9"],
      "need 0 < r <= min(m, n), got r = 9"),
+    (["verify", "--property", "mm-rank", "--params", "2,3,5,2,1", "--seed", "-3"],
+     "need seed >= 0, got -3"),
+    (["gen", "rd", "--q", "2", "--m", "7", "--n", "8", "--k", "4", "--r", "2", "--seed", "-1"],
+     "need --seed >= 0, got -1"),
 ], ids=["short-params", "non-integer", "no-trials", "syzygy-overdetermined",
-        "minrank-K", "gen-k-above-n", "gen-q6", "gen-minrank-r"])
+        "minrank-K", "gen-k-above-n", "gen-q6", "gen-minrank-r", "negative-seed",
+        "gen-negative-seed"])
 def test_cli_rejects_bad_arguments(tmp_path, argv, reason):
     # rejected in one line before any work, like an attack on a malformed file
     if argv[0] == "gen":
@@ -399,8 +404,10 @@ def test_cli_rejects_bad_arguments(tmp_path, argv, reason):
     ("minrank", ["--b-max", "2"], "--b-max applies to rd decoding, not to a minrank"),
     ("rd", ["--probabilistic"], "--probabilistic applies to guessing runs, which need --a >= 1"),
     ("minrank", ["--seed", "3"], "--seed applies to guessing runs, which need --a >= 1"),
+    ("minrank", ["--a", "1", "--probabilistic", "--seed", "-2"], "need --seed >= 0, got -2"),
 ], ids=["b-max-0", "b-max-negative", "a-negative", "modeling-with-a", "b-max-with-a",
-        "modeling-minrank", "b-max-minrank", "probabilistic-without-a", "seed-without-a"])
+        "modeling-minrank", "b-max-minrank", "probabilistic-without-a", "seed-without-a",
+        "seed-negative"])
 def test_cli_attack_rejects_options_the_run_would_ignore(tmp_path, capsys, kind, extra, reason):
     # each is refused in one line before any work, not run with the option dropped
     path = str(tmp_path / "i.inst")
@@ -432,14 +439,31 @@ def test_cli_attack_rejects_options_the_run_would_ignore(tmp_path, capsys, kind,
      "--r must be >= 1, got 0"),
     (["--kind", "rd", "--q", "2", "--m", "20", "--n", "20", "--k", "10", "--r", "0"],
      "--r must be >= 1, got 0"),
+    (["--preset", "new2rollo-i-128", "--omega", "nan"], "need 2 <= --omega <= 3, got nan"),
+    (["--preset", "new2rollo-i-128", "--omega", "3.5"], "need 2 <= --omega <= 3, got 3.5"),
 ], ids=["unknown", "kernel-on-rd", "mm-on-minrank", "k-above-n", "minrank-r", "q6",
-        "rd-d0", "rd-r0", "rd-r0-default-d"])
+        "rd-d0", "rd-r0", "rd-r0-default-d", "omega-nan", "omega-above-3"])
 def test_cli_estimate_rejects_bad_arguments(capsys, argv, reason):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", *argv])
     message = str(exc.value.code)
     assert message.startswith("ranklab estimate: ") and reason in message
     assert "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("kind, params, a", [
+    ("minrank", (2, 2, 3, 8, 2), 2),
+    ("rd", (2, 3, 5, 4, 3), 3),
+], ids=["minrank", "rd"])
+def test_cli_attack_refuses_guess_wider_than_instance(tmp_path, capsys, kind, params, a):
+    # r + a > n: no guess matrix fits, so the driver cannot run
+    path = str(tmp_path / "i.inst")
+    gen = inst.gen_rd if kind == "rd" else inst.gen_minrank
+    io.write_instance(path, gen(*params, seed=1))
+    with pytest.raises(SystemExit) as exc:
+        main(["attack", path, "--a", str(a)])
+    assert str(exc.value.code) == f"ranklab attack: {path}: guess wider than the instance"
     assert capsys.readouterr().out == ""
 
 
