@@ -6,7 +6,8 @@ object, so grid searches are reproducible.
 
 Cost conventions (see :class:`CostConventions`):
 
-* ``omega`` defaults to 2, the value used for the published tables.
+* ``omega`` defaults to 2, the value used for the published tables, and
+  must lie in [2, 3].
 * The linear-algebra paths (minor-system solving, kernel guessing, the
   generic bilinear MinRank model) carry a row-reduction constant of 7 and
   count 23 binary operations per multiplication when q = 16.
@@ -32,7 +33,6 @@ __all__ = [
     "CostConventions",
     "CostEstimate",
     "nb_fqm",
-    "mb_fqm",
     "mb_fq",
     "nsyz",
     "smplus_cost",
@@ -85,6 +85,10 @@ class CostConventions:
     smplus_ops: float = 16.0
     mul_bits_by_q: Tuple[Tuple[int, float], ...] = ((16, 23.0),)
 
+    def __post_init__(self):
+        if not 2 <= self.omega <= 3:        # refuses nan too
+            raise ValueError(f"need 2 <= omega <= 3, got {self.omega}")
+
     def mul_bits(self, q: int) -> float:
         return dict(self.mul_bits_by_q).get(q, 1.0)
 
@@ -118,11 +122,6 @@ def nb_fqm(n: int, k: int, r: int, b: int) -> int:
         raise ValueError("need b >= 1")
     return (sum(comb(n - i, r) * comb(k + b - 1 - i, b - 1) for i in range(1, k + 1))
             - comb(n - k - 1, r) * comb(k + b - 1, b))
-
-
-def mb_fqm(n: int, k: int, r: int, b: int) -> int:
-    """Top bi-degree monomial count before unfolding the minor eliminations."""
-    return comb(k + b - 1, b) * (comb(n, r) - comb(n - k - 1, r))
 
 
 def mb_fq(m: int, n: int, k: int, r: int, b: int) -> int:

@@ -5,8 +5,12 @@ instance into at most q^(a r) smaller instances, exactly one of which is
 solvable when the first r solution positions are independent (the standing
 independence assumption).  Each guess is a square transform P_A that adds
 F_q-combinations of the first r coordinates onto the last ``a``; a correct
-bet zeroes those coordinates, after which shortening drops them together
-with ``a`` code dimensions (RD) or ``a m`` linear variables (MinRank).
+bet zeroes those coordinates.  Both problems are an affine space
+row_0 + span(rows): y + <G> for RD, and the column-major flattenings of
+M_0 + <M_1..M_K> for MinRank.  One shortening step drops the zeroed
+coordinates from it, with ``a`` code dimensions (RD) or ``a m`` linear
+variables (MinRank).  A reduction records only what lifts a solution back;
+the reduced instance carries no witness.
 
 One driver loop serves RD and MinRank alike, in a deterministic flavour
 (enumerate all guesses, then rerandomize and retry if the independence
@@ -28,7 +32,7 @@ import numpy as np
 from .galois import FiniteField
 from . import matlin as ml
 from .instances import (InstanceError, MinRankInstance, RdInstance, RdWitness,
-                        flatten_matrix, shorten, unflatten_matrix)
+                        ShortenResult, flatten_matrix, shorten, unflatten_matrix)
 from . import solver as sv
 
 __all__ = [
@@ -104,6 +108,24 @@ class RdReduction:
         return ml.matmul(fld, padded[None, :], p_inv)[0]
 
 
+def _shorten_affine(fld: FiniteField, stack: np.ndarray, ntail: int
+                    ) -> Optional[Tuple[ShortenResult, np.ndarray]]:
+    """Shorten the affine space stack[0] + span(stack[1:]) at the last ``ntail``
+    coordinates.
+
+    Returns the shortening of the span with stack[0] moved onto the
+    complement (minus the combination of rows that clears its tail), or None
+    unless the span loses exactly ``ntail`` dimensions.
+    """
+    width = stack.shape[1] - ntail
+    tail = list(range(width, stack.shape[1]))
+    sh = shorten(fld, stack[1:], tail)
+    if sh.dim != stack.shape[0] - 1 - ntail or sh.b_block is None:
+        return None
+    row0 = stack[0]
+    return sh, fld.sub_arr(row0[:width], ml.matmul(fld, row0[None, width:], sh.b_block)[0])
+
+
 def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[RdReduction]:
     """Shorten at the last ``a`` positions after applying the guess transform.
 
@@ -115,39 +137,13 @@ def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[RdReductio
     fld = rd.field
     if a == 0:
         return RdReduction(rd, guess, rd)
-    p_a = p_matrix(fld, guess.a, rd.n)
-    gen_t = ml.matmul(fld, rd.gen, p_a)
-    y_t = ml.matmul(fld, rd.received[None, :], p_a)[0]
-    tail = list(range(rd.n - a, rd.n))
-    sh = shorten(fld, gen_t, tail)
-    if sh.dim != rd.k - a or sh.b_block is None:
+    stack = ml.matmul(fld, np.vstack([rd.received, rd.gen]), p_matrix(fld, guess.a, rd.n))
+    cut = _shorten_affine(fld, stack, a)
+    if cut is None:
         return None
-    comp = list(sh.complement)
-    y_red = fld.sub_arr(y_t[comp],
-                        ml.matmul(fld, y_t[tail][None, :], sh.b_block)[0])
-    witness = _transport_rd_witness(rd, fld, p_a, sh, y_red)
-    red = RdInstance(fld, rd.n - a, rd.k - a, rd.r, sh.gen_short, y_red, witness)
-    return RdReduction(red, guess, rd)
-
-
-def _transport_rd_witness(rd: RdInstance, fld: FiniteField, p_a: np.ndarray,
-                          sh, y_red: np.ndarray) -> Optional[RdWitness]:
-    if rd.witness is None:
-        return None
-    e_t = ml.matmul(fld, rd.witness.error[None, :], p_a)[0]
-    a = len(sh.positions)
-    if e_t[list(sh.positions)].any():
-        return None                      # the bet is wrong for this guess
-    e_red = e_t[list(sh.complement)]
-    if ml.rank_weight(fld, e_red) != rd.r:
-        return None
-    c_red = fld.sub_arr(y_red, e_red)
-    msg = ml.solve_right(fld, sh.gen_short.T, c_red)
-    if msg is None:
-        return None
-    coeffs_t = ml.matmul(fld, rd.witness.coeffs, p_a)[:, list(sh.complement)] \
-        if rd.r else rd.witness.coeffs
-    return RdWitness(fld.neg_arr(msg), rd.witness.support, coeffs_t, e_red)
+    sh, y_red = cut
+    return RdReduction(RdInstance(fld, rd.n - a, rd.k - a, rd.r, sh.gen_short, y_red),
+                       guess, rd)
 
 
 @dataclass(frozen=True)
@@ -176,29 +172,16 @@ def reduce_minrank(inst: MinRankInstance, guess: GuessMatrix, a: int
         return MinRankReduction(inst, guess, ml.identity(inst.K),
                                 np.zeros(0, dtype=np.int64), inst)
     p_a = p_matrix(fld, guess.a, inst.n)
-    mats_t = ml.matmul(fld, inst.mats.reshape(-1, inst.n), p_a).reshape(inst.mats.shape)
-    rows = mats_t[1:].swapaxes(1, 2).reshape(inst.K, -1)      # flatten_matrix of each
-    tail = list(range(inst.m * (inst.n - a), inst.m * inst.n))
-    sh = shorten(fld, rows, tail)
-    if sh.dim != inst.K - am or sh.b_block is None:
+    stack = flatten_matrix(ml.matmul(fld, inst.mats.reshape(-1, inst.n), p_a)
+                           .reshape(inst.mats.shape))
+    cut = _shorten_affine(fld, stack, am)
+    if cut is None:
         return None
-    m0f = flatten_matrix(mats_t[0])
-    comp = list(sh.complement)
-    m0_red = fld.sub_arr(m0f[comp],
-                         ml.matmul(fld, m0f[tail][None, :], sh.b_block)[0])
-    new_mats = [unflatten_matrix(m0_red, inst.m)] + \
-        [unflatten_matrix(sh.gen_short[i], inst.m) for i in range(inst.K - am)]
-    witness = None
-    if inst.witness is not None:
-        e_t = ml.matmul(fld, inst.low_rank_matrix(inst.witness), p_a)
-        if not e_t[:, inst.n - a:].any():
-            d_inv = _invert(fld, sh.transform)
-            witness = ml.matmul(fld, inst.witness[None, :], d_inv)[0][:inst.K - am]
-    red = MinRankInstance(fld, inst.m, inst.n - a, inst.K - am, inst.r,
-                          tuple(new_mats), witness)
-    if witness is not None and not red.verify_witness():
-        red = MinRankInstance(fld, red.m, red.n, red.K, red.r, red.mats, None)
-    return MinRankReduction(red, guess, sh.transform, m0f[tail], inst)
+    sh, m0_red = cut
+    mats = unflatten_matrix(np.vstack([m0_red, sh.gen_short]), inst.m)
+    red = MinRankInstance(fld, inst.m, inst.n - a, inst.K - am, inst.r, mats)
+    return MinRankReduction(red, guess, sh.transform,
+                            stack[0, inst.m * (inst.n - a):], inst)
 
 
 def _invert(fld: FiniteField, mat: np.ndarray) -> np.ndarray:
@@ -220,14 +203,13 @@ def rerandomize_rd(rd: RdInstance, seed: int) -> Tuple[RdInstance, np.ndarray]:
     base = fld.base
     rng = np.random.default_rng(seed)
     p = ml.random_invertible(base, rd.n, rng)
-    gen = ml.matmul(fld, rd.gen, p)
-    y = ml.matmul(fld, rd.received[None, :], p)[0]
+    moved = ml.matmul(fld, np.vstack([rd.received, rd.gen]), p)
     witness = None
     if rd.witness is not None:
         e = ml.matmul(fld, rd.witness.error[None, :], p)[0]
         coeffs = ml.matmul(base, rd.witness.coeffs, p) if rd.r else rd.witness.coeffs
         witness = RdWitness(rd.witness.x, rd.witness.support, coeffs, e)
-    return RdInstance(fld, rd.n, rd.k, rd.r, gen, y, witness), p
+    return RdInstance(fld, rd.n, rd.k, rd.r, moved[1:], moved[0], witness), p
 
 
 def rerandomize_minrank(inst: MinRankInstance, seed: int
@@ -305,6 +287,10 @@ def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
     solve's failure, or the verdict on its lift.
     """
     is_rd = isinstance(inst, RdInstance)
+    # looked up at call time, so a wrapper bound over the module's names sees
+    # every rerandomization and guess
+    rerandomize, reduce = ((rerandomize_rd, reduce_rd) if is_rd
+                           else (rerandomize_minrank, reduce_minrank))
     fld = inst.field
     if deterministic:
         seeds = [None] + [seed + 7 * i + 1 for i in range(limit)]
@@ -318,18 +304,13 @@ def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
         label = f"round {number}" if deterministic else f"trial {number + 1}"
         if pres_seed is None:
             current, p = inst, None
-        elif is_rd:
-            current, p = rerandomize_rd(inst, pres_seed)
         else:
-            current, p = rerandomize_minrank(inst, pres_seed)
+            current, p = rerandomize(inst, pres_seed)
         p_inv = None
         for guess in islice(enumerate_guesses(a, inst.r, q), guesses):
             tried += 1
             tag = f"{label} guess {guess.code}"
-            if is_rd:
-                red = reduce_rd(current, guess, a)
-            else:
-                red = reduce_minrank(current, guess, a)
+            red = reduce(current, guess, a)
             if red is None:
                 skipped += 1
                 transcript.append(f"{tag}: infeasible")

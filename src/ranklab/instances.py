@@ -8,10 +8,11 @@ Conventions used throughout the package:
   exactly r.  The codeword part is therefore c = -x G = y - e.
 * A MinRank instance is (M_0, ..., M_K) over F_q with a planted x such
   that M_0 + sum x_i M_i has rank exactly r.
-* Every transformation (canonical form, shortening, variable changes)
-  records enough data to transport witnesses in both directions;
-  the proofs these forms come from perform the bookkeeping silently, but
-  end-to-end tests need to map solutions back to the original instance.
+* Every transformation records enough data to map a solution of the new
+  instance back to the original one.  The canonical form and the MinRank
+  view of an RD instance also transport a planted witness forward; a guess
+  reduction (``hybrid``) records only what lifts a solution back, and the
+  reduced instance carries no witness.
 """
 
 from __future__ import annotations
@@ -327,13 +328,16 @@ class MinRankInstance:
 
 
 def flatten_matrix(mat: np.ndarray) -> np.ndarray:
-    """Column-major flattening: column j occupies slots jm..jm+m-1."""
-    return np.asarray(mat, dtype=np.int64).T.reshape(-1)
+    """Column-major flattening of the last two axes: column j occupies slots
+    jm..jm+m-1, so a stack (..., m, n) becomes (..., m n)."""
+    mat = np.asarray(mat, dtype=np.int64)
+    return mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (-1,))
 
 
 def unflatten_matrix(vec: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of flatten_matrix along the last axis: (..., m n) to (..., m, n)."""
     vec = np.asarray(vec, dtype=np.int64)
-    return vec.reshape(-1, m).T
+    return vec.reshape(vec.shape[:-1] + (-1, m)).swapaxes(-1, -2)
 
 
 def gen_minrank(q: int, m: int, n: int, K: int, r: int, seed: int) -> MinRankInstance:

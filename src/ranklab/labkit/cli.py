@@ -194,9 +194,10 @@ def _run_attack(args, inst, t0) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if not 2 <= args.omega <= 3:        # refuses nan too
-        raise SystemExit(f"ranklab estimate: need 2 <= --omega <= 3, got {args.omega}")
-    conv = es.CostConventions(omega=args.omega)
+    try:
+        conv = es.CostConventions(omega=args.omega)
+    except ValueError:
+        raise SystemExit(f"ranklab estimate: need 2 <= --omega <= 3, got {args.omega}") from None
     attacks = args.attacks.split(",") if args.attacks else None
     if args.preset:
         presets = {name: es.PRESETS[name] for name in args.preset}

@@ -138,3 +138,8 @@ def test_minrank_generator_roundtrip():
     rows = np.stack([inst.flatten_matrix(m) for m in mi.mats[1:]])
     for i in range(mi.K):
         assert (inst.unflatten_matrix(rows[i], mi.m) == mi.mats[i + 1]).all()
+    # a stack is flattened matrix by matrix over its last two axes
+    assert (inst.flatten_matrix(mi.mats[1:]) == rows).all()
+    nested = np.stack([mi.mats, mi.mats[::-1]])
+    assert inst.flatten_matrix(nested).shape == (2, mi.K + 1, mi.m * mi.n)
+    assert (inst.unflatten_matrix(inst.flatten_matrix(nested), mi.m) == nested).all()
