@@ -102,7 +102,12 @@ def _cmd_gen(args) -> int:
     if args.kind == "minrank":
         inst = gen_minrank(args.q, args.m, args.n, size, args.r, args.seed)
     elif args.unique_envelope:
-        inst = sv.gen_rd_generic(args.q, args.m, args.n, size, args.r, args.seed)
+        if args.r < 1:
+            raise SystemExit(f"ranklab gen: --unique-envelope needs --r >= 1, got {args.r}")
+        try:
+            inst = sv.gen_rd_generic(args.q, args.m, args.n, size, args.r, args.seed)
+        except RuntimeError as exc:
+            raise SystemExit(f"ranklab gen: {exc}") from None
     else:
         inst = gen_rd(args.q, args.m, args.n, size, args.r, args.seed)
     io.write_instance(args.output, inst)

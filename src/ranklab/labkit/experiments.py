@@ -5,7 +5,7 @@ exact algebraic identities must hold on every trial, statistical
 (genericity) claims pass at the documented 95% threshold with failures
 reported verbatim.  The exact linear dependencies between the MaxMinors
 and Support-Minors equations are each one product: a coefficient matrix
-times the polynomials as flat (bil | aff) rows.  Reports are reproducible
+times the polynomials as flat coefficient rows.  Reports are reproducible
 bit for bit from (property, params, seed).  Arguments outside a
 property's domain are rejected by :func:`check_arguments` first.
 """
@@ -63,15 +63,14 @@ def _canonical_systems(q, m, n, k, r, seed, envelope=False):
 
 
 def _flat(sys: md.BilinearSystem) -> np.ndarray:
-    """The system's polynomials as rows (bil | aff): coefficient block j < nx
-    belongs to x_j, block nx is the affine part; (#polys, (nx + 1) nt)."""
-    P, nx, nt = sys.bil.shape
-    return np.concatenate([sys.bil.reshape(P, nx * nt), sys.aff], axis=1)
+    """The system's polynomials as rows: coefficient block j < nx belongs
+    to x_j, block nx is the affine part; (#polys, (nx + 1) nt)."""
+    return sys.coef.reshape(sys.npolys, -1)
 
 
 def _multiples(lin: md.CtLinearSystem, nx: int) -> np.ndarray:
     """Linear row p times x_j at [p, j], j < nx, and row p itself at [p, nx],
-    as flat (bil | aff) rows; (#rows, nx + 1, (nx + 1) nt)."""
+    as flat coefficient rows; (#rows, nx + 1, (nx + 1) nt)."""
     nrows, nt = lin.coeffs.shape
     blocks = np.eye(nx + 1, dtype=np.int64)[None, :, :, None] * lin.coeffs[:, None, None, :]
     return blocks.reshape(nrows, nx + 1, (nx + 1) * nt)
@@ -118,7 +117,7 @@ def _check_lt_independence(params, seed):
     for p in part.two_plus:
         if md.leading_term(sm, p) != (cols[p, 0], drop[p, 0]):
             return False, ("lt-q",), (p,), "bilinear leading term off"
-        if sm.bil[p][:, tail].any() or sm.aff[p, tail].any():
+        if sm.coef[p][:, tail].any():
             return False, ("tail-var",), (p,), "tail minor appears"
     # stacked rank of linear rows, their variable multiples, and the rest
     mult = _multiples(mm, k)
@@ -167,7 +166,7 @@ def _check_unfold_sm(params, seed):
     _, can, _, _, sm, _ = _canonical_systems(*params, seed)
     unfolded = md.build_sm_fq(sm)
     direct = md.sm_fq_direct(can)
-    same = (unfolded.bil == direct.bil).all() and (unfolded.aff == direct.aff).all()
+    same = np.array_equal(unfolded.coef, direct.coef)
     return bool(same), (int(same),), (1,), ""
 
 
@@ -214,7 +213,10 @@ def _check_hybrid_correct(params, seed):
     while not hy.assumption_holds_rd(rd):
         rd, _ = hy.rerandomize_rd(rd, seed * 31 + attempt)
         attempt += 1
-    res = hy.hybrid_solve_rd(rd, a=1, seed=seed)
+    try:
+        res = hy.hybrid_solve_rd(rd, a=1, seed=seed)
+    except sv.Unsolved as exc:
+        return False, ("unsolved",), (q ** r,), exc.transcript[-1]
     ok = bool((res.solution.error == rd.witness.error).all()
               and res.guesses_tried <= q ** r and res.rounds == 0)
     return ok, (res.guesses_tried,), (q ** r,), ""
@@ -228,7 +230,10 @@ def _check_hybrid_minrank(params, seed):
     while not hy.assumption_holds_minrank(mri):
         mri, _ = hy.rerandomize_minrank(mri, seed * 37 + attempt)
         attempt += 1
-    res = hy.hybrid_solve_minrank(mri, a=1, seed=seed)
+    try:
+        res = hy.hybrid_solve_minrank(mri, a=1, seed=seed)
+    except sv.Unsolved as exc:
+        return False, ("unsolved",), (q ** r,), exc.transcript[-1]
     ok = (sv.verify_minrank(mri, res.solution) is not None
           and res.guesses_tried <= q ** r and res.rounds == 0)
     return bool(ok), (res.guesses_tried,), (q ** r,), ""
@@ -263,6 +268,8 @@ def check_arguments(property_name: str, params: Sequence[int], trials: int,
         raise ValueError(f"{property_name} takes five parameters q,m,n,"
                          f"{'K' if kind == 'minrank' else 'k'},r, got {len(params)}")
     check_params(kind, *params)
+    if kind == "rd" and property_name != "hybrid-correct" and params[4] < 1:
+        raise ValueError(f"{property_name} needs r >= 1, got r = {params[4]}")
     if property_name == "syzygy-count" and _mm_overdetermined(*params[1:]):
         raise ValueError(f"syzygy-count needs an underdetermined MaxMinors system, "
                          f"but m C(n-k-1, r) >= C(n, r) - 1 at {tuple(params)}")

@@ -10,9 +10,11 @@ indexed by r-subsets T of column positions):
 * ``build_mm_fq``: its unfolding into m times as many F_q equations.
 * ``build_sm_fqm``: affine bilinear equations over F_{q^m} in the k linear
   variables x and the c_T, from the maximal minors of (x G + y ; C).
+* ``sm_for_minrank``: the same construction over F_q for a MinRank
+  instance, one minor per row of M_0 + sum x_u M_u.
 * ``build_sm_fq``: the unfolded bilinear system over F_q in k m coordinate
-  variables (coincides with the direct minor construction on the expanded
-  MinRank instance; the equality is a test oracle).
+  variables (coincides with ``sm_for_minrank`` on the expanded MinRank
+  instance; the equality is a test oracle).
 * ``reduce_sm_plus``: the compact system obtained by eliminating c_T
   variables from the high-overlap bilinear equations using the linear ones.
 
@@ -22,9 +24,11 @@ Once the minors are known, ``sm_at_minors`` evaluates the Support-Minors
 equations at them, which leaves a linear system in x; every solver path
 reads its answer from that system.
 
-Every minor comes from :func:`ranklab.matlin.maximal_minors`, and every
-Support-Minors equation is the Laplace expansion of a minor along its first
-row, scattered through the faces of :func:`ranklab.matlin.subset_table`.
+Every minor comes from :func:`ranklab.matlin.maximal_minors`.  One function
+lays out the Support-Minors systems of RD and MinRank: every equation is the
+Laplace expansion of a minor along its affine first row, scattered through
+the faces of :func:`ranklab.matlin.subset_table` into one coefficient array
+whose affine part is the coefficient of an extra variable x_nx = 1.
 Unfolding reads an F_{q^m} system coordinate by coordinate: equation i of
 an unfolded block applies x -> trace(b*_i x), which is digit i of the code
 (:meth:`~ranklab.galois.FiniteField.coeffs_arr`).
@@ -96,10 +100,8 @@ class CtLinearSystem:
     """Rows of linear equations in the minor variables c_T."""
 
     field: FiniteField
-    n: int
-    r: int
     coeffs: np.ndarray           # (#rows, C(n, r))
-    row_labels: Tuple = ()
+    row_labels: Tuple
 
     @property
     def nrows(self) -> int:
@@ -108,34 +110,34 @@ class CtLinearSystem:
 
 @dataclass(frozen=True)
 class BilinearSystem:
-    """Affine bilinear polynomials sum_{j,T} B[p,j,T] x_j c_T + sum_T A[p,T] c_T.
+    """Affine bilinear polynomials sum_{j,T} coef[p,j,T] x_j c_T with x_nx = 1.
 
-    ``subsets`` lists the active c_T labels for the coefficient columns;
-    after elimination it shrinks to the free minors.
+    ``coef`` is (#polys, nx + 1, #subsets): the affine part of polynomial p
+    is ``coef[p, nx]``.  ``subsets`` lists the active c_T labels for the
+    coefficient columns; after elimination it shrinks to the free minors.
     """
 
     field: FiniteField
-    nx: int
-    n: int
-    r: int
     subsets: Tuple[Tuple[int, ...], ...]
-    bil: np.ndarray              # (#polys, nx, #subsets)
-    aff: np.ndarray              # (#polys, #subsets)
+    coef: np.ndarray             # (#polys, nx + 1, #subsets)
     labels: Tuple                 # per-poly label: subset I, or (I, i)
 
     @property
+    def nx(self) -> int:
+        return self.coef.shape[1] - 1
+
+    @property
     def npolys(self) -> int:
-        return self.bil.shape[0]
+        return self.coef.shape[0]
 
     def eval_at(self, x: Sequence[int], ct: Sequence[int]) -> np.ndarray:
-        """Evaluate every polynomial; x and ct are code vectors."""
+        """Evaluate every polynomial; x and ct are code vectors.  One product
+        of the flat coefficients with the values of every x_j c_T, x_nx = 1."""
         fld = self.field
-        P, nx, nt = self.bil.shape
-        ct = np.asarray(ct, dtype=np.int64).reshape(nt, 1)
-        x = np.asarray(x, dtype=np.int64).reshape(nx, 1)
-        # the coefficient of each x_j at ct, then the sum over j
-        at_ct = ml.matmul(fld, self.bil.reshape(P * nx, nt), ct).reshape(P, nx)
-        return fld.add_arr(ml.matmul(fld, at_ct, x), ml.matmul(fld, self.aff, ct))[:, 0]
+        P, nx1, nt = self.coef.shape
+        x1 = np.append(np.asarray(x, dtype=np.int64).reshape(nx1 - 1), 1)
+        terms = fld.mul_arr(x1[:, None], np.asarray(ct, dtype=np.int64).reshape(1, nt))
+        return ml.matmul(fld, self.coef.reshape(P, nx1 * nt), terms.reshape(nx1 * nt, 1))[:, 0]
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,7 @@ def build_mm_fqm(can: CanonicalRd) -> CtLinearSystem:
     n, k, r = can.n, can.k, can.r
     js = ml.all_subsets(n - k - 1, r)
     rows = ml.maximal_minors(fld, can.h_y[np.array(js, dtype=np.intp).reshape(len(js), r)], r)
-    return CtLinearSystem(fld, n, r, rows, tuple(js))
+    return CtLinearSystem(fld, rows, tuple(js))
 
 
 def build_mm_fq(mm: CtLinearSystem) -> CtLinearSystem:
@@ -206,30 +208,13 @@ def build_mm_fq(mm: CtLinearSystem) -> CtLinearSystem:
     m = fld.degree
     nt = mm.coeffs.shape[1]                 # also when no r-subset J exists
     out = fld.coeffs_arr(mm.coeffs).transpose(0, 2, 1).reshape(mm.nrows * m, nt)
-    labels = tuple((mm.row_labels[p] if mm.row_labels else p, i)
-                   for p in range(mm.nrows) for i in range(m))
-    return CtLinearSystem(fld.base, mm.n, mm.r, out, labels)
+    labels = tuple((lab, i) for lab in mm.row_labels for i in range(m))
+    return CtLinearSystem(fld.base, out, labels)
 
 
 # ---------------------------------------------------------------------------
 # Support-Minors systems
 # ---------------------------------------------------------------------------
-
-def _laplace_scatter(fld: FiniteField, vals: np.ndarray, drop: np.ndarray, nt: int) -> np.ndarray:
-    """Coefficients of c_T in the first-row Laplace expansion of each minor.
-
-    ``vals`` (P, ..., s) holds the first-row entry at each position of the
-    P column sets; entry pos goes, signed by pos, to the face ``drop[p,
-    pos]``.  The faces of one set are distinct, so entries are assigned.
-    Returns (P, ..., nt).
-    """
-    vals = np.array(vals, dtype=np.int64)
-    vals[..., 1::2] = fld.neg_arr(vals[..., 1::2])
-    out = np.zeros(vals.shape[:-1] + (nt,), dtype=np.int64)
-    faces = drop.reshape(drop.shape[:1] + (1,) * (vals.ndim - 2) + drop.shape[1:])
-    np.put_along_axis(out, faces, vals, axis=-1)
-    return out
-
 
 def sm_at_minors(fld: FiniteField, rows: np.ndarray, minors: np.ndarray, r: int) -> np.ndarray:
     """The Support-Minors equations at fixed minors, linear in x.
@@ -247,21 +232,39 @@ def sm_at_minors(fld: FiniteField, rows: np.ndarray, minors: np.ndarray, r: int)
     return fld.sum_arr(terms)
 
 
+def _support_minors(fld: FiniteField, rows: np.ndarray, r: int, labels: Tuple) -> BilinearSystem:
+    """The Support-Minors system of the affine rows row_0 + sum_u x_u row_u.
+
+    ``rows`` (K+1, ..., n) is the stack that :func:`sm_at_minors` takes.
+    Polynomial (I, ...) expands the minor at the (r+1)-subset I of the
+    affine row over the support matrix along that row: entry pos of I goes,
+    signed by pos, to c_T for T the face without it.  Polynomials run over
+    I, then over the middle axes of ``rows``.
+    """
+    n = np.shape(rows)[-1]
+    subsets = tuple(ml.all_subsets(n, r))
+    cols, drop = ml.subset_table(n, r + 1)
+    # vals[p, i, u, pos]: row i of entry u + 1 (entry 0 last) at position pos of subset p
+    rolled = np.roll(np.reshape(rows, (len(rows), -1, n)), -1, axis=0)
+    vals = rolled[..., cols].transpose(2, 1, 0, 3)
+    vals[..., 1::2] = fld.neg_arr(vals[..., 1::2])
+    coef = np.zeros(vals.shape[:-1] + (len(subsets),), dtype=np.int64)
+    # the faces of one subset are distinct, so entries are assigned
+    np.put_along_axis(coef, drop[:, None, None], vals, axis=-1)
+    return BilinearSystem(fld, subsets, coef.reshape(-1, len(rows), len(subsets)), labels)
+
+
 def build_sm_fqm(can: CanonicalRd) -> Tuple[BilinearSystem, QPartition]:
     """Bilinear system over F_{q^m} from the minors of (x G + y ; C).
 
-    Laplace expansion along the first row turns the minor at columns I
-    into a signed sum over i in I of (x G + y)_i c_{I minus i}.  The
+    The Support-Minors system of the affine row y + x G: the minor at
+    columns I is a signed sum over i in I of (x G + y)_i c_{I minus i}.  The
     partition counts the elements of I among the first k + 1 positions.
     """
-    fld = can.field
-    n, k, r = can.n, can.k, can.r
-    subsets = tuple(ml.all_subsets(n, r))
-    cols, drop = ml.subset_table(n, r + 1)
-    bil = _laplace_scatter(fld, can.gen[:, cols].transpose(1, 0, 2), drop, len(subsets))
-    aff = _laplace_scatter(fld, can.received[cols], drop, len(subsets))
-    sys = BilinearSystem(fld, k, n, r, subsets, bil, aff, tuple(map(tuple, cols.tolist())))
-    overlap = (cols <= k).sum(axis=1)
+    cols = ml.subset_table(can.n, can.r + 1)[0]
+    sys = _support_minors(can.field, np.concatenate([can.received[None, :], can.gen]), can.r,
+                          tuple(map(tuple, cols.tolist())))
+    overlap = (cols <= can.k).sum(axis=1)
     part = QPartition(*(tuple(np.flatnonzero(sel).tolist())
                         for sel in (overlap == 0, overlap == 1, overlap >= 2)))
     return sys, part
@@ -273,36 +276,27 @@ def build_sm_fq(sm: BilinearSystem) -> BilinearSystem:
     Linear variable (j, l) -> j m + l is the coefficient of basis element l
     in x_j; polynomial (I, i) applies the i-th coordinate extraction, so
     its coefficient of x_{j,l} c_T is digit i of z^l times that of x_j c_T.
+    The affine part is the block of (nx, 0), as z^0 = 1.
     """
     fld = sm.field
     m = fld.degree
-    P, k, nt = sm.bil.shape
-    bil = np.zeros((P, m, k, m, nt), dtype=np.int64)
-    for ell, zl in enumerate(fld.basis):
-        bil[:, :, :, ell] = fld.coeffs_arr(fld.mul_arr(zl, sm.bil)).transpose(0, 3, 1, 2)
-    aff = fld.coeffs_arr(sm.aff).transpose(0, 2, 1).reshape(P * m, nt)
+    P, k1, nt = sm.coef.shape
+    # digit i of z^l times coef[p, j, t] at [p, i, j, l, t]
+    digits = fld.coeffs_arr(fld.mul_arr(np.array(fld.basis)[:, None, None, None], sm.coef))
+    coef = digits.transpose(1, 4, 2, 0, 3).reshape(P * m, k1 * m, nt)[:, :(k1 - 1) * m + 1]
     labels = tuple((lab, i) for lab in sm.labels for i in range(m))
-    return BilinearSystem(fld.base, k * m, sm.n, sm.r, sm.subsets,
-                          bil.reshape(P * m, k * m, nt), aff, labels)
+    return BilinearSystem(fld.base, sm.subsets, coef, labels)
 
 
 def sm_for_minrank(inst: MinRankInstance) -> BilinearSystem:
     """Generic bilinear modeling of a MinRank instance over F_q.
 
-    Each row of M_0 + sum x_u M_u stacked on the support matrix gives one
-    minor per (r+1)-subset of columns, expanded along that affine row.
+    The Support-Minors system of the rows of M_0 + sum x_u M_u: polynomial
+    (I, i) is the minor at columns I of row i stacked on the support matrix.
     """
-    fld = inst.field
-    n, r, K, m = inst.n, inst.r, inst.K, inst.m
-    subsets = tuple(ml.all_subsets(n, r))
-    cols, drop = ml.subset_table(n, r + 1)
-    # polynomial (I, i) is row p m + i; vals is (P, m, K+1, r+1)
-    vals = inst.mats[:, :, cols].transpose(2, 1, 0, 3)
-    bil = _laplace_scatter(fld, vals[:, :, 1:], drop, len(subsets))
-    aff = _laplace_scatter(fld, vals[:, :, 0], drop, len(subsets))
-    labels = tuple((i_set, i) for i_set in map(tuple, cols.tolist()) for i in range(m))
-    return BilinearSystem(fld, K, n, r, subsets, bil.reshape(len(cols) * m, K, len(subsets)),
-                          aff.reshape(len(cols) * m, len(subsets)), labels)
+    cols = ml.subset_table(inst.n, inst.r + 1)[0]
+    labels = tuple((i_set, i) for i_set in map(tuple, cols.tolist()) for i in range(inst.m))
+    return _support_minors(inst.field, inst.mats, inst.r, labels)
 
 
 def sm_fq_direct(can: CanonicalRd) -> BilinearSystem:
@@ -321,8 +315,7 @@ def sm_fq_direct(can: CanonicalRd) -> BilinearSystem:
 
 def subsystem(sys: BilinearSystem, indices: Sequence[int]) -> BilinearSystem:
     idx = list(indices)
-    return BilinearSystem(sys.field, sys.nx, sys.n, sys.r, sys.subsets,
-                          sys.bil[idx], sys.aff[idx],
+    return BilinearSystem(sys.field, sys.subsets, sys.coef[idx],
                           tuple(sys.labels[i] for i in idx))
 
 
@@ -354,17 +347,16 @@ def reduce_sm_plus(sm: BilinearSystem, part: QPartition, elim: MinorElimination)
 
 def nf_bilinear(elim: MinorElimination, sm: BilinearSystem, rows: Sequence[int]) -> BilinearSystem:
     """Normal form of bilinear rows under the elimination: each eliminated
-    c_T is replaced by its expression in the free minors, so the (bil | aff)
-    rows are one product with the elimination's expression matrix."""
+    c_T is replaced by its expression in the free minors, so the rows are
+    one product with the elimination's expression matrix."""
     fld = sm.field
     idx = list(rows)
-    coef = np.concatenate([sm.bil[idx], sm.aff[idx, None]], axis=1)
+    coef = sm.coef[idx]
     P, k1, nt = coef.shape
     nfree = len(elim.free_cols)
     new = ml.matmul(fld, coef.reshape(P * k1, nt), elim.expression).reshape(P, k1, nfree)
     subsets = tuple(sm.subsets[c] for c in elim.free_cols)
-    return BilinearSystem(fld, sm.nx, sm.n, sm.r, subsets, new[:, :-1], new[:, -1],
-                          tuple(sm.labels[i] for i in idx))
+    return BilinearSystem(fld, subsets, new, tuple(sm.labels[i] for i in idx))
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +379,12 @@ def monomial_key(alpha: Tuple[int, ...], tidx: int):
 
 def leading_term(sys: BilinearSystem, p: int) -> Tuple[Optional[int], int]:
     """(x index or None, subset column index) of the largest monomial of poly p."""
-    best = None
-    best_key = None
-    for j, t in zip(*np.nonzero(sys.bil[p])):
-        key = monomial_key((int(j),), int(t))
-        if best_key is None or key < best_key:
-            best_key, best = key, (int(j), int(t))
-    if best is not None:
-        return best
-    for t in np.nonzero(sys.aff[p])[0]:
-        key = monomial_key((), int(t))
-        if best_key is None or key < best_key:
-            best_key, best = key, (None, int(t))
-    if best is None:
+    nx = sys.nx
+    terms = [(() if j == nx else (j,), t) for j, t in np.argwhere(sys.coef[p]).tolist()]
+    if not terms:
         raise ValueError("zero polynomial has no leading term")
-    return best
+    alpha, t = min(terms, key=lambda term: monomial_key(*term))
+    return (alpha[0] if alpha else None), t
 
 
 @dataclass(frozen=True)
@@ -454,8 +437,7 @@ def from_rows(sys: BilinearSystem, mac: MacaulayMatrix, rows: np.ndarray) -> Bil
     sub = [t for _alpha, t in mac.col_labels]
     coef = np.zeros((rows.shape[0], nx + 1, nt), dtype=np.int64)
     coef[:, var, sub] = rows
-    return BilinearSystem(sys.field, nx, sys.n, sys.r, sys.subsets, coef[:, :nx],
-                          coef[:, nx], tuple(range(rows.shape[0])))
+    return BilinearSystem(sys.field, sys.subsets, coef, tuple(range(rows.shape[0])))
 
 
 def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.ndarray,
@@ -485,8 +467,7 @@ def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.
     step = np.array([[index[len(a) + 1][tuple(sorted(a + (j,)))] for j in range(nx)]
                      + [index[len(a)][a]] for a in mults],
                     dtype=np.int64).reshape(len(mults), nx + 1)
-    coef = np.concatenate([sys.bil, sys.aff[:, None, :]], axis=1)
-    tp, tj, tt = np.nonzero(coef)                   # ordered by polynomial
+    tp, tj, tt = np.nonzero(sys.coef)               # ordered by polynomial
     # row i takes the run of its polynomial's terms, starting at searchsorted(tp, p_i)
     counts = np.bincount(tp, minlength=sys.npolys)[row_poly]
     row = np.repeat(np.arange(row_poly.size), counts)
@@ -500,7 +481,7 @@ def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.
     if nrows * cols.size > MAX_CELLS:
         raise MonomialBudgetError(f"{nrows} x {cols.size} exceeds the cell budget")
     arr = np.zeros((nrows, cols.size), dtype=np.int64)
-    arr[row, col_of] = coef[tp[term], j, t]
+    arr[row, col_of] = sys.coef[tp[term], j, t]
     # the occurring ids back to (beta, t) labels
     deg = top + 1 - np.searchsorted(base[::-1], cols, side="right")
     rem = cols - base[deg]

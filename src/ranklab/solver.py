@@ -8,10 +8,12 @@ bilinear system, which is linearized at increasing bi-degree until the
 kernel is a line whose minor block gives the minors.  One generator makes
 the kernels of every Support-Minors system (:func:`carried_kernels`): at
 bi-degree b only the rows of multiplier degree b - 1, taken from a row basis
-of the system, are reduced, against the kernel carried from b - 1
-(:func:`linearize`).  Every path then has one readout: at known minors the
-Support-Minors equations are linear in x (:func:`x_from_minors`), and the
-candidate they give is verified against the instance before being returned.
+of the system, are reduced, against the kernel carried from b - 1; they meet
+its columns only through their affine parts, so the carried block is one
+product with the row basis's affine block.  Every path then has one
+readout: at known minors the Support-Minors equations are linear in x
+(:func:`x_from_minors`), and the candidate they give is verified against
+the instance before being returned.
 
 Also provides an exhaustive support-enumeration decoder for desk-scale
 instances; it is independent of the algebraic path and doubles as the
@@ -109,40 +111,42 @@ class Kernel:
     echelon: ml.EchelonResult
 
 
-def linearize(mac: md.MacaulayMatrix, prev: Optional[Kernel] = None) -> Kernel:
-    """The kernel of ``mac``'s rows stacked under the matrix of ``prev``.
+def linearize(mac: md.MacaulayMatrix) -> Kernel:
+    """ker ``mac``."""
+    res = ml.echelonize(mac.field, mac.arr)
+    return Kernel(mac.field, mac.subsets, mac.col_labels, res.kernel, res)
 
-    With no ``prev`` it is ker ``mac``.  Otherwise ``mac`` holds the rows
-    E of multiplier degree b - 1, and the rows of lower degree are those
-    whose kernel K ``prev`` holds, over its columns C.  Every
-    kernel vector v of the stack is w K on C, so it is read from the
-    kernel of [E_new | E_old K^T] in the unknowns (v_new, w), where E_old
-    holds E's columns in C and E_new the others; both kernels have the
-    same dimension.  Once that matrix is formed, ``mac`` is dropped, so a
-    caller that holds no other reference to it frees it before the reduction.
+
+def _carry(mac: md.MacaulayMatrix, affine: np.ndarray, prev: Kernel) -> Kernel:
+    """The kernel of ``mac``'s rows E, of multiplier degree b - 1, stacked
+    under the rows of lower degree, whose kernel K ``prev`` holds over C.
+
+    A kernel vector of the stack is w K on C, so it is read from the kernel
+    of [E_new | E_old K^T] in (v_new, w), E_old being E's columns in C.  C
+    has degree below b, so row x^alpha f meets it only through f's affine
+    part, a row of ``affine``, at x^alpha c_t: E_old K^T is ``affine`` times
+    K's columns x^alpha c_t, stacked over alpha (zero where one is not in C).
+    ``mac`` is dropped before the reduction, so a caller that holds no other
+    reference to it frees it.
     """
-    fld, subsets = mac.field, mac.subsets
-    if prev is None:
-        res = ml.echelonize(fld, mac.arr)
-        return Kernel(fld, subsets, mac.col_labels, res.kernel, res)
+    fld = mac.field
     pos = {lab: i for i, lab in enumerate(prev.cols)}
-    at = np.array([pos.get(lab, -1) for lab in mac.col_labels], dtype=np.intp)
-    old = at >= 0
+    old = np.array([lab in pos for lab in mac.col_labels], dtype=bool)
     cols = prev.cols + tuple(lab for lab, o in zip(mac.col_labels, old.tolist()) if not o)
-    # the rows of multiplier x^alpha meet only the columns x^alpha c_t of
-    # E_old, so the product is taken per multiplier and skips the others
-    alphas = [alpha for alpha, _label in mac.row_labels]
-    cuts = [i for i in range(1, len(alphas)) if alphas[i] != alphas[i - 1]]
-    kt = prev.basis[:, at[old]].T
-    carried = np.concatenate([ml.matmul(fld, blk, kt)
-                              for blk in np.split(mac.arr[:, old], cuts)])
-    stack = np.concatenate([mac.arr[:, ~old], carried], axis=1)
+    alphas = list(dict.fromkeys(alpha for alpha, _label in mac.row_labels))
+    (npolys, nt), dim = affine.shape, prev.basis.shape[0]
+    # kt[t, a dim + d] = K[d, x^alphas[a] c_t], or 0 (the pad) where C lacks it
+    at = [pos.get((alpha, t), -1) for t in range(nt) for alpha in alphas]
+    kt = np.pad(prev.basis, ((0, 0), (0, 1)))[:, at].T.reshape(nt, len(alphas) * dim)
+    carried = ml.matmul(fld, affine, kt).reshape(npolys, len(alphas), dim).transpose(1, 0, 2)
+    stack = np.concatenate([mac.arr[:, ~old], carried.reshape(len(alphas) * npolys, dim)],
+                           axis=1)
     del mac, carried
     res = ml.echelonize(fld, stack)
     nnew = len(cols) - len(prev.cols)
     basis = np.concatenate([ml.matmul(fld, res.kernel[:, nnew:], prev.basis),
                             res.kernel[:, :nnew]], axis=1)
-    return Kernel(fld, subsets, cols, basis, res)
+    return Kernel(fld, prev.subsets, cols, basis, res)
 
 
 def carried_kernels(sys: md.BilinearSystem, b_max: int) -> Iterator[Kernel]:
@@ -159,8 +163,8 @@ def carried_kernels(sys: md.BilinearSystem, b_max: int) -> Iterator[Kernel]:
     rows = md.from_rows(sys, mac, ker.echelon.rref[:ker.echelon.rank])
     del mac
     for b in range(2, b_max + 1):
-        # held by linearize alone, which frees it before reducing
-        ker = linearize(md.macaulay(rows, b), ker)
+        # held by _carry alone, which frees it before reducing
+        ker = _carry(md.macaulay(rows, b), rows.coef[:, rows.nx], ker)
         yield ker
 
 

@@ -218,9 +218,9 @@ def test_exact_checks_fail_on_a_changed_coefficient(monkeypatch, prop, params, p
     def changed(*args, **kwargs):
         rd, can, mm, mmq, sm, part = build(*args, **kwargs)
         p, t = pick(can.n, can.k, can.r, part)
-        aff = sm.aff.copy()
-        aff[p, t] = can.field.add(int(aff[p, t]), 1)
-        return rd, can, mm, mmq, dataclasses.replace(sm, aff=aff), part
+        coef = sm.coef.copy()
+        coef[p, -1, t] = can.field.add(int(coef[p, -1, t]), 1)
+        return rd, can, mm, mmq, dataclasses.replace(sm, coef=coef), part
 
     monkeypatch.setattr(experiments, "_canonical_systems", changed)
     rep = experiments.verify(prop, params, trials=1, seed=2)
@@ -358,6 +358,10 @@ def test_cli_verify(capsys):
     assert "pass" in out
 
 
+CANONICAL_FORM_PROPERTIES = ["nb-rank", "q0-span", "lt-independence", "q1-correspondence",
+                             "unfold-sm", "mm-rank"]
+
+
 @pytest.mark.parametrize("argv, reason", [
     (["verify", "--property", "mm-rank", "--params", "2,7"],
      "mm-rank takes five parameters q,m,n,k,r, got 2"),
@@ -379,9 +383,19 @@ def test_cli_verify(capsys):
      "need seed >= 0, got -3"),
     (["gen", "rd", "--q", "2", "--m", "7", "--n", "8", "--k", "4", "--r", "2", "--seed", "-1"],
      "need --seed >= 0, got -1"),
+    (["gen", "rd", "--q", "2", "--m", "3", "--n", "5", "--k", "2", "--r", "0", "--unique-envelope"],
+     "--unique-envelope needs --r >= 1, got 0"),
+    # refused once its draws have missed the envelope
+    (["gen", "rd", "--q", "2", "--m", "3", "--n", "5", "--k", "4", "--r", "1", "--unique-envelope"],
+     "could not hit the generic instance envelope"),
+] + [
+    # at r = 0 the received word is a codeword, which has no canonical form
+    (["verify", "--property", prop, "--params", "2,3,5,2,0"], f"{prop} needs r >= 1, got r = 0")
+    for prop in CANONICAL_FORM_PROPERTIES
 ], ids=["short-params", "non-integer", "no-trials", "syzygy-overdetermined",
         "minrank-K", "gen-k-above-n", "gen-q6", "gen-minrank-r", "negative-seed",
-        "gen-negative-seed"])
+        "gen-negative-seed", "gen-envelope-r0", "gen-envelope-miss"]
+   + [f"verify-r0-{prop}" for prop in CANONICAL_FORM_PROPERTIES])
 def test_cli_rejects_bad_arguments(tmp_path, argv, reason):
     # rejected in one line before any work, like an attack on a malformed file
     if argv[0] == "gen":
@@ -392,6 +406,17 @@ def test_cli_rejects_bad_arguments(tmp_path, argv, reason):
     assert message.startswith(f"ranklab {argv[0]}: ") and reason in message
     assert "\n" not in message
     assert not (tmp_path / "out.inst").exists()
+
+
+@pytest.mark.parametrize("prop, params", [("hybrid-correct", "2,3,5,4,1"),
+                                          ("hybrid-correct-minrank", "2,3,5,15,1")])
+def test_cli_verify_counts_unsolved_driver_as_failed_trial(capsys, prop, params):
+    # the drivers end Unsolved on some of these draws; each such trial fails
+    # with the transcript's last line as its note, and the run exits 1
+    assert main(["verify", "--property", prop, "--params", params]) == 1
+    out = capsys.readouterr().out
+    assert "-> FAIL" in out
+    assert "measured ('unsolved',) expected (2,) no lift verified on 5 presentations" in out
 
 
 @pytest.mark.parametrize("kind, extra, reason", [

@@ -68,12 +68,12 @@ def test_unfolding_matches_trace_reference(params):
     assert (mmq.coeffs == ref.reshape(mmq.coeffs.shape)).all()
     assert mmq.row_labels == tuple((j, i) for j in mm.row_labels for i in range(m))
     smq = md.build_sm_fq(sm)
-    assert smq.bil.shape == (sm.npolys * m, sm.nx * m, len(sm.subsets))
+    assert smq.coef.shape == (sm.npolys * m, sm.nx * m + 1, len(sm.subsets))
     for i, bs in enumerate(duals):
-        assert (smq.aff[i::m] == fld.trace_arr(fld.mul_arr(bs, sm.aff))).all()
+        assert (smq.coef[i::m, -1] == fld.trace_arr(fld.mul_arr(bs, sm.coef[:, -1]))).all()
         for ell, bl in enumerate(fld.basis):
-            expect = fld.trace_arr(fld.mul_arr(fld.mul(bs, bl), sm.bil))
-            assert (smq.bil[i::m, ell::m] == expect).all()
+            expect = fld.trace_arr(fld.mul_arr(fld.mul(bs, bl), sm.coef[:, :-1]))
+            assert (smq.coef[i::m, ell:-1:m] == expect).all()
 
 
 def test_mm_fq_rank_matches_generic_count():
@@ -124,6 +124,19 @@ def test_sm_polynomials_are_minors(params):
     assert vals.tolist() == [ml.determinant(fld, stacked[:, list(i_set)]) for i_set in sm.labels]
 
 
+@pytest.mark.parametrize("params", [(2, 7, 8, 4, 2), (3, 4, 7, 3, 2), (4, 5, 8, 3, 2)],
+                         ids=["F2^7", "F3^4", "F4^5"])
+def test_rd_and_minrank_share_one_support_minors_layout(params):
+    # the RD system over F_{q^m} is the MinRank one of the single affine row
+    # y + x G: the same coefficients, labels differing by the row index 0
+    for seed in (1, 2):
+        _, can, _, _, sm, _ = systems(params, seed)
+        rows = np.concatenate([can.received[None, :], can.gen])
+        mr = md.sm_for_minrank(inst.MinRankInstance(can.field, 1, can.n, can.k, can.r, rows))
+        assert (mr.coef == sm.coef).all() and mr.coef.shape == sm.coef.shape
+        assert mr.labels == tuple((i_set, 0) for i_set in sm.labels)
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_minrank_sm_polynomials_are_minors(q):
     # polynomial (I, i) is the minor of (row i of M_0 + sum x_u M_u ; C) at columns I
@@ -149,8 +162,8 @@ def test_sm_leading_terms_and_tail_absence():
         assert t == subset_index(n, i_set[1:])
         for j_rows in ml.all_subsets(n - k - 1, r):
             tail = subset_index(n, tuple(x + k + 1 for x in j_rows))
-            assert not sm.bil[p, :, tail].any()
-            assert sm.aff[p, tail] == 0
+            assert not sm.coef[p, :-1, tail].any()
+            assert sm.coef[p, -1, tail] == 0
 
 
 @pytest.mark.parametrize("params,seed", [(P521, 1), (P521, 2), ((4, 5, 8, 3, 2), 1)])
@@ -159,8 +172,8 @@ def test_unfold_equals_direct_construction(params, seed):
     unfolded = md.build_sm_fq(sm)
     direct = md.sm_fq_direct(can)
     assert unfolded.labels == direct.labels
-    assert (unfolded.bil == direct.bil).all()
-    assert (unfolded.aff == direct.aff).all()
+    assert (unfolded.coef[:, :-1] == direct.coef[:, :-1]).all()
+    assert (unfolded.coef[:, -1] == direct.coef[:, -1]).all()
 
 
 def test_sm_fq_leading_terms():
@@ -231,9 +244,9 @@ def test_macaulay_b1_is_coefficient_matrix():
     for p in range(5):
         for ci, (alpha, t) in enumerate(mac.col_labels):
             if len(alpha) == 0:
-                assert mac.arr[p, ci] == sys.aff[p, t]
+                assert mac.arr[p, ci] == sys.coef[p, -1, t]
             else:
-                assert mac.arr[p, ci] == sys.bil[p, alpha[0], t]
+                assert mac.arr[p, ci] == sys.coef[p, alpha[0], t]
 
 
 def test_from_rows_reads_back_the_system():
@@ -243,7 +256,8 @@ def test_from_rows_reads_back_the_system():
         plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
         mac = md.macaulay(plus, 1)
         back = md.from_rows(plus, mac, mac.arr)
-        assert (back.bil == plus.bil).all() and (back.aff == plus.aff).all()
+        assert (back.coef[:, :-1] == plus.coef[:, :-1]).all()
+        assert (back.coef[:, -1] == plus.coef[:, -1]).all()
         res = ml.echelonize(can.field, mac.arr)
         basis = md.from_rows(plus, mac, res.rref[:res.rank])
         assert basis.npolys == res.rank
@@ -360,12 +374,12 @@ def test_q0_span_identity():
     n, k, r = can.n, can.k, can.r
     for t_rows in ml.all_subsets(n - k - 1, r + 1):
         coefs = ml.maximal_minors(fld, can.h_y[list(t_rows)], r + 1)
-        bil = np.zeros_like(sm.bil[0])
-        aff = np.zeros_like(sm.aff[0])
+        bil = np.zeros_like(sm.coef[0, :-1])
+        aff = np.zeros_like(sm.coef[0, -1])
         for p, c in enumerate(coefs):
             if c:
-                bil = fld.add_arr(bil, fld.mul_arr(int(c), sm.bil[p]))
-                aff = fld.add_arr(aff, fld.mul_arr(int(c), sm.aff[p]))
+                bil = fld.add_arr(bil, fld.mul_arr(int(c), sm.coef[p, :-1]))
+                aff = fld.add_arr(aff, fld.mul_arr(int(c), sm.coef[p, -1]))
         assert not bil.any() and not aff.any()
 
 
@@ -378,13 +392,13 @@ def test_syzygy_relations_reduce_to_zero():
     for t_rows in ml.all_subsets(n - k - 1, r + 1):
         minors = ml.maximal_minors(fld, can.h_y[list(t_rows)], r + 1)
         for bs in fld.dual_basis():
-            bil = np.zeros_like(nf_all.bil[0])
-            aff = np.zeros_like(nf_all.aff[0])
+            bil = np.zeros_like(nf_all.coef[0, :-1])
+            aff = np.zeros_like(nf_all.coef[0, -1])
             for p, c in enumerate(minors):
                 coef = fld.trace(fld.mul(bs, int(c)))
                 if coef:
-                    bil = fld.add_arr(bil, fld.mul_arr(coef, nf_all.bil[p]))
-                    aff = fld.add_arr(aff, fld.mul_arr(coef, nf_all.aff[p]))
+                    bil = fld.add_arr(bil, fld.mul_arr(coef, nf_all.coef[p, :-1]))
+                    aff = fld.add_arr(aff, fld.mul_arr(coef, nf_all.coef[p, -1]))
             assert not bil.any() and not aff.any()
 
 

@@ -185,7 +185,8 @@ def hand_system(fld, bil, aff):
     """A system with the given (P, nx, nt) and (P, nt) coefficients."""
     P, nx, nt = bil.shape
     subsets = tuple((t,) for t in range(nt))
-    return md.BilinearSystem(fld, nx, nt, 1, subsets, bil, aff, tuple(range(P)))
+    return md.BilinearSystem(fld, subsets, np.concatenate([bil, aff[:, None]], axis=1),
+                             tuple(range(P)))
 
 
 def zeros(*shape):
