@@ -326,6 +326,19 @@ class FiniteField:
         lb = self._log[np.asarray(b, dtype=np.int64)]
         return self._exp_pad[la + lb]
 
+    def inv_arr(self, a) -> np.ndarray:
+        """Elementwise inverse of nonzero codes (0 maps to 0)."""
+        return self._inv[np.asarray(a, dtype=np.int64)]
+
+    def log_arr(self, a) -> np.ndarray:
+        """Discrete logs of codes, with 0 mapped to the log sentinel."""
+        return self._log[np.asarray(a, dtype=np.int64)]
+
+    def exp_arr(self, s: np.ndarray) -> np.ndarray:
+        """The product whose factors have logs summing to s, for s a sum of two
+        :meth:`log_arr` values: 0 when either is the sentinel."""
+        return self._exp_pad[s]
+
     def mul_outer(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         lu = self._log[np.asarray(u, dtype=np.int64)]
         lv = self._log[np.asarray(v, dtype=np.int64)]

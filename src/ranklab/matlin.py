@@ -17,6 +17,13 @@ Row reduction has two backends, cross-checked in the test suite, and
 * Every other field, and ``force_generic=True``: a generic table-driven
   Gauss-Jordan, exact in every characteristic.  It updates only the rows
   that hold the pivot column, which suits the sparse Macaulay matrices.
+  When at least ``_PREFIX_MIN`` leading columns hold at most one nonzero
+  per row, as in the carried Macaulay matrices from b = 2, it reduces them
+  in one step first (first row of each column as pivot, one product and
+  one add for the other rows), then runs the column loop on the rest.
+
+:func:`matmul` takes the logs of each operand once and forms every term
+as one exp gather of a sum of logs, summing over the slot axis.
 """
 
 from __future__ import annotations
@@ -77,9 +84,11 @@ def matmul(fld: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product over the field; a is (r x n), b is (n x c).
 
     Only the nonzero entries of a are multiplied: term k of output row i is
-    the k-th nonzero of row i times the matching row of b.  A block of rows
-    takes its terms from one ``mul_arr`` into a (rows, c, width) array and
-    adds them with one ``sum_arr``; blocks hold at most ``_MATMUL_CELLS``
+    the k-th nonzero of row i times the matching row of b.  The logs of a's
+    nonzeros go into a (r, width) slot array, padding slots holding the log
+    of 0, and the logs of b are taken once.  A block of rows forms its terms
+    as one exp gather of the (rows, slots, c) log sums and adds them over
+    the slot axis with one ``sum_arr``; blocks hold at most ``_MATMUL_CELLS``
     terms, and a row with more is summed in slices of its slots, whose
     partial sums are added.
     """
@@ -94,16 +103,17 @@ def matmul(fld: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     slot = np.arange(rows.size) - np.searchsorted(rows, rows)
     coef = np.zeros((nrows, width), dtype=np.int64)
     coef[rows, slot] = a[rows, inner]
-    at = np.zeros((nrows, width), dtype=np.intp)  # padding slots have coefficient 0
+    la = fld.log_arr(coef)[:, :, None]
+    at = np.zeros((nrows, width), dtype=np.intp)  # padding slots hold the log of 0
     at[rows, slot] = inner
+    lb = fld.log_arr(b)
     step = max(1, _MATMUL_CELLS // ncols)         # slots per slice
     block = max(1, _MATMUL_CELLS // (ncols * width))
     for lo in range(0, nrows, block):
         rs = slice(lo, lo + block)
         for s in range(0, width, step):
-            terms = fld.mul_arr(coef[rs, None, s:s + step],
-                                b[at[rs, s:s + step]].transpose(0, 2, 1))
-            part = fld.sum_arr(terms)
+            terms = fld.exp_arr(la[rs, s:s + step] + lb[at[rs, s:s + step]])
+            part = fld.sum_arr(terms.transpose(0, 2, 1))
             out[rs] = part if s == 0 else fld.add_arr(out[rs], part)
     return out
 
@@ -112,19 +122,88 @@ def matmul(fld: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # row reduction
 # ---------------------------------------------------------------------------
 
+_PREFIX_MIN = 8     # leading one-nonzero columns from which the prefix step pays
+
+
+def _prefix_length(a: np.ndarray) -> int:
+    """The number L of leading columns in which no row holds two nonzeros,
+    or 0 when L < ``_PREFIX_MIN``.
+
+    Most calls exit on their first test, columns 0 and 1 sharing a row (L
+    <= 1, every b = 1 Macaulay matrix), or on their second, a row with two
+    nonzeros among the first ``_PREFIX_MIN`` columns; only the others scan
+    the whole matrix for each row's second nonzero column.
+    """
+    nrows, ncols = a.shape
+    # codes are below 2^22, so a product of two is nonzero iff both are
+    if nrows == 0 or ncols < _PREFIX_MIN or np.count_nonzero(a[:, 0] * a[:, 1]):
+        return 0
+    if ((a[:, :_PREFIX_MIN] != 0).sum(axis=1) > 1).any():
+        return 0
+    nz = a != 0
+    at = np.arange(nrows)
+    nz[at, nz.argmax(axis=1)] = False
+    second = nz.argmax(axis=1)
+    second[~nz[at, second]] = ncols
+    return int(second.min())
+
+
+def _reduce_prefix(fld: FiniteField, a: np.ndarray, width: int) -> Tuple[np.ndarray, List[int]]:
+    """Gauss-Jordan on the first ``width`` columns of a, in which no row
+    holds two nonzeros, as one step.
+
+    The first row holding each column is its pivot.  Every other row with a
+    prefix entry is hit by that pivot alone, so subtracting f times the
+    scaled pivot row zeroes its prefix and changes no other prefix column.
+    Returns the rows, pivot rows first in column order, and the pivots.
+    """
+    nz = a[:, :width] != 0
+    cols = nz.argmax(axis=1)                      # a row's one prefix column
+    rows = np.flatnonzero(nz[np.arange(a.shape[0]), cols])
+    cols = cols[rows]
+    first = nz.argmax(axis=0)
+    pcols = np.flatnonzero(nz[first, np.arange(width)])
+    prow = first[pcols]
+    pv = a[prow, pcols]
+    scale = pv != 1
+    a[prow[scale], width:] = fld.mul_arr(a[prow[scale], width:],
+                                         fld.inv_arr(pv[scale])[:, None])
+    a[prow, pcols] = 1
+    hit = rows != first[cols]
+    rows, cols = rows[hit], cols[hit]
+    neg_f = fld.neg_arr(a[rows, cols])
+    a[rows, cols] = 0
+    a[rows, width:] = fld.add_arr(a[rows, width:],
+                                  fld.mul_arr(neg_f[:, None], a[first[cols], width:]))
+    rest = np.ones(a.shape[0], dtype=bool)
+    rest[prow] = False
+    return a[np.concatenate([prow, np.flatnonzero(rest)])], pcols.tolist()
+
+
 def _rref_generic(fld: FiniteField, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     """Table-driven Gauss-Jordan for any field.
 
-    Left of the pivot column the pivot row is zero (every earlier column was
-    cleared below its pivot, or had no pivot below the current row), so the
-    scaling and the updates touch only columns >= c, and only rows with a
-    nonzero entry in column c.
+    When at least ``_PREFIX_MIN`` leading columns hold at most one nonzero
+    per row (the carried Macaulay matrices from b = 2: 283 of 335 columns on
+    ``decode-b2``), :func:`_reduce_prefix` reduces them in one step.  Its
+    fixed cost is some 25 numpy calls: on 20 x 24 and 40 x 40 matrices over
+    F_{2^7} and F_3 it was a wash at 5 to 7 prefix columns and paid from 8,
+    and ``decode-mix``'s matrices with 6 (30 x 28 over F_4, 42 x 45 over
+    F_3) took as long either way.  RREF is unique, so the result is the
+    same on both sides of the break-even.  In the
+    column loop, left of the pivot column the pivot row is zero (every
+    earlier column was cleared below its pivot, or had no pivot below the
+    current row), so the scaling and the updates touch only columns >= c,
+    and only rows with a nonzero entry in column c.
     """
     a = np.array(mat, dtype=np.int64)
     nrows, ncols = a.shape
     pivots: List[int] = []
-    rr = 0
-    for c in range(ncols):
+    start = _prefix_length(a)
+    if start:
+        a, pivots = _reduce_prefix(fld, a, start)
+    rr = len(pivots)
+    for c in range(start, ncols):
         if rr == nrows:
             break
         nz = a[rr:, c].nonzero()[0]

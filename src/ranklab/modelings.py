@@ -452,8 +452,10 @@ def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.
     part is read as the coefficient of an extra variable x_nx = 1, and a
     table gives, for each multiplier alpha and variable j, idx(alpha + j)
     (idx(alpha) for j = nx).  No two terms of one row share a monomial, so
-    entries are assigned, not summed.  The columns are the ids that occur;
-    ``MAX_CELLS`` is checked against them before the matrix is allocated.
+    entries are assigned, not summed.  The columns are the ids that occur,
+    read from a presence bitmap over the id range [0, base[0] + nt N_0)
+    and numbered by its running count, with no sort; ``MAX_CELLS`` is
+    checked against them before the matrix is allocated.
     """
     nx, nt = sys.nx, len(sys.subsets)
     top = b                                         # multipliers have degree < b
@@ -475,8 +477,11 @@ def _layout(sys: BilinearSystem, mults: Sequence[Tuple[int, ...]], row_mult: np.
         np.searchsorted(tp, row_poly) - np.cumsum(counts) + counts, counts)
     a, j, t = row_mult[row], tj[term], tt[term]
     deg = mult_deg[a] + (j < nx)
-    cols, col_of = np.unique(base[deg] + (nt - 1 - t) * sizes[deg] + step[a, j],
-                             return_inverse=True)
+    ids = base[deg] + (nt - 1 - t) * sizes[deg] + step[a, j]
+    present = np.zeros(base[0] + nt * sizes[0], dtype=bool)
+    present[ids] = True
+    cols = np.flatnonzero(present)
+    col_of = (np.cumsum(present) - 1)[ids]
     nrows = row_poly.size
     if nrows * cols.size > MAX_CELLS:
         raise MonomialBudgetError(f"{nrows} x {cols.size} exceeds the cell budget")

@@ -260,6 +260,16 @@ def test_hybrid_properties_small():
     assert rep2.verdict, rep2.failures
 
 
+def test_hybrid_correct_accepts_a_decoding_other_than_the_planted_one():
+    # on seed 9 of (2,3,5,4,1) the driver returns error 0 after one guess: one
+    # of the draw's 22 decodings, not the planted one, and it verifies
+    rd = inst.gen_rd(2, 3, 5, 4, 1, seed=9)
+    assert rd.witness.error.any()
+    assert experiments._check_hybrid_correct((2, 3, 5, 4, 1), 9) == (True, (1,), (2,), "")
+    rep = experiments.verify("hybrid-correct", (2, 3, 5, 4, 1), trials=1, seed=9)
+    assert rep.verdict, rep.failures
+
+
 def test_report_renderers():
     rep = experiments.verify("mm-rank", (2, 3, 5, 2, 1), trials=2, seed=1)
     text = io.report_text(rep)

@@ -159,6 +159,75 @@ def test_matmul_matches_scalar_triple_loop(fld, monkeypatch):
     check(narrow, 1)
 
 
+def _rref_scalar(fld, mat):
+    """Gauss-Jordan with scalar field operations: RREF, pivots, kernel."""
+    a = [[int(x) for x in row] for row in mat]
+    nrows, ncols = mat.shape
+    pivots = []
+    for c in range(ncols):
+        rr = len(pivots)
+        pr = next((i for i in range(rr, nrows) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[rr], a[pr] = a[pr], a[rr]
+        inv = fld.inv(a[rr][c])
+        a[rr] = [fld.mul(inv, x) for x in a[rr]]
+        for i in range(nrows):
+            if i != rr and a[i][c]:
+                f = a[i][c]
+                a[i] = [fld.sub(x, fld.mul(f, y)) for x, y in zip(a[i], a[rr])]
+        pivots.append(c)
+    free = [c for c in range(ncols) if c not in pivots]
+    kernel = np.zeros((len(free), ncols), dtype=np.int64)
+    for k, c in enumerate(free):
+        kernel[k, c] = 1
+        for i, pc in enumerate(pivots):
+            kernel[k, pc] = fld.neg(a[i][c])
+    return np.array(a, dtype=np.int64).reshape(mat.shape), tuple(pivots), kernel
+
+
+def _one_nonzero_prefix(fld, rng, nrows, ncols, width):
+    """A matrix whose first ``width`` columns hold at most one nonzero per
+    row, exactly ``width`` of them if width < ncols, with a zero prefix
+    column, a zero row and its rows shuffled."""
+    a = np.zeros((nrows, ncols), dtype=np.int64)
+    col = rng.integers(0, width, nrows)
+    col[col == width // 2] = 0                        # column width // 2 stays zero
+    a[range(nrows), col] = rng.integers(1, fld.order, nrows)   # non-unit pivots too
+    a[:, width:] = fld.rand_elements(rng, (nrows, ncols - width)) * (
+        rng.random((nrows, ncols - width)) < 0.5)
+    if width < ncols:
+        a[0, width] = 1                               # row 0 ends the prefix
+    a[-1] = 0
+    return a[rng.permutation(nrows)]
+
+
+@pytest.mark.parametrize("fld,force", [(make_base_field(3), False), (make_ext_field(2, 9), False),
+                                       (make_ext_field(4, 5), False), (F2, True)],
+                         ids=["F3", "F2^9", "F4^5", "F2-forced"])
+@pytest.mark.parametrize("nrows,ncols,width", [
+    (14, 18, 3), (14, 18, ml._PREFIX_MIN - 1), (14, 18, ml._PREFIX_MIN), (14, 18, 12),
+    (6, 20, 14), (12, 9, 9)])
+def test_prefix_step_matches_scalar_gauss_jordan(monkeypatch, fld, force, nrows, ncols, width):
+    # below the break-even the column loop runs alone; from it the leading
+    # one-nonzero columns are reduced in one step, the last case covering
+    # every column; the result must be the same RREF either way
+    steps = []
+    reduce_prefix = ml._reduce_prefix
+    monkeypatch.setattr(ml, "_reduce_prefix", lambda *args: steps.append(args[2])
+                        or reduce_prefix(*args))
+    rng = np.random.default_rng(nrows * ncols + width)
+    for _ in range(4):
+        a = _one_nonzero_prefix(fld, rng, nrows, ncols, width)
+        taken = width if width >= ml._PREFIX_MIN else 0
+        assert ml._prefix_length(a) == taken
+        res = ml.echelonize(fld, a, force_generic=force)
+        rref, pivots, kernel = _rref_scalar(fld, a)
+        assert (res.rref == rref).all() and res.pivots == pivots
+        assert res.kernel.shape == kernel.shape and (res.kernel == kernel).all()
+    assert steps == ([width] * 4 if taken else [])
+
+
 def test_rank_invariance_under_transforms():
     rng = np.random.default_rng(23)
     mat = F8.rand_elements(rng, (4, 7))

@@ -9,6 +9,7 @@ import pytest
 from ranklab import instances as inst
 from ranklab import matlin as ml
 from ranklab import modelings as md
+from ranklab import solver as sv
 from ranklab.estimator import nb_fqm
 
 
@@ -289,6 +290,51 @@ def test_macaulay_column_order_is_descending():
         assert all(k0 < k1 for k0, k1 in zip(keys, keys[1:]))
         assert mac.arr.shape == (len(mac.row_labels), len(mac.col_labels))
         assert mac.arr.any(axis=0).all()
+
+
+def _layout_by_unique(sys, mac):
+    """Columns and matrix of a Macaulay matrix of ``sys``, built from its row
+    labels with the columns numbered by ``np.unique(..., return_inverse=True)``
+    over the rows [b - deg, nt - 1 - t, beta], which sort as monomial_key."""
+    nx, nt, b = sys.nx, len(sys.subsets), mac.b
+    poly_of = {label: p for p, label in enumerate(sys.labels)}
+    rows, keys, vals = [], [], []
+    for i, (alpha, label) in enumerate(mac.row_labels):
+        p = poly_of[label]
+        for j, t in np.argwhere(sys.coef[p]).tolist():
+            beta = alpha if j == nx else tuple(sorted(alpha + (j,)))
+            rows.append(i)
+            keys.append([b - len(beta), nt - 1 - t, *beta] + [0] * (b - len(beta)))
+            vals.append(sys.coef[p, j, t])
+    cols, col_of = np.unique(np.array(keys), axis=0, return_inverse=True)
+    arr = np.zeros((len(mac.row_labels), len(cols)), dtype=np.int64)
+    arr[rows, col_of.reshape(-1)] = vals
+    labels = tuple((tuple(key[2:2 + b - key[0]]), nt - 1 - key[1]) for key in cols.tolist())
+    return labels, arr
+
+
+def test_sort_free_layout_matches_unique_reference(monkeypatch):
+    # every Macaulay matrix of the seed-7 decode of (2,9,10,4,3), b = 1..4 on
+    # each retry, and a MinRank system at b = 1 and 2
+    laid = []
+    layout = md._layout
+
+    def spy(sys, *args):
+        mac = layout(sys, *args)
+        laid.append((sys, mac))
+        return mac
+
+    monkeypatch.setattr(md, "_layout", spy)
+    with pytest.raises(sv.Unsolved):
+        sv.decode_rd(inst.gen_rd(2, 9, 10, 4, 3, seed=7))
+    assert sorted({mac.b for _, mac in laid}) == [1, 2, 3, 4]
+    mr = md.sm_for_minrank(inst.gen_minrank(2, 6, 8, 14, 2, seed=1))
+    for b in (1, 2):
+        md.macaulay(mr, b)
+    for sys, mac in laid:
+        labels, arr = _layout_by_unique(sys, mac)
+        assert mac.col_labels == labels
+        assert mac.arr.shape == arr.shape and (mac.arr == arr).all()
 
 
 def macaulay_cases():
