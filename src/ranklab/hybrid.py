@@ -7,10 +7,10 @@ independence assumption).  Each guess is a square transform P_A that adds
 F_q-combinations of the first r coordinates onto the last ``a``; a correct
 bet zeroes those coordinates.  Both problems are an affine space
 row_0 + span(rows): y + <G> for RD, and the column-major flattenings of
-M_0 + <M_1..M_K> for MinRank.  One shortening step drops the zeroed
-coordinates from it, with ``a`` code dimensions (RD) or ``a m`` linear
-variables (MinRank).  A reduction records only what lifts a solution back;
-the reduced instance carries no witness.
+M_0 + <M_1..M_K> for MinRank.  One shortening step, one row reduction per
+guess, drops the zeroed coordinates from it, with ``a`` code dimensions
+(RD) or ``a m`` linear variables (MinRank).  A reduction records only what
+lifts a solution back; the reduced instance carries no witness.
 
 One driver loop serves RD and MinRank alike, in a deterministic flavour
 (enumerate all guesses, then rerandomize and retry if the independence
@@ -32,7 +32,7 @@ import numpy as np
 from .galois import FiniteField
 from . import matlin as ml
 from .instances import (InstanceError, MinRankInstance, RdInstance, RdWitness,
-                        ShortenResult, flatten_matrix, shorten, unflatten_matrix)
+                        flatten_matrix, unflatten_matrix)
 from . import solver as sv
 
 __all__ = [
@@ -109,21 +109,29 @@ class RdReduction:
 
 
 def _shorten_affine(fld: FiniteField, stack: np.ndarray, ntail: int
-                    ) -> Optional[Tuple[ShortenResult, np.ndarray]]:
+                    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Shorten the affine space stack[0] + span(stack[1:]) at the last ``ntail``
-    coordinates.
+    coordinates, by one row reduction.
 
-    Returns the shortening of the span with stack[0] moved onto the
-    complement (minus the combination of rows that clears its tail), or None
-    unless the span loses exactly ``ntail`` dimensions.
+    Reduces [tail | rest | I_k] for the k spanning rows.  Unless its first
+    ``ntail`` pivots are the tail columns (the span loses exactly ``ntail``
+    dimensions) this returns None.  Otherwise the first ``ntail`` rows read
+    (I B) on (tail, rest) and the others (0 gen_short), and the identity
+    block is the row transform D.  Returns gen_short, D with the B rows
+    moved last, so that D . span = (gen_short 0 ; B I) on (rest, tail), and
+    stack[0] on the rest minus its tail times B.
     """
-    width = stack.shape[1] - ntail
-    tail = list(range(width, stack.shape[1]))
-    sh = shorten(fld, stack[1:], tail)
-    if sh.dim != stack.shape[0] - 1 - ntail or sh.b_block is None:
+    k, total = stack.shape[0] - 1, stack.shape[1]
+    width = total - ntail
+    span = stack[1:]
+    res = ml.echelonize(fld, np.concatenate([span[:, width:], span[:, :width],
+                                             ml.identity(k)], axis=1))
+    if res.pivots[:ntail] != tuple(range(ntail)):
         return None
+    rest = res.rref[:, ntail:total]
     row0 = stack[0]
-    return sh, fld.sub_arr(row0[:width], ml.matmul(fld, row0[None, width:], sh.b_block)[0])
+    return (rest[ntail:], np.roll(res.rref[:, total:], -ntail, axis=0),
+            fld.sub_arr(row0[:width], ml.matmul(fld, row0[None, width:], rest[:ntail])[0]))
 
 
 def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[RdReduction]:
@@ -141,8 +149,8 @@ def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[RdReductio
     cut = _shorten_affine(fld, stack, a)
     if cut is None:
         return None
-    sh, y_red = cut
-    return RdReduction(RdInstance(fld, rd.n - a, rd.k - a, rd.r, sh.gen_short, y_red),
+    gen_short, _, y_red = cut
+    return RdReduction(RdInstance(fld, rd.n - a, rd.k - a, rd.r, gen_short, y_red),
                        guess, rd)
 
 
@@ -177,10 +185,10 @@ def reduce_minrank(inst: MinRankInstance, guess: GuessMatrix, a: int
     cut = _shorten_affine(fld, stack, am)
     if cut is None:
         return None
-    sh, m0_red = cut
-    mats = unflatten_matrix(np.vstack([m0_red, sh.gen_short]), inst.m)
+    gen_short, transform, m0_red = cut
+    mats = unflatten_matrix(np.vstack([m0_red, gen_short]), inst.m)
     red = MinRankInstance(fld, inst.m, inst.n - a, inst.K - am, inst.r, mats)
-    return MinRankReduction(red, guess, sh.transform,
+    return MinRankReduction(red, guess, transform,
                             stack[0, inst.m * (inst.n - a):], inst)
 
 

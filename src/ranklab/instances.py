@@ -11,14 +11,14 @@ Conventions used throughout the package:
 * Every transformation records enough data to map a solution of the new
   instance back to the original one.  The canonical form and the MinRank
   view of an RD instance also transport a planted witness forward; a guess
-  reduction (``hybrid``) records only what lifts a solution back, and the
-  reduced instance carries no witness.
+  reduction (``hybrid``, which does its own shortening) records only what
+  lifts a solution back, and the reduced instance carries no witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,13 +30,11 @@ __all__ = [
     "RdInstance",
     "CanonicalRd",
     "MinRankInstance",
-    "ShortenResult",
     "InstanceError",
     "check_shape",
     "check_params",
     "gen_rd",
     "canonicalize",
-    "shorten",
     "rd_to_minrank",
     "gen_minrank",
     "flatten_matrix",
@@ -244,55 +242,6 @@ def _check_canonical(can: CanonicalRd) -> None:
         e = fld.add_arr(can.received, ml.matmul(fld, can.witness.x[None, :], can.gen)[0])
         if (e != can.witness.error).any():
             raise InstanceError("canonical form: witness does not transport")
-
-
-# ---------------------------------------------------------------------------
-# shortening
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShortenResult:
-    """Block data for shortening at a position set J.
-
-    When ``dim == k - len(J)`` the rows of ``transform @ gen`` split as
-    (gen_short 0 ; b_block I) on (complement, J); otherwise only ``dim``
-    and ``gen_short`` (a basis of the shortened code) are meaningful.
-    """
-
-    dim: int
-    gen_short: np.ndarray          # dim x (n - |J|), on the complement positions
-    b_block: Optional[np.ndarray]  # |J| x (n - |J|) when the block shape exists
-    transform: np.ndarray          # invertible k x k row transformation
-    positions: Tuple[int, ...]     # J
-    complement: Tuple[int, ...]
-
-
-def shorten(fld: FiniteField, gen: np.ndarray, positions: Sequence[int]) -> ShortenResult:
-    """Shortened code {c restricted to the complement : c in C, c_J = 0}."""
-    gen = np.asarray(gen, dtype=np.int64)
-    k, n = gen.shape
-    j_set = sorted(int(j) for j in positions)
-    comp = [j for j in range(n) if j not in set(j_set)]
-    a = len(j_set)
-    # RREF with J columns leading, identity appended to track the transform
-    reordered = np.concatenate([gen[:, j_set], gen[:, comp], ml.identity(k)], axis=1)
-    res = ml.echelonize(fld, reordered)
-    rj = sum(1 for p in res.pivots if p < a)
-    dim = k - rj
-    transform = res.rref[:, a + len(comp):]
-    on_j = res.rref[:, :a]
-    on_comp = res.rref[:, a:a + len(comp)]
-    zero_rows = [i for i in range(k) if not on_j[i].any()]
-    gen_short = on_comp[zero_rows]
-    b_block = None
-    if rj == a and dim == len(zero_rows):
-        piv_rows = [i for i in range(k) if on_j[i].any()]
-        # reorder rows: shortened block first, then the identity-on-J block
-        order = zero_rows + piv_rows
-        transform = transform[order]
-        b_block = on_comp[piv_rows]
-    return ShortenResult(dim, gen_short, b_block, transform,
-                         tuple(j_set), tuple(comp))
 
 
 # ---------------------------------------------------------------------------

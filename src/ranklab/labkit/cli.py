@@ -106,7 +106,7 @@ def _cmd_gen(args) -> int:
             raise SystemExit(f"ranklab gen: --unique-envelope needs --r >= 1, got {args.r}")
         try:
             inst = sv.gen_rd_generic(args.q, args.m, args.n, size, args.r, args.seed)
-        except RuntimeError as exc:
+        except sv.EnvelopeMissed as exc:
             raise SystemExit(f"ranklab gen: {exc}") from None
     else:
         inst = gen_rd(args.q, args.m, args.n, size, args.r, args.seed)
@@ -266,8 +266,11 @@ def _cmd_verify(args) -> int:
         experiments.check_arguments(args.property, params, args.trials, args.seed)
     except ValueError as exc:
         raise SystemExit(f"ranklab verify: {exc}")
-    rep = experiments.verify(args.property, params, trials=args.trials,
-                             seed=args.seed)
+    try:
+        rep = experiments.verify(args.property, params, trials=args.trials,
+                                 seed=args.seed)
+    except sv.EnvelopeMissed as exc:
+        raise SystemExit(f"ranklab verify: {exc}") from None
     _emit(args, rep)
     return 0 if rep.verdict else 1
 

@@ -81,14 +81,18 @@ def _multiples(lin: md.CtLinearSystem, nx: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_nb_rank(params, seed):
+    """At each b, (rank of the top block of the high-overlap Macaulay
+    matrix, rows of the explicit basis ``basis_bb``, rank of that basis),
+    each expected to be nb_fqm(n, k, r, b)."""
     q, m, n, k, r = params
     _, can, _, _, sm, part = _canonical_systems(*params, seed)
     q2 = md.subsystem(sm, part.two_plus)
     measured, expected = [], []
     for b in (1, 2, 3):
-        mac = md.macaulay(q2, b)
-        measured.append(ml.echelonize(can.field, md.top_block(mac)).rank)
-        expected.append(nb_fqm(n, k, r, b))
+        top = ml.echelonize(can.field, md.top_block(md.macaulay(q2, b))).rank
+        basis = md.basis_bb(sm, part, b).arr
+        measured.append((top, basis.shape[0], ml.echelonize(can.field, basis).rank))
+        expected.append((nb_fqm(n, k, r, b),) * 3)
     return measured == expected, tuple(measured), tuple(expected), ""
 
 
@@ -272,8 +276,15 @@ def check_arguments(property_name: str, params: Sequence[int], trials: int,
         raise ValueError(f"{property_name} takes five parameters q,m,n,"
                          f"{'K' if kind == 'minrank' else 'k'},r, got {len(params)}")
     check_params(kind, *params)
-    if kind == "rd" and property_name != "hybrid-correct" and params[4] < 1:
-        raise ValueError(f"{property_name} needs r >= 1, got r = {params[4]}")
+    _, m, n, size, r = params
+    if kind == "rd" and property_name != "hybrid-correct" and r < 1:
+        raise ValueError(f"{property_name} needs r >= 1, got r = {r}")
+    if kind == "minrank" and m > size:
+        raise ValueError(f"{property_name} drops m unknowns with its a = 1 guess, "
+                         f"which needs m <= K, got m = {m}, K = {size}")
+    if property_name.startswith("hybrid-correct") and r + 1 > n:
+        raise ValueError(f"{property_name} guesses a = 1 column, which needs "
+                         f"r + 1 <= n, got r = {r}, n = {n}")
     if property_name == "syzygy-count" and _mm_overdetermined(*params[1:]):
         raise ValueError(f"syzygy-count needs an underdetermined MaxMinors system, "
                          f"but m C(n-k-1, r) >= C(n, r) - 1 at {tuple(params)}")

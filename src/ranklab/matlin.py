@@ -14,9 +14,9 @@ Row reduction has two backends, cross-checked in the test suite, and
 
 * GF(2): a Gauss-Jordan on one matrix whose rows are packed into uint64
   words, XORing a pivot row into the other rows with the pivot bit.
-* Every other field, and ``force_generic=True``: a generic table-driven
-  Gauss-Jordan, exact in every characteristic.  It updates only the rows
-  that hold the pivot column, which suits the sparse Macaulay matrices.
+* Every other field: a generic table-driven Gauss-Jordan, exact in every
+  characteristic.  It updates only the rows that hold the pivot column,
+  which suits the sparse Macaulay matrices.
   When at least ``_PREFIX_MIN`` leading columns hold at most one nonzero
   per row, as in the carried Macaulay matrices from b = 2, it reduces them
   in one step first (first row of each column as pivot, one product and
@@ -281,12 +281,12 @@ def _rref_gf2(mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
     return unpack_gf2(rows[order], ncols), pivots
 
 
-def echelonize(fld: FiniteField, mat: np.ndarray, force_generic: bool = False) -> EchelonResult:
+def echelonize(fld: FiniteField, mat: np.ndarray) -> EchelonResult:
     """RREF with rank, pivot columns and a right-kernel basis."""
     mat = np.asarray(mat, dtype=np.int64)
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    if fld.order == 2 and not force_generic:
+    if fld.order == 2:
         rref, pivots = _rref_gf2(mat)
     else:
         rref, pivots = _rref_generic(fld, mat)

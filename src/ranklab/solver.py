@@ -241,6 +241,10 @@ class Unsolved(Exception):
         self.transcript = tuple(transcript)
 
 
+class EnvelopeMissed(RuntimeError):
+    """A conditioned draw found no instance inside its envelope."""
+
+
 def decode_rd(rd: RdInstance, config: DecodeConfig = DecodeConfig()) -> RdSolution:
     """Decode by increasing target weight, verifying before returning."""
     fld = rd.field
@@ -427,7 +431,7 @@ def gen_rd_unique(q: int, m: int, n: int, k: int, r: int, seed: int,
         rd = gen_rd(q, m, n, k, r, seed * 1_000_003 + attempt)
         if len(rd_solutions_brute(rd, stop_after=1)) == 1:
             return _read_only(rd)
-    raise RuntimeError("could not hit the unique-decoding envelope")
+    raise EnvelopeMissed("could not hit the unique-decoding envelope")
 
 
 def sm_plus_kernel_dim(rd: RdInstance) -> Optional[int]:
@@ -466,7 +470,7 @@ def gen_rd_generic(q: int, m: int, n: int, k: int, r: int, seed: int,
         dim = sm_plus_kernel_dim(rd)
         if dim is None or dim == 1:
             return _read_only(rd)
-    raise RuntimeError("could not hit the generic instance envelope")
+    raise EnvelopeMissed("could not hit the generic instance envelope")
 
 
 def _read_only(rd: RdInstance) -> RdInstance:

@@ -65,6 +65,26 @@ def test_reduce_rd_rank_preserved():
     assert ml.rank_weight(p.field, p.witness.error) == rd.r
 
 
+def test_shorten_affine_block_shape():
+    # generic [10, 4] code with its received word, shortened at the last two
+    # positions: dimension 2 and the documented block decomposition
+    rd = inst.gen_rd(2, 3, 10, 4, 1, seed=3)
+    fld = rd.field
+    stack = np.vstack([rd.received, rd.gen])
+    gen_short, transform, row0 = hy._shorten_affine(fld, stack, 2)
+    assert gen_short.shape == (2, 8)
+    assert ml.echelonize(fld, transform).rank == 4
+    tg = ml.matmul(fld, transform, rd.gen)
+    assert (tg[:2, :8] == gen_short).all() and not tg[:2, 8:].any()
+    assert (tg[2:, 8:] == ml.identity(2)).all()
+    # row 0 minus its tail times (B | I) vanishes on the tail
+    moved = fld.sub_arr(rd.received, ml.matmul(fld, rd.received[None, 8:], tg[2:])[0])
+    assert not moved[8:].any() and (moved[:8] == row0).all()
+    # a zero tail column leaves the span one dimension short of the cut
+    stack[1:, -1] = 0
+    assert hy._shorten_affine(fld, stack, 2) is None
+
+
 def test_rd_feasible_for_all_guesses_within_dimension():
     # r + a <= k and the first r positions with the last a extend to an
     # information set: every guess then shortens to full size

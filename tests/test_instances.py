@@ -1,4 +1,4 @@
-"""Instance generation, canonical forms, shortening, conversions."""
+"""Instance generation, canonical forms, conversions."""
 
 import dataclasses
 
@@ -82,30 +82,6 @@ def test_check_canonical_rejects_tampered_form():
     h[0] = can.field.add(int(h[0]), 1)          # h leaves the dual of the code
     with pytest.raises(inst.InstanceError):
         inst._check_canonical(dataclasses.replace(can, h=h))
-
-
-def test_shorten_trivial_cases():
-    rd = inst.gen_rd(2, 3, 10, 4, 1, seed=3)
-    sh = inst.shorten(rd.field, rd.gen, [])
-    assert sh.dim == 4
-    sh_all = inst.shorten(rd.field, rd.gen, list(range(10)))
-    assert sh_all.dim == 0
-
-
-def test_shorten_block_shape():
-    # generic [10, 4] code shortened at two positions: dimension 2 and the
-    # documented block decomposition of the transformed generator
-    rd = inst.gen_rd(2, 3, 10, 4, 1, seed=3)
-    fld = rd.field
-    sh = inst.shorten(fld, rd.gen, [7, 9])
-    assert sh.dim == 2 and sh.b_block is not None
-    tg = ml.matmul(fld, sh.transform, rd.gen)
-    j, comp = list(sh.positions), list(sh.complement)
-    assert not tg[:2][:, j].any()
-    assert (tg[:2][:, comp] == sh.gen_short).all()
-    assert (tg[2:][:, j] == ml.identity(2)).all()
-    assert (tg[2:][:, comp] == sh.b_block).all()
-    assert ml.echelonize(fld, sh.transform).rank == 4
 
 
 def test_rd_to_minrank():

@@ -398,16 +398,29 @@ CANONICAL_FORM_PROPERTIES = ["nb-rank", "q0-span", "lt-independence", "q1-corres
     # refused once its draws have missed the envelope
     (["gen", "rd", "--q", "2", "--m", "3", "--n", "5", "--k", "4", "--r", "1", "--unique-envelope"],
      "could not hit the generic instance envelope"),
+    # the a = 1 guess of the driver properties must fit the instance
+    (["verify", "--property", "hybrid-correct", "--params", "2,5,4,2,4", "--trials", "1"],
+     "hybrid-correct guesses a = 1 column, which needs r + 1 <= n, got r = 4, n = 4"),
+    (["verify", "--property", "hybrid-correct-minrank", "--params", "2,3,3,2,3"],
+     "hybrid-correct-minrank drops m unknowns with its a = 1 guess, which needs m <= K, "
+     "got m = 3, K = 2"),
+    # a conditioned draw that misses its envelope ends the run
+    (["verify", "--property", "syzygy-count", "--params", "2,3,6,3,2", "--trials", "2"],
+     "could not hit the generic instance envelope"),
+    (["verify", "--property", "mm-rank", "--params", "2,3,5,3,2", "--trials", "2"],
+     "could not hit the unique-decoding envelope"),
 ] + [
     # at r = 0 the received word is a codeword, which has no canonical form
     (["verify", "--property", prop, "--params", "2,3,5,2,0"], f"{prop} needs r >= 1, got r = 0")
     for prop in CANONICAL_FORM_PROPERTIES
 ], ids=["short-params", "non-integer", "no-trials", "syzygy-overdetermined",
         "minrank-K", "gen-k-above-n", "gen-q6", "gen-minrank-r", "negative-seed",
-        "gen-negative-seed", "gen-envelope-r0", "gen-envelope-miss"]
+        "gen-negative-seed", "gen-envelope-r0", "gen-envelope-miss", "hybrid-guess-wide",
+        "minrank-guess-wide", "verify-envelope-miss", "verify-unique-miss"]
    + [f"verify-r0-{prop}" for prop in CANONICAL_FORM_PROPERTIES])
 def test_cli_rejects_bad_arguments(tmp_path, argv, reason):
-    # rejected in one line before any work, like an attack on a malformed file
+    # rejected in one line, like an attack on a malformed file: bad arguments
+    # before any work, a missed envelope when the draw misses it
     if argv[0] == "gen":
         argv = argv + ["-o", str(tmp_path / "out.inst")]
     with pytest.raises(SystemExit) as exc:

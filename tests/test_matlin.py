@@ -34,9 +34,16 @@ def test_packed_matches_generic_gf2(bits, rows, cols):
     assert_packed_matches_generic(rng.integers(0, 2, (rows, cols)))
 
 
+def generic_echelon(fld, mat):
+    """The generic eliminator's RREF, pivots and kernel, on any field."""
+    rref, pivots = ml._rref_generic(fld, mat)
+    return ml.EchelonResult(len(pivots), rref, tuple(pivots),
+                            ml.kernel_from_rref(fld, rref, pivots))
+
+
 def assert_packed_matches_generic(mat):
     packed = ml.echelonize(F2, mat)
-    generic = ml.echelonize(F2, mat, force_generic=True)
+    generic = generic_echelon(F2, mat)
     assert packed.rank == generic.rank
     assert (packed.rref == generic.rref).all()
     assert packed.pivots == generic.pivots
@@ -90,13 +97,12 @@ def test_char2_rank_matches_f2_expansion(fld, shape, pattern, seed):
     assert not ml.matmul(fld, mat, res.kernel.T).any()
 
 
-@pytest.mark.parametrize("fld,force,path", [
-    (F2, False, "_rref_gf2"),
-    (F2, True, "_rref_generic"),
-    (F8, False, "_rref_generic"),
-    (F9, False, "_rref_generic"),
-], ids=["gf2", "gf2-forced", "f8", "odd"])
-def test_echelonize_picks_backend(monkeypatch, fld, force, path):
+@pytest.mark.parametrize("fld,path", [
+    (F2, "_rref_gf2"),
+    (F8, "_rref_generic"),
+    (F9, "_rref_generic"),
+], ids=["gf2", "f8", "odd"])
+def test_echelonize_picks_backend(monkeypatch, fld, path):
     called = []
 
     def spy(name):
@@ -107,7 +113,7 @@ def test_echelonize_picks_backend(monkeypatch, fld, force, path):
 
     for name in ("_rref_gf2", "_rref_generic"):
         monkeypatch.setattr(ml, name, spy(name))
-    ml.echelonize(fld, np.zeros((3, 5), dtype=np.int64), force_generic=force)
+    ml.echelonize(fld, np.zeros((3, 5), dtype=np.int64))
     assert called == [path]
 
 
@@ -202,13 +208,12 @@ def _one_nonzero_prefix(fld, rng, nrows, ncols, width):
     return a[rng.permutation(nrows)]
 
 
-@pytest.mark.parametrize("fld,force", [(make_base_field(3), False), (make_ext_field(2, 9), False),
-                                       (make_ext_field(4, 5), False), (F2, True)],
+@pytest.mark.parametrize("fld", [make_base_field(3), make_ext_field(2, 9), make_ext_field(4, 5), F2],
                          ids=["F3", "F2^9", "F4^5", "F2-forced"])
 @pytest.mark.parametrize("nrows,ncols,width", [
     (14, 18, 3), (14, 18, ml._PREFIX_MIN - 1), (14, 18, ml._PREFIX_MIN), (14, 18, 12),
     (6, 20, 14), (12, 9, 9)])
-def test_prefix_step_matches_scalar_gauss_jordan(monkeypatch, fld, force, nrows, ncols, width):
+def test_prefix_step_matches_scalar_gauss_jordan(monkeypatch, fld, nrows, ncols, width):
     # below the break-even the column loop runs alone; from it the leading
     # one-nonzero columns are reduced in one step, the last case covering
     # every column; the result must be the same RREF either way
@@ -221,7 +226,7 @@ def test_prefix_step_matches_scalar_gauss_jordan(monkeypatch, fld, force, nrows,
         a = _one_nonzero_prefix(fld, rng, nrows, ncols, width)
         taken = width if width >= ml._PREFIX_MIN else 0
         assert ml._prefix_length(a) == taken
-        res = ml.echelonize(fld, a, force_generic=force)
+        res = generic_echelon(fld, a)
         rref, pivots, kernel = _rref_scalar(fld, a)
         assert (res.rref == rref).all() and res.pivots == pivots
         assert res.kernel.shape == kernel.shape and (res.kernel == kernel).all()
