@@ -22,6 +22,8 @@ PLAN = [
     ("lt-independence", (4, 5, 8, 3, 2), 10),
     ("q1-correspondence", (2, 7, 8, 4, 2), 10),
     ("q1-correspondence", (2, 3, 5, 2, 1), 10),
+    ("q1-correspondence", (3, 5, 8, 3, 2), 10),
+    ("q1-correspondence", (9, 3, 6, 2, 1), 10),
     ("unfold-sm", (2, 3, 5, 2, 1), 10),
     ("unfold-sm", (4, 5, 8, 3, 2), 10),
     ("mm-rank", (2, 3, 5, 2, 1), 50),

@@ -9,9 +9,10 @@ Cost conventions (see :class:`CostConventions`):
 * ``omega`` defaults to 2, the value used for the published tables, and
   must lie in [2, 3].
 * The linear-algebra paths (minor-system solving, kernel guessing, the
-  generic bilinear MinRank model) carry a row-reduction constant of 7 and
-  count 23 binary operations per multiplication when q = 16.
-* The eliminated-bilinear path additionally carries ``smplus_ops`` (default
+  generic bilinear MinRank model) carry a row-reduction constant of 7
+  (``STRASSEN``), and all paths count 23 binary operations per
+  multiplication when q = 16 (``MUL_BITS``); both are fixed.
+* The eliminated-bilinear path instead carries ``smplus_ops`` (default
   16): the published numbers embed a small polynomial factor that the cost
   statement hides inside O(.), and this constant reproduces them to within
   1.4 bits across all published rows; set it to 1 for the bare formula.
@@ -78,19 +79,19 @@ class MinRankParams:
     r: int
 
 
+STRASSEN = 7.0              # row-reduction constant of the linear-algebra paths
+MUL_BITS = {16: 23.0}       # binary operations per multiplication by q; 1 otherwise
+B_MAX = 12                  # the highest bi-degree smplus_cost tries
+
+
 @dataclass(frozen=True)
 class CostConventions:
     omega: float = 2.0
-    strassen: float = 7.0
     smplus_ops: float = 16.0
-    mul_bits_by_q: Tuple[Tuple[int, float], ...] = ((16, 23.0),)
 
     def __post_init__(self):
         if not 2 <= self.omega <= 3:        # refuses nan too
             raise ValueError(f"need 2 <= omega <= 3, got {self.omega}")
-
-    def mul_bits(self, q: int) -> float:
-        return dict(self.mul_bits_by_q).get(q, 1.0)
 
 
 DEFAULT = CostConventions()
@@ -146,7 +147,7 @@ def _mm_overdetermined(m: int, n: int, k: int, r: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def smplus_cost(params: RdParams, b: Optional[int] = None, a: int = 0, p: int = 0,
-                conv: CostConventions = DEFAULT, b_max: int = 12) -> CostEstimate:
+                conv: CostConventions = DEFAULT) -> CostEstimate:
     """Eliminated-bilinear attack at guesses ``a``, puncturing ``p``.
 
     The reduced parameters must leave the minor system underdetermined
@@ -161,7 +162,7 @@ def smplus_cost(params: RdParams, b: Optional[int] = None, a: int = 0, p: int = 
     if _mm_overdetermined(m, n, k, r):
         return CostEstimate("smplus", INFEASIBLE, False,
                             {**detail, "why": "mm-overdetermined"})
-    bs = [b] if b is not None else range(1, b_max + 1)
+    bs = [b] if b is not None else range(1, B_MAX + 1)
     for bb in bs:
         nb_val = nb_fqm(n, k, r, bb) - nsyz(m, n, k, r, bb)
         mb_val = mb_fq(m, n, k, r, bb)
@@ -171,11 +172,11 @@ def smplus_cost(params: RdParams, b: Optional[int] = None, a: int = 0, p: int = 
             continue
         bits = (a * r * log2(q) + 2 * log2(m) + log2i(nb_val)
                 + (conv.omega - 1) * log2i(mb_val)
-                + log2(conv.smplus_ops) + log2(conv.mul_bits(q)))
+                + log2(conv.smplus_ops) + log2(MUL_BITS.get(q, 1.0)))
         return CostEstimate("smplus", bits, True,
                             {**detail, "b": bb, "N": nb_val, "M": mb_val})
     return CostEstimate("smplus", INFEASIBLE, False,
-                        {**detail, "why": f"no solvable b <= {b_max}"})
+                        {**detail, "why": f"no solvable b <= {B_MAX}"})
 
 
 def mm_cost(params: RdParams, a: Optional[int] = None, p: Optional[int] = None,
@@ -201,7 +202,7 @@ def mm_cost(params: RdParams, a: Optional[int] = None, p: Optional[int] = None,
             if m * comb(n - k - 1, r) < comb(n - aa, r) - 1:
                 continue
             bits = (aa * r * log2(q) + conv.omega * log2i(comb(n - aa, r))
-                    + log2(conv.strassen) + log2(conv.mul_bits(q)))
+                    + log2(STRASSEN) + log2(MUL_BITS.get(q, 1.0)))
             est = CostEstimate("mm", bits, True, {"a": aa, "p": pp})
             if best is None or est.bits < best.bits:
                 best = est
@@ -224,7 +225,7 @@ def kernel_cost(params: MinRankParams, conv: CostConventions = DEFAULT) -> CostE
     q, n, K, r = params.q, params.n, params.K, params.r
     a = ceil(K / n)
     bits = (a * r * log2(q) + conv.omega * log2(K)
-            + log2(conv.strassen) + log2(conv.mul_bits(q)))
+            + log2(STRASSEN) + log2(MUL_BITS.get(q, 1.0)))
     return CostEstimate("kernel", bits, True, {"a": a})
 
 
@@ -253,7 +254,7 @@ def sm_generic_cost(params: MinRankParams, b: Optional[int] = None, a: int = 0,
         if mb_val <= 0 or nb_val < mb_val - 1:
             continue
         bits = (a * r * log2(q) + log2i(nb_val) + (conv.omega - 1) * log2i(mb_val)
-                + log2(conv.strassen) + log2(conv.mul_bits(q)))
+                + log2(STRASSEN) + log2(MUL_BITS.get(q, 1.0)))
         est = CostEstimate("sm", bits, True, {**detail, "b": bb})
         if best is None or est.bits < best.bits:
             best = est
@@ -268,9 +269,9 @@ def sm_generic_cost(params: MinRankParams, b: Optional[int] = None, a: int = 0,
 # ---------------------------------------------------------------------------
 
 def hybrid_minimize(cost_model: Callable[..., CostEstimate], params,
-                    a_max: Optional[int] = None,
                     conv: CostConventions = DEFAULT) -> CostEstimate:
-    """min over a >= 0 of q^(a r) times the plain model on reduced parameters.
+    """min over a of q^(a r) times the plain model on reduced parameters,
+    for 0 <= a <= k - 1 (RD) or K // m (MinRank).
 
     ``cost_model(params, a=..., conv=...)`` must price the guess factor
     itself (all models here do).  The search stops once the guess factor
@@ -279,8 +280,7 @@ def hybrid_minimize(cost_model: Callable[..., CostEstimate], params,
     own a = 0 estimate is returned, with its attack name and reason.
     """
     q, r = params.q, params.r
-    if a_max is None:
-        a_max = params.k - 1 if isinstance(params, RdParams) else params.K // params.m
+    a_max = params.k - 1 if isinstance(params, RdParams) else params.K // params.m
     best = cost_model(params, a=0, conv=conv)
     for a in range(1, a_max + 1):
         if a * r * log2(q) >= best.bits:

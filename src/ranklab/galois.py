@@ -21,6 +21,8 @@ x -> g x, the tables.
 The extension-specific operations (``trace``, ``frobenius``, ``dual_basis``,
 ``coeffs_arr``) always work *relative* to the declared base: for a tower
 F_p ⊂ F_q ⊂ F_{q^m} the trace maps F_{q^m} onto F_q, never onto F_p.
+F_p is its own degree-1 extension (its ``coord_field`` is itself), so each
+of these operations has one formula at every level.
 Because codes are polynomial-basis coordinates, trace(b*_i x) against the
 dual basis is digit i of x's base-q code, so reading a system over F_{q^m}
 coordinate by coordinate (done in :mod:`ranklab.modelings`) is
@@ -153,10 +155,11 @@ class FiniteField:
         self.base = base
         self.modulus = modulus                      # monic, codes over base (or F_p ints)
         self.degree = len(modulus) - 1              # over base (1 for the prime field itself)
+        self.coord_field = base if base is not None else self   # F_p over itself
         self.order = (base.order if base else p) ** self.degree
         self._total_deg = self.degree * (base._total_deg if base else 1)   # over F_p
         self._build_log_tables()
-        self._dual_basis: Optional[Tuple[int, ...]] = None  # lazily built, extensions only
+        self._dual_basis: Optional[Tuple[int, ...]] = None  # built on first use
 
     # -- construction helpers ------------------------------------------------
 
@@ -239,7 +242,7 @@ class FiniteField:
         scalars = np.arange(base.order, dtype=np.int64)
         out = np.zeros(1, dtype=np.int64)
         for col in mat.T:
-            multiples = (pw @ base.mul_outer(col, scalars))[:, None]
+            multiples = (pw @ base.mul_arr(col[:, None], scalars))[:, None]
             if p == 2:
                 out = np.bitwise_xor(multiples, out).reshape(-1)
             else:
@@ -257,8 +260,6 @@ class FiniteField:
         return _pack([(x + y) % p for x, y in zip(_digits(a, p, d), _digits(b, p, d))], p)
 
     def sub(self, a: int, b: int) -> int:
-        if self.char == 2:
-            return a ^ b
         return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
@@ -298,8 +299,6 @@ class FiniteField:
         return self._exp_pad[la + self._zech[d]]
 
     def sub_arr(self, a: np.ndarray, b) -> np.ndarray:
-        if self.char == 2:
-            return np.bitwise_xor(a, b)
         return self.add_arr(a, self.neg_arr(np.asarray(b)))
 
     def neg_arr(self, a: np.ndarray) -> np.ndarray:
@@ -339,19 +338,12 @@ class FiniteField:
         :meth:`log_arr` values: 0 when either is the sentinel."""
         return self._exp_pad[s]
 
-    def mul_outer(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        lu = self._log[np.asarray(u, dtype=np.int64)]
-        lv = self._log[np.asarray(v, dtype=np.int64)]
-        return self._exp_pad[lu[:, None] + lv[None, :]]
-
     # -- extension structure ---------------------------------------------------
 
     @property
     def basis(self) -> Tuple[int, ...]:
         """Polynomial basis (1, z, ..., z^{m-1}) as codes."""
-        if self.base is None:
-            return (1,)
-        q = self.base.order
+        q = self.coord_field.order
         return tuple(q ** i for i in range(self.degree))
 
     def coeffs_arr(self, a) -> np.ndarray:
@@ -361,44 +353,32 @@ class FiniteField:
         base-q code, which is also trace(b*_i x) for b* the dual basis.
         """
         a = np.asarray(a, dtype=np.int64)
-        if self.base is None:
-            return a[..., None]
-        q = self.base.order
+        q = self.coord_field.order
         return (a[..., None] // q ** np.arange(self.degree, dtype=np.int64)) % q
 
     def from_coeffs(self, cs: Sequence[int]) -> int:
-        if self.base is None:
-            return int(cs[0]) % self.char
-        return _pack(list(cs) + [0] * (self.degree - len(cs)), self.base.order)
+        return _pack(list(cs) + [0] * (self.degree - len(cs)), self.coord_field.order)
 
     def frobenius(self, x: int, ell: int = 1) -> int:
         """x ** (q**ell) for q the base order; ell reduced mod the degree."""
-        if self.base is None:
-            return x
-        return self.pow(x, self.base.order ** (ell % self.degree))
+        return self.pow(x, self.coord_field.order ** (ell % self.degree))
 
     def frob_arr(self, a: np.ndarray, ell: int = 1) -> np.ndarray:
         """Array form of :meth:`frobenius`: exp[(log x * q^ell) mod (Q-1)], 0 -> 0."""
-        if self.base is None:
-            return np.asarray(a)
         a = np.asarray(a, dtype=np.int64)
-        e = pow(self.base.order, ell % self.degree, self.order - 1)
+        e = pow(self.coord_field.order, ell % self.degree, self.order - 1)
         return self._exp[self._log[a] * e % (self.order - 1)] * (a != 0)
 
     def trace(self, x: int) -> int:
         """Relative trace onto the base field: sum of all Frobenius iterates."""
-        if self.base is None:
-            return x
         t = 0
         for ell in range(self.degree):
             t = self.add(t, self.frobenius(x, ell))
-        if not 0 <= t < self.base.order:
+        if not 0 <= t < self.coord_field.order:
             raise ArithmeticError("trace left the base field; corrupt tables")
         return t
 
     def trace_arr(self, a: np.ndarray) -> np.ndarray:
-        if self.base is None:
-            return np.asarray(a)
         t = np.zeros_like(np.asarray(a, dtype=np.int64))
         for ell in range(self.degree):
             t = self.add_arr(t, self.frob_arr(a, ell))
@@ -410,13 +390,11 @@ class FiniteField:
         Its coordinates are the rows of the inverse of the trace Gram matrix
         of the polynomial basis; built on first use.
         """
-        if self.base is None:
-            return (1,)
         if self._dual_basis is None:
             m = self.degree
             bas = np.array(self.basis, dtype=np.int64)
-            gram = self.trace_arr(self.mul_outer(bas, bas))
-            res = echelonize(self.base, np.hstack([gram, identity(m)]))
+            gram = self.trace_arr(self.mul_arr(bas[:, None], bas))
+            res = echelonize(self.coord_field, np.hstack([gram, identity(m)]))
             if res.pivots != tuple(range(m)):
                 raise ArithmeticError("singular trace Gram matrix for a basis")
             self._dual_basis = tuple(int(c) for c in res.rref[:, m:] @ bas)

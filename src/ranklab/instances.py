@@ -95,7 +95,7 @@ class RdInstance:
 
     @property
     def q(self) -> int:
-        return self.field.base.order if self.field.base else self.field.order
+        return self.field.coord_field.order
 
     @property
     def m(self) -> int:
@@ -126,12 +126,11 @@ def gen_rd(q: int, m: int, n: int, k: int, r: int, seed: int) -> RdInstance:
         support = np.zeros(0, dtype=np.int64)
         coeffs = np.zeros((0, n), dtype=np.int64)
     else:
-        base = fld.base
         while True:
             support = fld.rand_elements(rng, r)
-            if ml.echelonize(base, ml.mat_of(fld, support)).rank == r:
+            if ml.rank_weight(fld, support) == r:
                 break
-        coeffs = ml.random_full_rank(base, r, n, rng)
+        coeffs = ml.random_full_rank(fld.base, r, n, rng)
         e = ml.matmul(fld, support[None, :], coeffs)[0]
     y = fld.add_arr(fld.neg_arr(ml.matmul(fld, x[None, :], gen)[0]), e)
     if ml.rank_weight(fld, e) != r:
@@ -317,7 +316,6 @@ def rd_to_minrank(rd: RdInstance) -> MinRankInstance:
     combination at the transported witness reproduces Mat(e).
     """
     fld = rd.field
-    base = fld.base
     m, n, k = rd.m, rd.n, rd.k
     # (k, l, n, i) -> Mat(b_l G_j) at index 1 + j m + l, coordinate i in row i
     prods = fld.coeffs_arr(fld.mul_arr(np.array(fld.basis)[:, None], rd.gen[:, None, :]))
@@ -325,7 +323,7 @@ def rd_to_minrank(rd: RdInstance) -> MinRankInstance:
     witness = None
     if rd.witness is not None:
         witness = fld.coeffs_arr(rd.witness.x).reshape(-1)
-    out = MinRankInstance(base, m, n, k * m, rd.r, tuple(mats), witness)
+    out = MinRankInstance(fld.base, m, n, k * m, rd.r, tuple(mats), witness)
     if witness is not None and not out.verify_witness():
         raise InstanceError("witness does not transport to the MinRank instance")
     return out

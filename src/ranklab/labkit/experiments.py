@@ -142,15 +142,11 @@ def _check_q1_correspondence(params, seed):
     full_minors = ml.maximal_minors(fld, h_full[np.concatenate([j_sets, last], axis=1)], r + 1)
     hy_minors = ml.maximal_minors(fld, can.h_y[j_sets], r)
     # coefs[p, j] combines the bilinear equations into target[p, j]:
-    # identity 2 (j < k), x_j times linear row p: polynomial I takes the
-    # minor at I minus j, signed by the position of j in I;
-    # identity 1 (j = k), the linear row signed by r: the full minors
-    cols, drop = ml.subset_table(n, r + 1)
-    vals = hy_minors[:, drop]
-    vals[..., 1::2] = fld.neg_arr(vals[..., 1::2])
+    # identity 2 (j < k), x_j times linear row p: the minors of the unit
+    # row e_j on top of the H_y rows of p; identity 1 (j = k), the linear
+    # row signed by r: the full minors
     coefs = np.zeros((mm.nrows, k + 1, sm.npolys), dtype=np.int64)
-    poly, pos = np.nonzero(cols < k)
-    coefs[:, cols[poly, pos], poly] = vals[:, poly, pos]
+    coefs[:, :k] = ml.laplace_row(fld, ml.identity(n)[:k], hy_minors[:, None], r + 1)
     coefs[:, k] = full_minors
     target = _multiples(mm, k)
     if r % 2:

@@ -155,14 +155,18 @@ def _witness_doc(doc: Dict, keys) -> Dict:
 
 def _codes(value, shape: Tuple[int, ...], order: int, name: str) -> np.ndarray:
     """Element codes as an int64 array of the given shape, each in [0, order)."""
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:                  # nested lists of unequal lengths
+        raise ValueError(f"{name} is not a rectangular array") from None
     if arr.size == 0 and 0 in shape:
         return np.zeros(shape, dtype=np.int64)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    if arr.dtype.kind not in "iu":
+    big = arr.dtype == object and all(type(c) is int for c in arr.flat)   # beyond 64 bits
+    if arr.dtype.kind not in "iu" and not big:
         raise ValueError(f"{name} holds codes that are not integers")
-    if ((arr < 0) | (arr >= order)).any():
+    if big or ((arr < 0) | (arr >= order)).any():
         raise ValueError(f"{name} holds codes outside [0, {order})")
     return arr.astype(np.int64)
 

@@ -5,9 +5,11 @@ A matrix is a 2-D numpy array of element codes together with the
 take the field as their first argument and never mutate their inputs.
 :func:`matmul` is the one linear-combination primitive: outside the row
 reducers, a sum c_1 row_1 + ... of field codes is a product through it.
-Includes maximal-minor (Pluecker coordinate) extraction over stacks of
-matrices, the subset tables that label and index the minor variables,
-and the coordinate matrix of an extension-field vector over the base field.
+:func:`laplace_row` is the one minor step, shared by :func:`maximal_minors`
+(Pluecker coordinates of stacks of matrices, one step per row) and the
+Support-Minors readout of x in :mod:`ranklab.solver`.  Also here: the
+subset tables that label and index the minor variables, and the coordinate
+matrix of an extension-field vector over its coordinate field.
 
 Row reduction has two backends, cross-checked in the test suite, and
 ``echelonize`` picks one from the field:
@@ -48,6 +50,7 @@ __all__ = [
     "solve_right",
     "matmul",
     "determinant",
+    "laplace_row",
     "maximal_minors",
     "all_subsets",
     "subset_table",
@@ -220,7 +223,7 @@ def _rref_generic(fld: FiniteField, mat: np.ndarray) -> Tuple[np.ndarray, List[i
         rows = f.nonzero()[0]
         if rows.size:
             neg_f = fld.neg_arr(f[rows])
-            a[rows, c:] = fld.add_arr(a[rows, c:], fld.mul_outer(neg_f, a[rr, c:]))
+            a[rows, c:] = fld.add_arr(a[rows, c:], fld.mul_arr(neg_f[:, None], a[rr, c:]))
         pivots.append(c)
         rr += 1
     return a, pivots
@@ -346,7 +349,7 @@ def determinant(fld: FiniteField, mat: np.ndarray) -> int:
         mask = below != 0
         if mask.any():
             factors = fld.neg_arr(fld.mul_arr(below[mask], fld.inv(pv)))
-            a[c + 1:][mask] = fld.add_arr(a[c + 1:][mask], fld.mul_outer(factors, a[c]))
+            a[c + 1:][mask] = fld.add_arr(a[c + 1:][mask], fld.mul_arr(factors[:, None], a[c]))
     return det
 
 
@@ -395,27 +398,35 @@ def subset_table(n: int, s: int) -> Tuple[np.ndarray, np.ndarray]:
 # maximal minors
 # ---------------------------------------------------------------------------
 
+def laplace_row(fld: FiniteField, rows: np.ndarray, minors: np.ndarray, s: int) -> np.ndarray:
+    """The s-minors of a row stacked on a matrix, from the matrix's (s-1)-minors.
+
+    ``rows`` (..., n) and ``minors`` (..., C(n, s - 1)) broadcast over their
+    leading axes.  Entry [..., I] is the minor at the s-subset I expanded
+    along the row: the sum over positions pos of (-1)^pos row[I_pos] times
+    the minor at the face of I without I_pos.
+    """
+    cols, drop = subset_table(np.shape(rows)[-1], s)
+    terms = fld.mul_arr(np.asarray(rows)[..., cols], np.asarray(minors)[..., drop])
+    terms[..., 1::2] = fld.neg_arr(terms[..., 1::2])
+    return fld.sum_arr(terms)
+
+
 def maximal_minors(fld: FiniteField, mat: np.ndarray, r: int) -> np.ndarray:
     """All r x r minors of each r x n matrix of a (..., r, n) stack.
 
-    The result has shape (..., C(n, r)), in subset index order.  Level s
-    holds the minors of the first s rows at every s-subset of columns; the
-    Laplace expansion along row s - 1 builds it from level s - 1 with one
-    gather through :func:`subset_table` and one field sum.  Exact at every q.
+    The result has shape (..., C(n, r)), in subset index order: the minors
+    of the last s rows, for s = 1, ..., r, each by one :func:`laplace_row`
+    step from those of the last s - 1.  Exact at every q.
     """
     mat = np.asarray(mat, dtype=np.int64)
     if mat.ndim < 2 or mat.shape[-2] != r:
         raise ValueError("matrix must have exactly r rows")
-    n = mat.shape[-1]
-    if r > n:
+    if r > mat.shape[-1]:
         raise ValueError("need at least r columns")
     minors = np.ones(mat.shape[:-2] + (1,), dtype=np.int64)
     for s in range(1, r + 1):
-        cols, drop = subset_table(n, s)
-        terms = fld.mul_arr(mat[..., s - 1, :][..., cols], minors[..., drop])
-        odd = (s - 1 + np.arange(s)) % 2 == 1          # the signs of the expansion
-        terms[..., odd] = fld.neg_arr(terms[..., odd])
-        minors = fld.sum_arr(terms)
+        minors = laplace_row(fld, mat[..., r - s, :], minors, s)
     return minors
 
 
@@ -430,7 +441,4 @@ def mat_of(ext: FiniteField, vec: Sequence[int]) -> np.ndarray:
 
 def rank_weight(ext: FiniteField, vec: Sequence[int]) -> int:
     """Rank of the coordinate expansion = dimension of the span of entries."""
-    base = ext.base
-    if base is None:
-        return int(any(int(x) for x in vec))
-    return echelonize(base, mat_of(ext, vec)).rank
+    return echelonize(ext.coord_field, mat_of(ext, vec)).rank

@@ -20,15 +20,15 @@ indexed by r-subsets T of column positions):
 
 One row reduction, ``eliminate_minors``, writes the largest c_T through
 the free ones; the MaxMinors readout and ``reduce_sm_plus`` both use it.
-Once the minors are known, ``sm_at_minors`` evaluates the Support-Minors
-equations at them, which leaves a linear system in x; every solver path
-reads its answer from that system.
 
 Every minor comes from :func:`ranklab.matlin.maximal_minors`.  One function
 lays out the Support-Minors systems of RD and MinRank: every equation is the
 Laplace expansion of a minor along its affine first row, scattered through
 the faces of :func:`ranklab.matlin.subset_table` into one coefficient array
-whose affine part is the coefficient of an extra variable x_nx = 1.
+whose affine part is the coefficient of an extra variable x_nx = 1.  At
+known minors the same expansion is one :func:`ranklab.matlin.laplace_row`
+step, which leaves a linear system in x (:func:`ranklab.solver.x_from_minors`);
+the tests compare the two.
 Unfolding reads an F_{q^m} system coordinate by coordinate: equation i of
 an unfolded block applies x -> trace(b*_i x), which is digit i of the code
 (:meth:`~ranklab.galois.FiniteField.coeffs_arr`).
@@ -70,7 +70,6 @@ __all__ = [
     "build_sm_fqm",
     "build_sm_fq",
     "sm_for_minrank",
-    "sm_at_minors",
     "sm_fq_direct",
     "eliminate_minors",
     "reduce_sm_plus",
@@ -216,30 +215,15 @@ def build_mm_fq(mm: CtLinearSystem) -> CtLinearSystem:
 # Support-Minors systems
 # ---------------------------------------------------------------------------
 
-def sm_at_minors(fld: FiniteField, rows: np.ndarray, minors: np.ndarray, r: int) -> np.ndarray:
-    """The Support-Minors equations at fixed minors, linear in x.
-
-    ``rows`` (K+1, ..., n) stacks the rows of row_0 + sum_u x_u row_u, the
-    first row of the matrices whose minors vanish: (y, G) of a canonical
-    form, or (M_0, ..., M_K) of a MinRank instance.  Entry [u, ..., I] is
-    the first-row Laplace expansion of the minor at the (r+1)-subset I with
-    row u on top of the support matrix, whose r-minors are ``minors``; the
-    equations read sum_u x_u out[u] = -out[0].
-    """
-    cols, drop = ml.subset_table(np.shape(rows)[-1], r + 1)
-    terms = fld.mul_arr(np.asarray(rows)[..., cols], np.asarray(minors)[drop])
-    terms[..., 1::2] = fld.neg_arr(terms[..., 1::2])
-    return fld.sum_arr(terms)
-
-
 def _support_minors(fld: FiniteField, rows: np.ndarray, r: int, labels: Tuple) -> BilinearSystem:
     """The Support-Minors system of the affine rows row_0 + sum_u x_u row_u.
 
-    ``rows`` (K+1, ..., n) is the stack that :func:`sm_at_minors` takes.
-    Polynomial (I, ...) expands the minor at the (r+1)-subset I of the
-    affine row over the support matrix along that row: entry pos of I goes,
-    signed by pos, to c_T for T the face without it.  Polynomials run over
-    I, then over the middle axes of ``rows``.
+    ``rows`` (K+1, ..., n) is (y, G) of a canonical form or (M_0, ..., M_K)
+    of a MinRank instance.  Polynomial (I, ...)
+    expands the minor at the (r+1)-subset I of the affine row over the
+    support matrix along that row: entry pos of I goes, signed by pos, to
+    c_T for T the face without it.  Polynomials run over I, then over the
+    middle axes of ``rows``.
     """
     n = np.shape(rows)[-1]
     subsets = tuple(ml.all_subsets(n, r))

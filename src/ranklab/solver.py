@@ -12,8 +12,9 @@ of the system, are reduced, against the kernel carried from b - 1; they meet
 its columns only through their affine parts, so the carried block is one
 product with the row basis's affine block.  Every path then has one
 readout: at known minors the Support-Minors equations are linear in x
-(:func:`x_from_minors`), and the candidate they give is verified against
-the instance before being returned.
+(:func:`x_from_minors`, one :func:`ranklab.matlin.laplace_row` step), and
+the candidate they give is verified against the instance before being
+returned.
 
 Also provides an exhaustive support-enumeration decoder for desk-scale
 instances; it is independent of the algebraic path and doubles as the
@@ -192,12 +193,12 @@ def x_from_minors(fld: FiniteField, rows: np.ndarray, minors: np.ndarray, r: int
     """One x that puts row_0 + sum_u x_u row_u in the row space of a support
     matrix with r-minors ``minors``, or None if there is none.
 
-    Solves the Support-Minors equations at the minors
-    (:func:`ranklab.modelings.sm_at_minors`, which describes ``rows``);
-    whether the x is an answer is for the caller's verification to decide.
+    ``rows`` (K+1, ..., n) is (y, G) of a canonical form or (M_0, ..., M_K)
+    of a MinRank instance.  One :func:`ranklab.matlin.laplace_row` step puts
+    each row on the support matrix, so eqs[u] holds its (r+1)-minors and
+    sum_{u >= 1} x_u eqs[u] = -eqs[0]; the caller verifies the x.
     """
-    eqs = md.sm_at_minors(fld, rows, minors, r)
-    eqs = eqs.reshape(eqs.shape[0], -1)
+    eqs = ml.laplace_row(fld, rows, minors, r + 1).reshape(len(rows), -1)
     return ml.solve_right(fld, eqs[1:].T, fld.neg_arr(eqs[0]))
 
 

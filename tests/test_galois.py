@@ -102,11 +102,19 @@ def test_moduli_are_lowest_irreducible():
             assert _has_root_below_half(q, lower), (fld, lower)
 
 
-def test_trivial_extension():
-    f = make_ext_field(2, 1)
-    assert f.order == 2
-    assert f.basis == (1,) and f.dual_basis() == (1,)
-    assert f.trace(1) == 1                  # trace is the identity on F_2
+@pytest.mark.parametrize("p", [2, 3, 5, 7], ids=lambda p: f"F{p}")
+def test_trivial_extension(p):
+    # F_p over itself and F_p as F_{p^1} over F_p are degree-1 extensions:
+    # one coordinate, the code itself, and Frobenius and trace the identity
+    xs = np.arange(p)
+    for f in (make_base_field(p), make_ext_field(p, 1)):
+        assert f.order == p and f.coord_field.order == p
+        assert f.basis == (1,) and f.dual_basis() == (1,)
+        assert f.coeffs_arr(xs).tolist() == xs[:, None].tolist()
+        assert [f.from_coeffs([x]) for x in range(p)] == xs.tolist()
+        assert [[f.frobenius(x, ell) for ell in (1, 2)] for x in range(p)] == [[x, x] for x in xs]
+        assert f.frob_arr(xs).tolist() == f.frob_arr(xs, 3).tolist() == xs.tolist()
+        assert [f.trace(x) for x in range(p)] == f.trace_arr(xs).tolist() == xs.tolist()
 
 
 def test_trace_examples():

@@ -110,6 +110,10 @@ def _set(key, value):
                  r"witness coeffs holds codes outside \[0, 2\)", id="witness-coeff"),
     pytest.param(lambda d: d["witness"].pop("coeffs"), r"witness must hold exactly the keys",
                  id="witness-keys"),
+    pytest.param(lambda d: d["generator"][1].pop(), r"^generator is not a rectangular array$",
+                 id="ragged-generator"),
+    pytest.param(lambda d: d["received"].__setitem__(2, 2 ** 70),
+                 r"^received holds codes outside \[0, 128\)$", id="code-beyond-64-bits"),
 ])
 def test_reader_rejects_malformed_rd(tmp_path, edit, reason):
     path = tampered_file(tmp_path, inst.gen_rd(2, 7, 8, 4, 2, seed=1), edit)
@@ -125,6 +129,10 @@ def test_reader_rejects_malformed_rd(tmp_path, edit, reason):
     pytest.param(_set("r", 0), r"need 0 < r", id="r-zero"),
     pytest.param(_set("k_or_K", 0), r"need K >= 1", id="K-zero"),
     pytest.param(lambda d: d["matrices"].pop(), r"matrix count", id="missing-matrix"),
+    pytest.param(lambda d: d["matrices"][1][2].pop(), r"^matrix 1 is not a rectangular array$",
+                 id="ragged-matrix"),
+    pytest.param(lambda d: d["matrices"][3][0].__setitem__(1, -2 ** 70),
+                 r"^matrix 3 holds codes outside \[0, 2\)$", id="code-beyond-64-bits"),
 ])
 def test_reader_rejects_malformed_minrank(tmp_path, edit, reason):
     path = tampered_file(tmp_path, inst.gen_minrank(2, 6, 8, 14, 2, seed=3), edit)

@@ -361,6 +361,32 @@ def test_maximal_minors_match_determinants_on_stacks(q, r, extra, stack, seed):
             assert minors[idx + (i,)] == ml.determinant(fld, mats[idx][:, list(t)])
 
 
+@pytest.mark.parametrize("s", range(1, 6))
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_laplace_row_matches_determinants(q, s):
+    # entry I is det([row; B][:, I]) for B with (s-1)-minors ``minors``: one
+    # row over one B, a (K+1, n) stack over one B as the Support-Minors
+    # readout takes it, and rows each over their own B as maximal_minors does
+    fld = make_base_field(q)
+    n = s + 2
+    rng = np.random.default_rng(100 * q + s)
+    subsets = ml.all_subsets(n, s)
+
+    def expect(row, below):
+        stacked = np.vstack([row, below])
+        return [ml.determinant(fld, stacked[:, list(t)]) for t in subsets]
+
+    below = fld.rand_elements(rng, (3, s - 1, n))
+    minors = ml.maximal_minors(fld, below, s - 1)
+    rows = fld.rand_elements(rng, (3, n))
+    one = ml.laplace_row(fld, rows[0], minors[0], s)
+    assert one.tolist() == expect(rows[0], below[0])
+    stack = ml.laplace_row(fld, rows, minors[0], s)
+    assert stack.tolist() == [expect(row, below[0]) for row in rows]
+    own = ml.laplace_row(fld, rows, minors, s)
+    assert own.tolist() == [expect(row, b) for row, b in zip(rows, below)]
+
+
 def test_cauchy_binet_exhaustive_gf2():
     # det(A B) = sum over column subsets of paired maximal minors
     rng = np.random.default_rng(41)

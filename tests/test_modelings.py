@@ -125,6 +125,18 @@ def test_sm_polynomials_are_minors(params):
     assert vals.tolist() == [ml.determinant(fld, stacked[:, list(i_set)]) for i_set in sm.labels]
 
 
+@pytest.mark.parametrize("params", [P842, (3, 4, 7, 3, 2), (9, 2, 5, 2, 1)], ids=str)
+def test_sm_system_at_minors_is_one_laplace_step(params):
+    # at fixed minors the laid-out system is the readout's Laplace step: the
+    # coefficient of x_u is the step on row u of G, the affine part on y
+    _, can, _, _, sm, _ = systems(params, 3)
+    fld, nt = can.field, len(sm.subsets)
+    ct = fld.rand_elements(np.random.default_rng(5), nt)
+    at = ml.matmul(fld, sm.coef.transpose(1, 0, 2).reshape(-1, nt), ct[:, None])
+    step = ml.laplace_row(fld, np.concatenate([can.gen, can.received[None, :]]), ct, can.r + 1)
+    assert at.reshape(step.shape).tolist() == step.tolist()
+
+
 @pytest.mark.parametrize("params", [(2, 7, 8, 4, 2), (3, 4, 7, 3, 2), (4, 5, 8, 3, 2)],
                          ids=["F2^7", "F3^4", "F4^5"])
 def test_rd_and_minrank_share_one_support_minors_layout(params):
