@@ -163,10 +163,10 @@ def _codes(value, shape: Tuple[int, ...], order: int, name: str) -> np.ndarray:
         return np.zeros(shape, dtype=np.int64)
     if arr.shape != shape:
         raise ValueError(f"{name} has shape {arr.shape}, expected {shape}")
-    big = arr.dtype == object and all(type(c) is int for c in arr.flat)   # beyond 64 bits
-    if arr.dtype.kind not in "iu" and not big:
+    # by element type: numpy reads [1, true] as the integers [1, 1]
+    if not set(map(type, np.asarray(value, dtype=object).flat)) <= {int}:
         raise ValueError(f"{name} holds codes that are not integers")
-    if big or ((arr < 0) | (arr >= order)).any():
+    if arr.dtype == object or ((arr < 0) | (arr >= order)).any():   # object: beyond 64 bits
         raise ValueError(f"{name} holds codes outside [0, {order})")
     return arr.astype(np.int64)
 

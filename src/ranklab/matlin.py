@@ -15,7 +15,9 @@ Row reduction has two backends, cross-checked in the test suite, and
 ``echelonize`` picks one from the field:
 
 * GF(2): a Gauss-Jordan on one matrix whose rows are packed into uint64
-  words, XORing a pivot row into the other rows with the pivot bit.
+  words, stored word-major (word w of every row in one contiguous run), so
+  XORing a pivot row into the other rows with the pivot bit is one
+  contiguous masked pass over the words from the pivot column's word on.
 * Every other field: a generic table-driven Gauss-Jordan, exact in every
   characteristic.  It updates only the rows that hold the pivot column,
   which suits the sparse Macaulay matrices.
@@ -248,40 +250,42 @@ def unpack_gf2(packed: np.ndarray, ncols: int) -> np.ndarray:
     return np.unpackbits(octets, axis=-1, count=ncols, bitorder="little").astype(np.int64)
 
 
-_BITS = [np.uint64(1 << b) for b in range(64)]     # the bit of each column in its word
-
-
 def _rref_gf2(mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Gauss-Jordan over GF(2) on rows packed into uint64 words.
+    """Gauss-Jordan over GF(2) on packed rows, stored word-major.
 
-    The pivot row of a column is the first free row (one holding no pivot
-    yet) with its bit; it is XORed into every other row with the bit and
-    stays where it is.  Left of the column the pivot row is zero, so the
-    XOR starts at the column's word.  The rows are put in echelon order
-    once at the end: pivot rows by pivot column, then the free rows, which
-    are zero.
+    ``words[w, i]`` holds columns 64w..64w+63 of row i, so the words from a
+    column's word on form one contiguous block over all rows.  Per column,
+    shifting its bit into the sign bit of each int64 word and back gives a
+    0 / all-ones mask of the rows holding it; ``free`` is all ones on the
+    rows that hold no pivot yet.  The pivot row is the first free row with
+    the bit (the first -1 of ``mask & free``); it is XORed, through the
+    mask, into every other row with the bit in one pass, and stays where it
+    is.  Left of the column the pivot row is zero, so the XOR starts at the
+    column's word.  The rows are put in echelon order once at the end: pivot
+    rows by pivot column, then the free rows, which are zero.
     """
     nrows, ncols = mat.shape
-    rows = pack_gf2(mat)
-    free = np.ones(nrows, dtype=bool)
+    packed = np.ascontiguousarray(pack_gf2(mat).T)
+    words = packed.view(np.int64)
+    free = np.full(nrows, -1, dtype=np.int64)
     pivots: List[int] = []
     order: List[int] = []
     for c in range(ncols):
         if len(pivots) == nrows:
             break
         w = c // 64
-        hit = (rows[:, w] & _BITS[c % 64]) != 0
-        cand = np.flatnonzero(hit & free)
-        if cand.size == 0:
+        mask = (words[w] << (63 - c % 64)) >> 63
+        cand = mask & free
+        p = int(cand.argmin())
+        if not cand[p]:
             continue
-        p = int(cand[0])
-        hit[p] = False
-        rows[hit, w:] ^= rows[p, w:]
-        free[p] = False
+        mask[p] = 0
+        words[w:] ^= words[w:, p, None] & mask
+        free[p] = 0
         pivots.append(c)
         order.append(p)
     order += np.flatnonzero(free).tolist()
-    return unpack_gf2(rows[order], ncols), pivots
+    return unpack_gf2(packed.T[order], ncols), pivots
 
 
 def echelonize(fld: FiniteField, mat: np.ndarray) -> EchelonResult:

@@ -114,6 +114,8 @@ def _set(key, value):
                  id="ragged-generator"),
     pytest.param(lambda d: d["received"].__setitem__(2, 2 ** 70),
                  r"^received holds codes outside \[0, 128\)$", id="code-beyond-64-bits"),
+    pytest.param(lambda d: d["generator"][2].__setitem__(5, True),
+                 r"^generator holds codes that are not integers$", id="bool-code"),
 ])
 def test_reader_rejects_malformed_rd(tmp_path, edit, reason):
     path = tampered_file(tmp_path, inst.gen_rd(2, 7, 8, 4, 2, seed=1), edit)
@@ -133,6 +135,8 @@ def test_reader_rejects_malformed_rd(tmp_path, edit, reason):
                  id="ragged-matrix"),
     pytest.param(lambda d: d["matrices"][3][0].__setitem__(1, -2 ** 70),
                  r"^matrix 3 holds codes outside \[0, 2\)$", id="code-beyond-64-bits"),
+    pytest.param(lambda d: d["matrices"][1][3].__setitem__(0, False),
+                 r"^matrix 1 holds codes that are not integers$", id="bool-code"),
 ])
 def test_reader_rejects_malformed_minrank(tmp_path, edit, reason):
     path = tampered_file(tmp_path, inst.gen_minrank(2, 6, 8, 14, 2, seed=3), edit)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ranklab import matlin as ml
+from ranklab import instances, matlin as ml, modelings as md
 from ranklab.galois import make_base_field, make_ext_field
 
 F2 = make_base_field(2)
@@ -60,6 +60,42 @@ def test_packed_batch_across_words(rows, cols):
     for mat in stack:
         assert_packed_matches_generic(mat)
     assert (ml.unpack_gf2(ml.pack_gf2(stack), cols) == stack).all()
+
+
+@pytest.mark.parametrize("lead", [63, 127])
+def test_packed_pivots_on_sign_bit(lead):
+    # pivot columns on the top bit of a word, with bits in the words beyond
+    rng = np.random.default_rng(lead)
+    mat = np.zeros((9, 260), dtype=np.int64)
+    mat[:, lead + 1:] = rng.integers(0, 2, (9, 259 - lead))
+    mat[:6, lead] = 1
+    mat[6:, 2 * lead + 1] = 1                   # the next word's top bit
+    mat[6:, lead:2 * lead + 1] = 0
+    assert_packed_matches_generic(mat)
+    assert ml.echelonize(F2, mat).pivots[:2] == (lead, lead + 1)
+
+
+def test_packed_repeated_rows_across_word_boundary():
+    # rows held in columns 40..99 and their repeats and sums: rank 6 of 14
+    rng = np.random.default_rng(7)
+    mat = np.zeros((14, 140), dtype=np.int64)
+    mat[:6, 40:100] = rng.integers(0, 2, (6, 60))
+    mat[6:12] = mat[:6]
+    mat[12] = mat[0] ^ mat[3]
+    mat[13] = mat[1] ^ mat[2] ^ mat[5]
+    mat = mat[rng.permutation(14)]
+    assert_packed_matches_generic(mat)
+    assert ml.echelonize(F2, mat).rank == 6
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_packed_hybrid_minrank_macaulay(seed):
+    # the b = 1 Support-Minors matrix of the MinRank hybrid: 210 x 189, rank 188
+    mri = instances.gen_minrank(2, 6, 7, 8, 2, seed)
+    mat = md.macaulay(md.sm_for_minrank(mri), 1).arr
+    assert mat.shape == (210, 189)
+    assert_packed_matches_generic(mat)
+    assert ml.echelonize(F2, mat).rank == 188
 
 
 def f2_expansion(fld, mat):
