@@ -33,7 +33,10 @@ PLAN = [
     ("mm-rank", (4, 5, 8, 3, 2), 50),
     ("syzygy-count", (2, 7, 8, 4, 2), 20),
     ("hybrid-correct", (2, 7, 12, 5, 2), 30),
+    ("hybrid-correct", (3, 4, 7, 3, 1), 10),
+    ("hybrid-correct", (5, 3, 6, 2, 1), 10),
     ("hybrid-correct-minrank", (2, 6, 8, 14, 2), 30),
+    ("hybrid-correct-minrank", (3, 3, 5, 6, 1), 10),
 ]
 
 

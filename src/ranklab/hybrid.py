@@ -9,16 +9,19 @@ bet zeroes those coordinates.  Both problems are an affine space
 row_0 + span(rows): y + <G> for RD, and the column-major flattenings of
 M_0 + <M_1..M_K> for MinRank.  One shortening step, one row reduction per
 guess, drops the zeroed coordinates from it, with ``a`` code dimensions
-(RD) or ``a m`` linear variables (MinRank).  A reduction records only what
-lifts a solution back; the reduced instance carries no witness.
+(RD) or ``a m`` linear variables (MinRank).  One :class:`Reduction` record
+serves both: it keeps what lifts a combination x of the reduced space back
+to one of the original (RD's x being minus the message, y + x G = e); the
+reduced instance carries no witness.
 
 One driver loop serves RD and MinRank alike, in a deterministic flavour
 (enumerate all guesses, then rerandomize and retry if the independence
 assumption fails) and a probabilistic one (fresh right-rerandomization per
-trial, betting directly).  Only reduction, rerandomization, the inner solve
-with its lift, and the validity check depend on the problem; every lifted
-candidate is verified against the original instance before it is accepted,
-so spurious inner decodings are harmless.
+trial, betting directly).  Guesses and rerandomizations act on positions
+only, so a lifted x needs no inverse of either.  Only reduction,
+rerandomization, the inner solve and the validity check depend on the
+problem; every lifted x is verified against the original instance before it
+is accepted, so spurious inner decodings are harmless.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from . import solver as sv
 
 __all__ = [
     "GuessMatrix",
-    "RdReduction",
-    "MinRankReduction",
+    "Reduction",
     "HybridResult",
     "enumerate_guesses",
     "p_matrix",
@@ -94,18 +96,23 @@ def p_matrix(fld: FiniteField, guess: np.ndarray, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RdReduction:
-    instance: RdInstance
-    guess: GuessMatrix
-    parent: RdInstance
+class Reduction:
+    """A shortened instance, with what lifts its x back.
 
-    def lift_error(self, e_reduced: np.ndarray) -> np.ndarray:
-        """Error of the parent instance from an error of the reduced one."""
-        fld = self.parent.field
-        a = self.parent.n - self.instance.n
-        padded = np.concatenate([e_reduced, np.zeros(a, dtype=np.int64)])
-        p_inv = p_matrix(fld, fld.neg_arr(self.guess.a), self.parent.n)
-        return ml.matmul(fld, padded[None, :], p_inv)[0]
+    ``transform`` is the D of :func:`_shorten_affine` and ``tail`` is row_0
+    on the shortened coordinates, so [x', -tail] D combines row_0 +
+    span(rows) into [row_0' + x' rows', 0]: an x of the instance reduced.
+    """
+
+    instance: Union[RdInstance, MinRankInstance]
+    guess: GuessMatrix
+    transform: np.ndarray
+    tail: np.ndarray
+
+    def lift_x(self, x_reduced: np.ndarray) -> np.ndarray:
+        fld = self.instance.field
+        x_full = np.concatenate([x_reduced, fld.neg_arr(self.tail)])
+        return ml.matmul(fld, x_full[None, :], self.transform)[0]
 
 
 def _shorten_affine(fld: FiniteField, stack: np.ndarray, ntail: int
@@ -134,7 +141,7 @@ def _shorten_affine(fld: FiniteField, stack: np.ndarray, ntail: int
             fld.sub_arr(row0[:width], ml.matmul(fld, row0[None, width:], rest[:ntail])[0]))
 
 
-def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[RdReduction]:
+def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[Reduction]:
     """Shorten at the last ``a`` positions after applying the guess transform.
 
     Returns None when the shortened code does not have the expected
@@ -144,41 +151,25 @@ def reduce_rd(rd: RdInstance, guess: GuessMatrix, a: int) -> Optional[RdReductio
         raise InstanceError("cannot shorten more positions than the dimension")
     fld = rd.field
     if a == 0:
-        return RdReduction(rd, guess, rd)
+        return Reduction(rd, guess, ml.identity(rd.k), np.zeros(0, dtype=np.int64))
     stack = ml.matmul(fld, np.vstack([rd.received, rd.gen]), p_matrix(fld, guess.a, rd.n))
     cut = _shorten_affine(fld, stack, a)
     if cut is None:
         return None
-    gen_short, _, y_red = cut
-    return RdReduction(RdInstance(fld, rd.n - a, rd.k - a, rd.r, gen_short, y_red),
-                       guess, rd)
-
-
-@dataclass(frozen=True)
-class MinRankReduction:
-    instance: MinRankInstance
-    guess: GuessMatrix
-    transform: np.ndarray            # D with D . L = (L' 0 ; B I)
-    tail_flat: np.ndarray            # phi(M_0 P_A) on the shortened positions
-    parent: MinRankInstance
-
-    def lift_x(self, x_reduced: np.ndarray) -> np.ndarray:
-        """Solution of the parent instance (guess transforms commute with x)."""
-        fld = self.parent.field
-        x_full = np.concatenate([x_reduced, fld.neg_arr(self.tail_flat)])
-        return ml.matmul(fld, x_full[None, :], self.transform)[0]
+    gen_short, transform, y_red = cut
+    return Reduction(RdInstance(fld, rd.n - a, rd.k - a, rd.r, gen_short, y_red),
+                     guess, transform, stack[0, rd.n - a:])
 
 
 def reduce_minrank(inst: MinRankInstance, guess: GuessMatrix, a: int
-                   ) -> Optional[MinRankReduction]:
+                   ) -> Optional[Reduction]:
     """Drop ``a`` matrix columns and ``a m`` linear variables after the guess."""
     am = a * inst.m
     if am > inst.K:
         raise InstanceError("need a m <= K")
     fld = inst.field
     if a == 0:
-        return MinRankReduction(inst, guess, ml.identity(inst.K),
-                                np.zeros(0, dtype=np.int64), inst)
+        return Reduction(inst, guess, ml.identity(inst.K), np.zeros(0, dtype=np.int64))
     p_a = p_matrix(fld, guess.a, inst.n)
     stack = flatten_matrix(ml.matmul(fld, inst.mats.reshape(-1, inst.n), p_a)
                            .reshape(inst.mats.shape))
@@ -188,17 +179,7 @@ def reduce_minrank(inst: MinRankInstance, guess: GuessMatrix, a: int
     gen_short, transform, m0_red = cut
     mats = unflatten_matrix(np.vstack([m0_red, gen_short]), inst.m)
     red = MinRankInstance(fld, inst.m, inst.n - a, inst.K - am, inst.r, mats)
-    return MinRankReduction(red, guess, transform,
-                            stack[0, inst.m * (inst.n - a):], inst)
-
-
-def _invert(fld: FiniteField, mat: np.ndarray) -> np.ndarray:
-    k = mat.shape[0]
-    aug = np.concatenate([mat, ml.identity(k)], axis=1)
-    res = ml.echelonize(fld, aug)
-    if res.rank != k:
-        raise ValueError("matrix is singular")
-    return res.rref[:, k:]
+    return Reduction(red, guess, transform, stack[0, inst.m * (inst.n - a):])
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +270,11 @@ def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
 
     Deterministic mode tries all q^(a r) guesses on ``inst`` itself, then on
     up to ``limit`` rerandomizations; probabilistic mode tries only the zero
-    guess, on ``limit`` fresh rerandomizations.  Every lifted candidate is
-    verified on ``inst``, so a spurious inner solution is never returned.
-    Every tried guess leaves one transcript line: infeasible, the inner
-    solve's failure, or the verdict on its lift.
+    guess, on ``limit`` fresh rerandomizations.  The inner x (for RD, minus
+    the decoded message) is lifted to the presentation, whose x is that of
+    ``inst``, and verified on ``inst``, so a spurious inner solution is never
+    returned.  Every tried guess leaves one transcript line: infeasible, the
+    inner solve's failure, or the verdict on its lift.
     """
     is_rd = isinstance(inst, RdInstance)
     # looked up at call time, so a wrapper bound over the module's names sees
@@ -310,11 +292,7 @@ def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
     tried = skipped = 0
     for number, pres_seed in enumerate(seeds):
         label = f"round {number}" if deterministic else f"trial {number + 1}"
-        if pres_seed is None:
-            current, p = inst, None
-        else:
-            current, p = rerandomize(inst, pres_seed)
-        p_inv = None
+        current = inst if pres_seed is None else rerandomize(inst, pres_seed)[0]
         for guess in islice(enumerate_guesses(a, inst.r, q), guesses):
             tried += 1
             tag = f"{label} guess {guess.code}"
@@ -325,23 +303,20 @@ def _drive(inst: Union[RdInstance, MinRankInstance], a: int, seed: int,
                 continue
             if is_rd:
                 try:
-                    e = red.lift_error(sv.decode_rd(red.instance).error)
+                    x_red = fld.neg_arr(sv.decode_rd(red.instance).message)
                 except sv.Unsolved as exc:
                     last = exc.transcript[-1] if exc.transcript else "no stage ran"
                     transcript.append(f"{tag}: unsolved, {last}")
                     continue
-                if p is not None:       # rerandomization maps an error e to e P
-                    p_inv = _invert(fld.base, p) if p_inv is None else p_inv
-                    e = ml.matmul(fld, e[None, :], p_inv)[0]
-                sol = sv.verify_rd(inst, e, inst.r, transcript, tag)
             else:
                 x_red = sv.solve_minrank_linearized(red.instance)
                 if not isinstance(x_red, np.ndarray):
                     transcript.append(f"{tag}: {x_red}")
                     continue
-                # guesses and rerandomizations act on columns only, so x
-                # carries over to the original matrices unchanged
-                x = red.lift_x(x_red)
+            x = red.lift_x(x_red)
+            if is_rd:
+                sol = sv.verify_rd(inst, sv.fld_error_from_x(inst, x), inst.r, transcript, tag)
+            else:
                 sol = x if sv.verify_minrank(inst, x) is not None else None
                 transcript.append(f"{tag}: " + ("lift rejected" if sol is None
                                                 else "verified"))

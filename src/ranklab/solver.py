@@ -175,16 +175,24 @@ def solve_linearized(ker: Kernel) -> Outcome:
     The degree-(0,1) coordinates go to their subset index in
     ``ker.subsets`` (zero where a minor has no column), normalized as in
     :func:`solve_mm_linear`; a kernel with no such coordinate is
-    Indeterminate(1).
+    Indeterminate(1).  A zero kernel leaves a solution nonzero minors only
+    where a minor has no degree-(0,1) column: with no such minor it is
+    Inconsistent, one gives its unit vector, and several are Indeterminate.
     """
     dim = ker.basis.shape[0]
-    if dim == 0:
-        return Inconsistent()
     if dim > 1:
         return Indeterminate(dim)
     lin = [i for i, (alpha, _t) in enumerate(ker.cols) if not alpha]
+    held = [ker.cols[i][1] for i in lin]
+    if dim == 0:
+        free = np.ones(len(ker.subsets), dtype=np.int64)
+        free[held] = 0
+        count = int(free.sum())
+        if count == 1:
+            return free
+        return Indeterminate(count) if count else Inconsistent()
     minors = np.zeros(len(ker.subsets), dtype=np.int64)
-    minors[[ker.cols[i][1] for i in lin]] = ker.basis[0][lin]
+    minors[held] = ker.basis[0][lin]
     return _normalized(ker.field, minors)
 
 
@@ -341,9 +349,10 @@ def _try_sm_plus(rd: RdInstance, can: CanonicalRd, elim: md.MinorElimination,
     return None
 
 
-def fld_error_from_x(can: CanonicalRd, x: np.ndarray) -> np.ndarray:
-    fld = can.field
-    return fld.add_arr(can.received, ml.matmul(fld, x[None, :], can.gen)[0])
+def fld_error_from_x(rd: Union[RdInstance, CanonicalRd], x: np.ndarray) -> np.ndarray:
+    """y + x G, the error that x gives on an instance or a canonical form."""
+    fld = rd.field
+    return fld.add_arr(rd.received, ml.matmul(fld, x[None, :], rd.gen)[0])
 
 
 def verify_rd(rd: RdInstance, e: np.ndarray, bound: int, transcript: List[str],

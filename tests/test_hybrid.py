@@ -36,8 +36,12 @@ def test_reduce_rd_identity_at_a0():
     assert red.instance is rd
 
 
-def test_reduce_rd_correct_guess_lifts_planted_error():
-    rd = inst.gen_rd(2, 7, 12, 5, 2, seed=2)
+@pytest.mark.parametrize("params,seed", [((2, 7, 12, 5, 2), 2), ((3, 4, 7, 3, 1), 2),
+                                         ((5, 3, 6, 2, 1), 3)],
+                         ids=["q2", "q3", "q5"])
+def test_reduce_rd_correct_guess_lifts_planted_error(params, seed):
+    # in odd characteristic x = -message is not the message itself
+    rd = inst.gen_rd(*params, seed=seed)
     attempt = 0
     while not hy.assumption_holds_rd(rd):
         rd, _ = hy.rerandomize_rd(rd, attempt)
@@ -47,15 +51,17 @@ def test_reduce_rd_correct_guess_lifts_planted_error():
     for g in hy.enumerate_guesses(1, rd.r, rd.q):
         red = hy.reduce_rd(rd, g, 1)
         if red is not None:
-            assert red.instance.n == 11 and red.instance.k == 4
+            assert (red.instance.n, red.instance.k) == (rd.n - 1, rd.k - 1)
             assert red.instance.witness is None
         # the correct bet zeroes the tail position of the planted error
         if ml.matmul(fld, rd.witness.error[None, :], hy.p_matrix(fld, g.a, rd.n))[0, -1]:
             continue
         hits += 1
-        # decoding the reduced instance and lifting reproduces the planted error
-        lifted = red.lift_error(sv.decode_rd(red.instance).error)
-        assert (lifted == rd.witness.error).all()
+        # decoding the reduced instance and lifting its x reproduces the
+        # planted x, and so the planted error
+        x = red.lift_x(fld.neg_arr(sv.decode_rd(red.instance).message))
+        assert (x == rd.witness.x).all()
+        assert (sv.fld_error_from_x(rd, x) == rd.witness.error).all()
     assert hits == 1
 
 

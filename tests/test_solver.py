@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from ranklab import hybrid as hy
 from ranklab import instances as inst
 from ranklab import matlin as ml
 from ranklab import modelings as md
@@ -126,7 +127,8 @@ def stacked_reference(sys, b):
 def check_carried_kernels(sys, b_max):
     """Each carried kernel is ker of the stacked reference: its rows lie in
     that kernel and are independent, and its dimension is ncols - rank.  A
-    line gives the reference kernel's normalized minors."""
+    line gives the reference kernel's normalized minors; a zero kernel frees
+    exactly the minors with no degree-(0,1) column."""
     fld = sys.field
     for b, ker in enumerate(sv.carried_kernels(sys, b_max), start=1):
         arr, cols = stacked_reference(sys, b)
@@ -140,8 +142,15 @@ def check_carried_kernels(sys, b_max):
         assert not ml.matmul(fld, arr, basis.T).any()
         assert ml.echelonize(fld, basis).rank == dim
         got = sv.solve_linearized(ker)
-        if dim != 1:
-            assert got == (sv.Inconsistent() if dim == 0 else sv.Indeterminate(dim))
+        if dim == 0:
+            free = [t for t in range(len(sys.subsets)) if ((), t) not in where]
+            if len(free) == 1:
+                assert got.tolist() == [int(t == free[0]) for t in range(len(sys.subsets))]
+            else:
+                assert got == (sv.Indeterminate(len(free)) if free else sv.Inconsistent())
+            continue
+        if dim > 1:
+            assert got == sv.Indeterminate(dim)
             continue
         vec = ref.kernel[0]
         lin = [i for i, (alpha, _t) in enumerate(cols) if not alpha]
@@ -194,8 +203,8 @@ def zeros(*shape):
 
 
 @pytest.mark.parametrize("bil,aff", [
-    # every polynomial zero: M_1 has no column, so rank(M_1) = 0 and the
-    # kernel is zero at every b
+    # every polynomial zero: M_1 has no column, so rank(M_1) = 0, the kernel
+    # is zero at every b and no equation holds the 3 minors: Indeterminate(3)
     pytest.param(zeros(2, 2, 3), zeros(2, 3), id="rank-0"),
     # f = c_0: kappa = 0 at b = 1, and x_0 c_0 is the only column at b = 2
     pytest.param(zeros(1, 1, 1), np.ones((1, 1), dtype=np.int64), id="kappa-0"),
@@ -420,7 +429,7 @@ def test_decode_agrees_with_exhaustive_oracle():
         assert (decoded.error == sols[0]).all()
 
 
-MAX_M = {2: 6, 3: 4, 4: 3, 5: 3}     # keeps q^m, and so the oracle, small
+MAX_M = {2: 6, 3: 4, 4: 3, 5: 3, 7: 2, 8: 2, 9: 2}  # keeps q^m, and so the oracle, small
 
 
 @st.composite
@@ -588,6 +597,46 @@ def test_solve_minrank_linearized():
     x = sv.solve_minrank_linearized(mi)
     assert isinstance(x, np.ndarray)
     assert ml.echelonize(mi.field, mi.low_rank_matrix(x)).rank <= 2
+
+
+MINRANK_MAX_K = {2: 9, 3: 5, 4: 4, 5: 3, 7: 3}     # q^K <= 512 for the enumeration
+
+
+@st.composite
+def small_minrank_params(draw):
+    q = draw(st.sampled_from(sorted(MINRANK_MAX_K)))
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(2, 5))
+    K = draw(st.integers(1, MINRANK_MAX_K[q]))
+    return q, m, n, K, draw(st.integers(1, min(m, n)))
+
+
+def minrank_solutions_brute(mi):
+    """Every x in F_q^K whose combination has rank at most r."""
+    return {x for x in itertools.product(range(mi.field.order), repeat=mi.K)
+            if sv.verify_minrank(mi, np.array(x, dtype=np.int64)) is not None}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_minrank_params(), st.integers(0, 100))
+@example((2, 2, 2, 1, 1), 81)           # M_1 = 0: the b = 1 kernel is zero, minor 0 is free
+def test_minrank_answers_against_enumeration(params, seed):
+    # every returned x is a solution, and Inconsistent means there is none;
+    # the drivers run wherever an a = 1 guess fits the instance
+    mi = inst.gen_minrank(*params, seed=seed)
+    found = minrank_solutions_brute(mi)
+    got = sv.solve_minrank_linearized(mi)
+    if isinstance(got, np.ndarray):
+        assert tuple(got.tolist()) in found
+    elif isinstance(got, sv.Inconsistent):
+        assert not found
+    for driver in (lambda: hy.hybrid_solve_minrank(mi, 1, seed=seed),
+                   lambda: hy.probabilistic_solve_minrank(mi, 1, seed=seed, max_trials=16)):
+        try:
+            x = driver().solution
+        except (inst.InstanceError, sv.Unsolved):
+            continue
+        assert tuple(x.tolist()) in found
 
 
 @pytest.mark.parametrize("params", [(2, 3, 3, 2, 3), (3, 4, 3, 2, 3), (2, 3, 2, 1, 2)], ids=str)
