@@ -37,6 +37,7 @@ PLAN = [
     ("hybrid-correct", (5, 3, 6, 2, 1), 10),
     ("hybrid-correct-minrank", (2, 6, 8, 14, 2), 30),
     ("hybrid-correct-minrank", (3, 3, 5, 6, 1), 10),
+    ("hybrid-correct-minrank", (2, 2, 3, 2, 1), 10),     # K = m: trials redraw
 ]
 
 

@@ -29,6 +29,7 @@ from ..instances import canonicalize, check_params, gen_minrank, gen_rd
 __all__ = ["ExperimentReport", "PROPERTIES", "check_arguments", "verify"]
 
 GENERICITY_THRESHOLD = 0.95
+_MINRANK_DRAWS = 32          # instance draws per hybrid-correct-minrank trial
 
 
 @dataclass(frozen=True)
@@ -227,13 +228,23 @@ def _check_hybrid_correct(params, seed):
 
 
 def _check_hybrid_minrank(params, seed):
-    """MinRank analogue of the guess driver; params are (q, m, n, K, r)."""
+    """MinRank analogue of the guess driver; params are (q, m, n, K, r).  The
+    instance is redrawn until its planted a = 1 guess (zeroing the witness's
+    last column) shortens, which needs a K x m tail block of rank m."""
     q, m, n, K, r = params
-    mri = gen_minrank(q, m, n, K, r, seed)
-    attempt = 0
-    while not hy.assumption_holds_minrank(mri):
-        mri, _ = hy.rerandomize_minrank(mri, seed * 37 + attempt)
-        attempt += 1
+    for draw in range(_MINRANK_DRAWS):
+        mri = gen_minrank(q, m, n, K, r, seed if draw == 0 else seed * 1_000_003 + draw)
+        attempt = 0
+        while not hy.assumption_holds_minrank(mri):
+            mri, _ = hy.rerandomize_minrank(mri, seed * 37 + attempt)
+            attempt += 1
+        low, fld = mri.low_rank_matrix(mri.witness), mri.field
+        if any(hy.reduce_minrank(mri, g, 1) for g in hy.enumerate_guesses(1, r, q)
+               if not ml.matmul(fld, low, hy.p_matrix(fld, g.a, n))[:, -1].any()):
+            break
+    else:
+        return (False, ("no draw",), (q ** r,),
+                f"the planted guess shortened in none of {_MINRANK_DRAWS} draws")
     try:
         res = hy.hybrid_solve_minrank(mri, a=1, seed=seed)
     except sv.Unsolved as exc:

@@ -66,16 +66,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EchelonResult:
-    """Reduced row-echelon data: rank, RREF array, pivot columns, right kernel.
-
-    ``kernel`` rows form a basis of {v : M v^T = 0}; it has
-    ``ncols - rank`` rows (possibly zero).
-    """
+    """Reduced row-echelon data: rank, RREF array and pivot columns; a
+    caller that reads the kernel takes :func:`kernel_from_rref` of them."""
 
     rank: int
     rref: np.ndarray
     pivots: Tuple[int, ...]
-    kernel: np.ndarray
 
 
 def identity(n: int) -> np.ndarray:
@@ -289,7 +285,7 @@ def _rref_gf2(mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
 
 
 def echelonize(fld: FiniteField, mat: np.ndarray) -> EchelonResult:
-    """RREF with rank, pivot columns and a right-kernel basis."""
+    """RREF with rank and pivot columns."""
     mat = np.asarray(mat, dtype=np.int64)
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix")
@@ -297,8 +293,7 @@ def echelonize(fld: FiniteField, mat: np.ndarray) -> EchelonResult:
         rref, pivots = _rref_gf2(mat)
     else:
         rref, pivots = _rref_generic(fld, mat)
-    kernel = kernel_from_rref(fld, rref, pivots)
-    return EchelonResult(len(pivots), rref, tuple(pivots), kernel)
+    return EchelonResult(len(pivots), rref, tuple(pivots))
 
 
 def kernel_from_rref(fld: FiniteField, rref: np.ndarray, pivots: Sequence[int]) -> np.ndarray:

@@ -6,15 +6,15 @@ one minor is left free the minors are read off directly (MaxMinors);
 otherwise, or when SM+ is forced, the elimination is substituted into the
 bilinear system, which is linearized at increasing bi-degree until the
 kernel is a line whose minor block gives the minors.  One generator makes
-the kernels of every Support-Minors system (:func:`carried_kernels`): at
-bi-degree b only the rows of multiplier degree b - 1, taken from a row basis
-of the system, are reduced, against the kernel carried from b - 1; they meet
-its columns only through their affine parts, so the carried block is one
-product with the row basis's affine block.  Every path then has one
-readout: at known minors the Support-Minors equations are linear in x
-(:func:`x_from_minors`, one :func:`ranklab.matlin.laplace_row` step), and
-the candidate they give is verified against the instance before being
-returned.
+the kernels of every Support-Minors system (:func:`carried_kernels`; else
+only the oracle reads kernels): at bi-degree b only the rows of multiplier
+degree b - 1, taken from a row basis of the system, are reduced, against
+the kernel carried from b - 1; they meet its columns only through their
+affine parts, so the carried block is one product with the row basis's
+affine block.  Every path then has one readout: at known minors the
+Support-Minors equations are linear in x (:func:`x_from_minors`, one
+:func:`ranklab.matlin.laplace_row` step), and the candidate they give is
+verified against the instance before being returned.
 
 Also provides an exhaustive support-enumeration decoder for desk-scale
 instances; it is independent of the algebraic path and doubles as the
@@ -43,7 +43,6 @@ __all__ = [
     "MODELINGS",
     "solve_mm_linear",
     "Kernel",
-    "linearize",
     "carried_kernels",
     "solve_linearized",
     "x_from_minors",
@@ -103,19 +102,12 @@ class Kernel:
     """ker M_b, for M_b the Macaulay matrix of a system with multipliers of
     every degree below b: one ``basis`` row per dimension over the column
     labels ``cols``, (alpha, subset index) pairs referring to ``subsets``.
-    ``echelon`` is the reduction it was read from."""
+    It holds no reduction: :func:`carried_kernels` drops each once read."""
 
     field: FiniteField
     subsets: Tuple[Tuple[int, ...], ...]
     cols: Tuple
     basis: np.ndarray                  # (dim, len(cols))
-    echelon: ml.EchelonResult
-
-
-def linearize(mac: md.MacaulayMatrix) -> Kernel:
-    """ker ``mac``."""
-    res = ml.echelonize(mac.field, mac.arr)
-    return Kernel(mac.field, mac.subsets, mac.col_labels, res.kernel, res)
 
 
 def _carry(mac: md.MacaulayMatrix, affine: np.ndarray, prev: Kernel) -> Kernel:
@@ -144,25 +136,26 @@ def _carry(mac: md.MacaulayMatrix, affine: np.ndarray, prev: Kernel) -> Kernel:
                            axis=1)
     del mac, carried
     res = ml.echelonize(fld, stack)
+    ker = ml.kernel_from_rref(fld, res.rref, res.pivots)
     nnew = len(cols) - len(prev.cols)
-    basis = np.concatenate([ml.matmul(fld, res.kernel[:, nnew:], prev.basis),
-                            res.kernel[:, :nnew]], axis=1)
-    return Kernel(fld, prev.subsets, cols, basis, res)
+    basis = np.concatenate([ml.matmul(fld, ker[:, nnew:], prev.basis), ker[:, :nnew]], axis=1)
+    return Kernel(fld, prev.subsets, cols, basis)
 
 
 def carried_kernels(sys: md.BilinearSystem, b_max: int) -> Iterator[Kernel]:
     """ker M_b for b = 1, ..., b_max, each carried into the next.
 
-    From b = 2 the rows multiplied are a row basis of ``sys`` read from the
-    reduction of M_1: the same polynomials in rank(M_1) rows.  A Macaulay
-    matrix over the cell budget raises ``MonomialBudgetError`` in place of
-    its kernel.
+    Each is ``kernel_from_rref`` of one reduction, not kept.  From b = 2
+    the rows multiplied are a row basis of ``sys`` read from the reduction
+    of M_1: the same polynomials in rank(M_1) rows.  A Macaulay matrix over
+    the cell budget raises ``MonomialBudgetError`` in place of its kernel.
     """
-    mac = md.macaulay(sys, 1)
-    ker = linearize(mac)
+    fld, mac = sys.field, md.macaulay(sys, 1)
+    res = ml.echelonize(fld, mac.arr)
+    ker = Kernel(fld, mac.subsets, mac.col_labels, ml.kernel_from_rref(fld, res.rref, res.pivots))
     yield ker
-    rows = md.from_rows(sys, mac, ker.echelon.rref[:ker.echelon.rank])
-    del mac
+    rows = md.from_rows(sys, mac, res.rref[:res.rank])
+    del mac, res
     for b in range(2, b_max + 1):
         # held by _carry alone, which frees it before reducing
         ker = _carry(md.macaulay(rows, b), rows.coef[:, rows.nx], ker)
@@ -242,6 +235,7 @@ class DecodeConfig:
 
 
 RETRIES = 3                        # fresh canonicalizations per weight
+DRAW_TRIES = 400                   # draws of a conditioned generator before EnvelopeMissed
 
 
 class Unsolved(Exception):
@@ -424,7 +418,7 @@ def expected_spurious_decodings(q: int, m: int, n: int, k: int, r: int) -> float
 
 @functools.lru_cache(maxsize=8192)
 def gen_rd_unique(q: int, m: int, n: int, k: int, r: int, seed: int,
-                  threshold: float = 1e-3, max_tries: int = 400) -> RdInstance:
+                  threshold: float = 1e-3) -> RdInstance:
     """Seeded RD instance conditioned on having a unique decoding.
 
     The analyses assume unique-solution instances; near the uniqueness
@@ -437,7 +431,7 @@ def gen_rd_unique(q: int, m: int, n: int, k: int, r: int, seed: int,
 
     if expected_spurious_decodings(q, m, n, k, r) < threshold:
         return _read_only(gen_rd(q, m, n, k, r, seed))
-    for attempt in range(max_tries):
+    for attempt in range(DRAW_TRIES):
         rd = gen_rd(q, m, n, k, r, seed * 1_000_003 + attempt)
         if len(rd_solutions_brute(rd, stop_after=1)) == 1:
             return _read_only(rd)
@@ -460,7 +454,7 @@ def sm_plus_kernel_dim(rd: RdInstance) -> Optional[int]:
 
 @functools.lru_cache(maxsize=4096)
 def gen_rd_generic(q: int, m: int, n: int, k: int, r: int, seed: int,
-                   max_tries: int = 400) -> RdInstance:
+                   max_tries: int = DRAW_TRIES) -> RdInstance:
     """Seeded RD instance inside the generic preset envelope.
 
     On top of decoding uniqueness this requires the eliminated bilinear
@@ -536,7 +530,8 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
     fld = rd.field
     base = fld.base
     n, r = rd.n, rd.r
-    parity = ml.echelonize(fld, rd.gen).kernel      # (n-k) x n, dual basis
+    res = ml.echelonize(fld, rd.gen)
+    parity = ml.kernel_from_rref(fld, res.rref, res.pivots)     # (n-k) x n, dual basis
     synd = ml.matmul(fld, parity, rd.received[:, None])[:, 0]
     found: Dict[Tuple[int, ...], np.ndarray] = {}
     if not synd.any():
@@ -631,15 +626,13 @@ def _consistent_systems(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, 
 def _solution_family(base: FiniteField, rref: np.ndarray, pivots: List[int], cap: int
                      ) -> np.ndarray:
     """Every solution of a consistent system, from the RREF of [A | b]: the
-    particular solution plus each combination of the kernel rows, one per
-    row in ``itertools.product`` order of the coefficients."""
-    nvar = rref.shape[1] - 1
-    kernel = ml.kernel_from_rref(base, rref[:, :nvar], pivots)
-    d = kernel.shape[0]
+    kernel row of the free column b is (-v, 1), v the solution with free
+    coordinates zero, and the others, zero at b, span ker A.  v plus each
+    combination of them, one per row in ``itertools.product`` order."""
+    kernel = ml.kernel_from_rref(base, rref, pivots)[:, :-1]
+    d = kernel.shape[0] - 1
     if base.order ** d > cap:
         raise ValueError("solution family too large to enumerate")
-    part = np.zeros(nvar, dtype=np.int64)
-    part[pivots] = rref[:len(pivots), nvar]
     grid = np.array(list(itertools.product(range(base.order), repeat=d)),
                     dtype=np.int64).reshape(base.order ** d, d)
-    return base.add_arr(part, ml.matmul(base, grid, kernel))
+    return base.sub_arr(ml.matmul(base, grid, kernel[:-1]), kernel[-1])

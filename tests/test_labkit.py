@@ -282,6 +282,16 @@ def test_hybrid_correct_accepts_a_decoding_other_than_the_planted_one():
     assert rep.verdict, rep.failures
 
 
+def test_hybrid_correct_minrank_draws_until_the_planted_guess_shortens(monkeypatch):
+    # at K = m = 2 the tail block of M_1, M_2 reaches rank m only by chance:
+    # the first draws of seeds 2 and 4 leave the planted guess infeasible
+    rep = experiments.verify("hybrid-correct-minrank", (2, 2, 3, 2, 1), trials=4)
+    assert rep.passes == 4 and rep.verdict, rep.failures
+    monkeypatch.setattr(experiments, "_MINRANK_DRAWS", 1)
+    assert experiments._check_hybrid_minrank((2, 2, 3, 2, 1), 4) == (
+        False, ("no draw",), (2,), "the planted guess shortened in none of 1 draws")
+
+
 def test_report_renderers():
     rep = experiments.verify("mm-rank", (2, 3, 5, 2, 1), trials=2, seed=1)
     text = io.report_text(rep)

@@ -17,14 +17,19 @@ F9 = make_base_field(9)
 CHAR2 = [F4, F8, make_ext_field(2, 9), make_ext_field(4, 3), make_ext_field(16, 2)]
 
 
+def kernel(fld, res):
+    """The right kernel of a reduction, read as every caller reads it."""
+    return ml.kernel_from_rref(fld, res.rref, res.pivots)
+
+
 def test_echelon_examples():
     res = ml.echelonize(F2, ml.identity(3))
-    assert res.rank == 3 and res.kernel.shape[0] == 0
+    assert res.rank == 3 and kernel(F2, res).shape[0] == 0
     res = ml.echelonize(F2, np.zeros((2, 4), dtype=np.int64))
-    assert res.rank == 0 and res.kernel.shape[0] == 4
+    assert res.rank == 0 and kernel(F2, res).shape[0] == 4
     res = ml.echelonize(F2, np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
     assert res.rank == 2
-    assert res.kernel.shape == (1, 3) and (res.kernel[0] == [1, 1, 1]).all()
+    assert kernel(F2, res).shape == (1, 3) and (kernel(F2, res)[0] == [1, 1, 1]).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -35,10 +40,9 @@ def test_packed_matches_generic_gf2(bits, rows, cols):
 
 
 def generic_echelon(fld, mat):
-    """The generic eliminator's RREF, pivots and kernel, on any field."""
+    """The generic eliminator's RREF and pivots, on any field."""
     rref, pivots = ml._rref_generic(fld, mat)
-    return ml.EchelonResult(len(pivots), rref, tuple(pivots),
-                            ml.kernel_from_rref(fld, rref, pivots))
+    return ml.EchelonResult(len(pivots), rref, tuple(pivots))
 
 
 def assert_packed_matches_generic(mat):
@@ -47,7 +51,7 @@ def assert_packed_matches_generic(mat):
     assert packed.rank == generic.rank
     assert (packed.rref == generic.rref).all()
     assert packed.pivots == generic.pivots
-    assert (packed.kernel == generic.kernel).all()
+    assert (kernel(F2, packed) == kernel(F2, generic)).all()
 
 
 @pytest.mark.parametrize("rows,cols", [(3, 64), (5, 65), (70, 130), (130, 70), (0, 5), (4, 0)])
@@ -129,8 +133,8 @@ def test_char2_rank_matches_f2_expansion(fld, shape, pattern, seed):
     res = ml.echelonize(fld, mat)
     d = fld.order.bit_length() - 1
     assert ml.echelonize(F2, f2_expansion(fld, mat)).rank == d * res.rank
-    assert res.kernel.shape == (shape[1] - res.rank, shape[1])
-    assert not ml.matmul(fld, mat, res.kernel.T).any()
+    assert kernel(fld, res).shape == (shape[1] - res.rank, shape[1])
+    assert not ml.matmul(fld, mat, kernel(fld, res).T).any()
 
 
 @pytest.mark.parametrize("fld,path", [
@@ -158,8 +162,31 @@ def test_kernel_annihilates(fld):
     rng = np.random.default_rng(17)
     mat = fld.rand_elements(rng, (5, 8))
     res = ml.echelonize(fld, mat)
-    assert res.rank + res.kernel.shape[0] == 8
-    assert not ml.matmul(fld, mat, res.kernel.T).any()
+    assert res.rank + kernel(fld, res).shape[0] == 8
+    assert not ml.matmul(fld, mat, kernel(fld, res).T).any()
+
+
+@pytest.mark.parametrize("backend", ["echelonize", "generic"])
+@pytest.mark.parametrize("fld", [F2, F8, make_base_field(3)], ids=["F2", "F8", "F3"])
+@pytest.mark.parametrize("case", ["zero", "full-column-rank", "no-rows", "inner-free-column"])
+def test_kernel_from_rref_edge_cases(fld, backend, case):
+    # the one way a kernel is read, after either eliminator: M K^T = 0 with
+    # ncols - rank independent rows, one per free column
+    mat, rank, want = {
+        "zero": (np.zeros((3, 4)), 0, ml.identity(4)),
+        "full-column-rank": ([[1, 1, 0], [0, 1, 1], [0, 0, 1], [1, 0, 0]], 3, np.zeros((0, 3))),
+        "no-rows": (np.zeros((0, 4)), 0, ml.identity(4)),
+        "inner-free-column": ([[1, 1, 0, 0], [0, 0, 1, 0], [1, 1, 0, 1]], 3,
+                              [[fld.neg(1), 1, 0, 0]]),
+    }[case]
+    mat = np.array(mat, dtype=np.int64)
+    res = ml.echelonize(fld, mat) if backend == "echelonize" else generic_echelon(fld, mat)
+    ker = kernel(fld, res)
+    ncols = mat.shape[1]
+    assert res.rank == rank and ker.shape == (ncols - rank, ncols)
+    assert not ml.matmul(fld, mat, ker.T).any()
+    assert ml.echelonize(fld, ker).rank == ncols - rank
+    assert (ker == np.array(want, dtype=np.int64)).all()
 
 
 def _matmul_scalar(fld, a, b):
@@ -263,9 +290,9 @@ def test_prefix_step_matches_scalar_gauss_jordan(monkeypatch, fld, nrows, ncols,
         taken = width if width >= ml._PREFIX_MIN else 0
         assert ml._prefix_length(a) == taken
         res = generic_echelon(fld, a)
-        rref, pivots, kernel = _rref_scalar(fld, a)
+        rref, pivots, ker = _rref_scalar(fld, a)
         assert (res.rref == rref).all() and res.pivots == pivots
-        assert res.kernel.shape == kernel.shape and (res.kernel == kernel).all()
+        assert kernel(fld, res).shape == ker.shape and (kernel(fld, res) == ker).all()
     assert steps == ([width] * 4 if taken else [])
 
 

@@ -49,7 +49,7 @@ def mm_linear_reference(mmq):
         return sv.Inconsistent()
     if res.rank < nt - 1:
         return sv.Indeterminate(nt - res.rank)
-    vec = res.kernel[0]
+    vec = ml.kernel_from_rref(fld, res.rref, res.pivots)[0]
     return fld.mul_arr(vec, fld.inv(int(vec[np.nonzero(vec)[0][-1]])))
 
 
@@ -82,12 +82,19 @@ def test_solve_mm_linear_matches_kernel_reference(params, kinds):
     assert seen == kinds
 
 
+def kernel_of(mac):
+    """ker ``mac``, read as carried_kernels reads it at b = 1."""
+    res = ml.echelonize(mac.field, mac.arr)
+    return sv.Kernel(mac.field, mac.subsets, mac.col_labels,
+                     ml.kernel_from_rref(mac.field, res.rref, res.pivots))
+
+
 def test_solve_linearized_zero_matrix_indeterminate():
     fld = inst.gen_rd(2, 3, 5, 2, 1, seed=1).field
     cols = tuple((tuple(), t) for t in range(4))
     mac = md.MacaulayMatrix(fld, np.zeros((3, 4), dtype=np.int64), ("r",) * 3,
                             cols, tuple(ml.all_subsets(5, 1))[:4], 1)
-    out = sv.solve_linearized(sv.linearize(mac))
+    out = sv.solve_linearized(kernel_of(mac))
     assert isinstance(out, sv.Indeterminate) and out.kernel_dim == 4
 
 
@@ -98,12 +105,12 @@ def test_solve_linearized_row_permutation_invariant():
     sm, part = md.build_sm_fqm(can)
     plus = md.reduce_sm_plus(sm, part, md.eliminate_minors(mmq))
     mac = md.macaulay(plus, 1)
-    out1 = sv.solve_linearized(sv.linearize(mac))
+    out1 = sv.solve_linearized(kernel_of(mac))
     perm = np.random.default_rng(0).permutation(mac.arr.shape[0])
     mac2 = md.MacaulayMatrix(mac.field, mac.arr[perm],
                              tuple(mac.row_labels[i] for i in perm),
                              mac.col_labels, mac.subsets, 1)
-    out2 = sv.solve_linearized(sv.linearize(mac2))
+    out2 = sv.solve_linearized(kernel_of(mac2))
     assert isinstance(out1, np.ndarray) and isinstance(out2, np.ndarray)
     assert (out1 == out2).all()
 
@@ -152,7 +159,7 @@ def check_carried_kernels(sys, b_max):
         if dim > 1:
             assert got == sv.Indeterminate(dim)
             continue
-        vec = ref.kernel[0]
+        vec = ml.kernel_from_rref(fld, ref.rref, ref.pivots)[0]
         lin = [i for i, (alpha, _t) in enumerate(cols) if not alpha]
         want = np.zeros(len(sys.subsets), dtype=np.int64)
         want[[cols[i][1] for i in lin]] = vec[lin]
@@ -523,7 +530,8 @@ def lane_sweep_against_echelonize(rd):
     system echelonize finds consistent, over all supports; returns how many
     it keeps."""
     fld = rd.field
-    parity = ml.echelonize(fld, rd.gen).kernel
+    res = ml.echelonize(fld, rd.gen)
+    parity = ml.kernel_from_rref(fld, res.rref, res.pivots)
     synd = ml.matmul(fld, parity, rd.received[:, None])[:, 0]
     swept = list(sv._swept_bases(fld, parity, synd, rd.r))
     every = sv._subspace_bases(2, fld.degree, rd.r)
