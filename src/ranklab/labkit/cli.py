@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                            parents=[common])
     p_est.add_argument("--preset", choices=sorted(es.PRESETS),
                        action="append", default=None)
-    p_est.add_argument("--kind", choices=("rd", "minrank"), default="rd")
+    p_est.add_argument("--kind", choices=("rd", "minrank"), help="custom set kind (default rd)")
     p_est.add_argument("--q", type=int)
     p_est.add_argument("--m", type=int)
     p_est.add_argument("--n", type=int)
@@ -89,10 +89,21 @@ def _emit(args, obj) -> None:
         print(io.report_text(obj))
 
 
+def _given(args, *opts) -> Optional[str]:
+    """The flag of the first of ``opts`` that the command line set (0 too), or None."""
+    return next((f"--{opt.replace('_', '-')}" for opt in opts
+                 if getattr(args, opt) is not None and getattr(args, opt) is not False), None)
+
+
 def _cmd_gen(args) -> int:
-    size = args.k if args.kind == "rd" else args.K
+    rd = args.kind == "rd"
+    foreign = _given(args, "K") if rd else _given(args, "k", "unique_envelope")
+    if foreign:
+        raise SystemExit(f"ranklab gen: {foreign} applies to {'minrank' if rd else 'rd'} "
+                         f"instances, not to {args.kind}")
+    size = args.k if rd else args.K
     if size is None:
-        raise SystemExit(f"gen {args.kind} needs --{'k' if args.kind == 'rd' else 'K'}")
+        raise SystemExit(f"gen {args.kind} needs --{'k' if rd else 'K'}")
     try:
         check_params(args.kind, args.q, args.m, args.n, size, args.r)
     except ValueError as exc:
@@ -144,14 +155,12 @@ def _attack_option_problem(args, is_rd: bool) -> Optional[str]:
         return f"need --b-max >= 1, got {args.b_max}"
     if args.seed is not None and args.seed < 0:
         return f"need --seed >= 0, got {args.seed}"
-    decode_opt = ("--modeling" if args.modeling is not None
-                  else "--b-max" if args.b_max is not None else None)
+    decode_opt = _given(args, "modeling", "b_max")
     if decode_opt and args.a > 0:
         return f"{decode_opt} applies to a plain decode, not with --a {args.a}"
     if decode_opt and not is_rd:
         return f"{decode_opt} applies to rd decoding, not to a minrank instance"
-    guess_opt = ("--probabilistic" if args.probabilistic
-                 else "--seed" if args.seed is not None else None)
+    guess_opt = _given(args, "probabilistic", "seed")
     if guess_opt and args.a == 0:
         return f"{guess_opt} applies to guessing runs, which need --a >= 1"
     return None
@@ -203,6 +212,15 @@ def _cmd_estimate(args) -> int:
         conv = es.CostConventions(omega=args.omega)
     except ValueError:
         raise SystemExit(f"ranklab estimate: need 2 <= --omega <= 3, got {args.omega}") from None
+    if args.preset:
+        foreign = _given(args, "kind", "q", "m", "n", "k", "K", "r", "d")
+        where = "a custom parameter set, not with --preset"
+    else:
+        args.kind = args.kind or "rd"
+        foreign = _given(args, "K") if args.kind == "rd" else _given(args, "k", "d")
+        where = f"{'minrank' if args.kind == 'rd' else 'rd'} parameters, not to {args.kind}"
+    if foreign:
+        raise SystemExit(f"ranklab estimate: {foreign} applies to {where}")
     attacks = args.attacks.split(",") if args.attacks else None
     if args.preset:
         presets = {name: es.PRESETS[name] for name in args.preset}

@@ -21,10 +21,10 @@ Row reduction has two backends, cross-checked in the test suite, and
 * Every other field: a generic table-driven Gauss-Jordan, exact in every
   characteristic.  It updates only the rows that hold the pivot column,
   which suits the sparse Macaulay matrices.
-  When at least ``_PREFIX_MIN`` leading columns hold at most one nonzero
-  per row, as in the carried Macaulay matrices from b = 2, it reduces them
-  in one step first (first row of each column as pivot, one product and
-  one add for the other rows), then runs the column loop on the rest.
+
+:func:`kernel` reads a kernel without the RREF: it clears the leading
+one-nonzero columns (of the carried Macaulay matrices from b = 2) in one
+step and reduces only their Schur complement.
 
 :func:`matmul` takes the logs of each operand once and forms every term
 as one exp gather of a sum of logs, summing over the slot axis.
@@ -47,6 +47,7 @@ __all__ = [
     "EchelonResult",
     "echelonize",
     "kernel_from_rref",
+    "kernel",
     "pack_gf2",
     "unpack_gf2",
     "solve_right",
@@ -123,88 +124,19 @@ def matmul(fld: FiniteField, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # row reduction
 # ---------------------------------------------------------------------------
 
-_PREFIX_MIN = 8     # leading one-nonzero columns from which the prefix step pays
-
-
-def _prefix_length(a: np.ndarray) -> int:
-    """The number L of leading columns in which no row holds two nonzeros,
-    or 0 when L < ``_PREFIX_MIN``.
-
-    Most calls exit on their first test, columns 0 and 1 sharing a row (L
-    <= 1, every b = 1 Macaulay matrix), or on their second, a row with two
-    nonzeros among the first ``_PREFIX_MIN`` columns; only the others scan
-    the whole matrix for each row's second nonzero column.
-    """
-    nrows, ncols = a.shape
-    # codes are below 2^22, so a product of two is nonzero iff both are
-    if nrows == 0 or ncols < _PREFIX_MIN or np.count_nonzero(a[:, 0] * a[:, 1]):
-        return 0
-    if ((a[:, :_PREFIX_MIN] != 0).sum(axis=1) > 1).any():
-        return 0
-    nz = a != 0
-    at = np.arange(nrows)
-    nz[at, nz.argmax(axis=1)] = False
-    second = nz.argmax(axis=1)
-    second[~nz[at, second]] = ncols
-    return int(second.min())
-
-
-def _reduce_prefix(fld: FiniteField, a: np.ndarray, width: int) -> Tuple[np.ndarray, List[int]]:
-    """Gauss-Jordan on the first ``width`` columns of a, in which no row
-    holds two nonzeros, as one step.
-
-    The first row holding each column is its pivot.  Every other row with a
-    prefix entry is hit by that pivot alone, so subtracting f times the
-    scaled pivot row zeroes its prefix and changes no other prefix column.
-    Returns the rows, pivot rows first in column order, and the pivots.
-    """
-    nz = a[:, :width] != 0
-    cols = nz.argmax(axis=1)                      # a row's one prefix column
-    rows = np.flatnonzero(nz[np.arange(a.shape[0]), cols])
-    cols = cols[rows]
-    first = nz.argmax(axis=0)
-    pcols = np.flatnonzero(nz[first, np.arange(width)])
-    prow = first[pcols]
-    pv = a[prow, pcols]
-    scale = pv != 1
-    a[prow[scale], width:] = fld.mul_arr(a[prow[scale], width:],
-                                         fld.inv_arr(pv[scale])[:, None])
-    a[prow, pcols] = 1
-    hit = rows != first[cols]
-    rows, cols = rows[hit], cols[hit]
-    neg_f = fld.neg_arr(a[rows, cols])
-    a[rows, cols] = 0
-    a[rows, width:] = fld.add_arr(a[rows, width:],
-                                  fld.mul_arr(neg_f[:, None], a[first[cols], width:]))
-    rest = np.ones(a.shape[0], dtype=bool)
-    rest[prow] = False
-    return a[np.concatenate([prow, np.flatnonzero(rest)])], pcols.tolist()
-
-
 def _rref_generic(fld: FiniteField, mat: np.ndarray) -> Tuple[np.ndarray, List[int]]:
-    """Table-driven Gauss-Jordan for any field.
+    """Table-driven Gauss-Jordan for any field, one column at a time.
 
-    When at least ``_PREFIX_MIN`` leading columns hold at most one nonzero
-    per row (the carried Macaulay matrices from b = 2: 283 of 335 columns on
-    ``decode-b2``), :func:`_reduce_prefix` reduces them in one step.  Its
-    fixed cost is some 25 numpy calls: on 20 x 24 and 40 x 40 matrices over
-    F_{2^7} and F_3 it was a wash at 5 to 7 prefix columns and paid from 8,
-    and ``decode-mix``'s matrices with 6 (30 x 28 over F_4, 42 x 45 over
-    F_3) took as long either way.  RREF is unique, so the result is the
-    same on both sides of the break-even.  In the
-    column loop, left of the pivot column the pivot row is zero (every
-    earlier column was cleared below its pivot, or had no pivot below the
-    current row), so the scaling and the updates touch only columns >= c,
-    and only rows with a nonzero entry in column c.
+    Left of the pivot column the pivot row is zero (every earlier column
+    was cleared below its pivot, or had no pivot below the current row), so
+    the scaling and the updates touch only columns >= c, and only rows with
+    a nonzero entry in column c.
     """
     a = np.array(mat, dtype=np.int64)
     nrows, ncols = a.shape
     pivots: List[int] = []
-    start = _prefix_length(a)
-    if start:
-        a, pivots = _reduce_prefix(fld, a, start)
-    rr = len(pivots)
-    for c in range(start, ncols):
+    for c in range(ncols):
+        rr = len(pivots)
         if rr == nrows:
             break
         nz = a[rr:, c].nonzero()[0]
@@ -223,7 +155,6 @@ def _rref_generic(fld: FiniteField, mat: np.ndarray) -> Tuple[np.ndarray, List[i
             neg_f = fld.neg_arr(f[rows])
             a[rows, c:] = fld.add_arr(a[rows, c:], fld.mul_arr(neg_f[:, None], a[rr, c:]))
         pivots.append(c)
-        rr += 1
     return a, pivots
 
 
@@ -307,6 +238,50 @@ def kernel_from_rref(fld: FiniteField, rref: np.ndarray, pivots: Sequence[int]) 
         kernel[range(len(free)), free] = 1
         kernel[:, pivots] = fld.neg_arr(rref[:len(pivots), free].T)
     return kernel
+
+
+def _prefix_length(a: np.ndarray) -> int:
+    """The number L of leading columns in which no row holds two nonzeros:
+    the smallest column that holds some row's second nonzero, else ncols."""
+    if 0 in a.shape:
+        return a.shape[1]
+    nz = a != 0
+    at = np.arange(a.shape[0])
+    nz[at, nz.argmax(axis=1)] = False
+    second = nz.argmax(axis=1)
+    second[~nz[at, second]] = a.shape[1]
+    return int(second.min())
+
+
+def kernel(fld: FiniteField, mat: np.ndarray) -> np.ndarray:
+    """:func:`kernel_from_rref` of mat's RREF, without forming that RREF.
+
+    In the L leading columns no row holds two nonzeros.  The first row
+    holding such a column is its pivot; scaled to 1 and taken after column
+    L, the pivots form T, and one product with T clears the other rows.
+    With the rows holding no prefix column those form S, which alone is
+    reduced.  A kernel vector z of S gives (-T z on the prefix pivot
+    columns, z after L), a zero prefix column a unit vector: per free column
+    the row kernel_from_rref gives, since its free coordinates fix it.
+    """
+    mat = np.asarray(mat, dtype=np.int64)
+    width = _prefix_length(mat)
+    rows, cols = np.divmod(np.flatnonzero(mat[:, :width] != 0), width)   # rows ascend
+    pcols, first = np.unique(cols, return_index=True)
+    prow = rows[first]
+    t = fld.mul_arr(mat[prow, width:], fld.inv_arr(mat[prow, pcols])[:, None])
+    alone = np.bincount(rows, minlength=mat.shape[0]) == 0      # no prefix column
+    rows, cols = np.delete(rows, first), np.delete(cols, first)
+    cleared = fld.sub_arr(mat[rows, width:], fld.mul_arr(mat[rows, cols][:, None],
+                                                         t[np.searchsorted(pcols, cols)]))
+    res = echelonize(fld, np.concatenate([cleared, mat[alone, width:]]))
+    ker = kernel_from_rref(fld, res.rref, res.pivots)
+    unit = np.flatnonzero(np.bincount(pcols, minlength=width) == 0)
+    out = np.zeros((unit.size + ker.shape[0], mat.shape[1]), dtype=np.int64)
+    out[np.arange(unit.size), unit] = 1
+    out[unit.size:, width:] = ker
+    out[unit.size:, pcols] = fld.neg_arr(matmul(fld, ker, t.T))
+    return out
 
 
 def solve_right(fld: FiniteField, mat: np.ndarray, rhs: np.ndarray) -> Optional[np.ndarray]:

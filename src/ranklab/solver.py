@@ -11,10 +11,11 @@ only the oracle reads kernels): at bi-degree b only the rows of multiplier
 degree b - 1, taken from a row basis of the system, are reduced, against
 the kernel carried from b - 1; they meet its columns only through their
 affine parts, so the carried block is one product with the row basis's
-affine block.  Every path then has one readout: at known minors the
-Support-Minors equations are linear in x (:func:`x_from_minors`, one
-:func:`ranklab.matlin.laplace_row` step), and the candidate they give is
-verified against the instance before being returned.
+affine block; only the kernel of that step is formed, by
+:func:`ranklab.matlin.kernel`.  Every path then has one readout: at known
+minors the Support-Minors equations are linear in x (:func:`x_from_minors`,
+one :func:`ranklab.matlin.laplace_row` step), and the candidate they give
+is verified against the instance before being returned.
 
 Also provides an exhaustive support-enumeration decoder for desk-scale
 instances; it is independent of the algebraic path and doubles as the
@@ -102,7 +103,7 @@ class Kernel:
     """ker M_b, for M_b the Macaulay matrix of a system with multipliers of
     every degree below b: one ``basis`` row per dimension over the column
     labels ``cols``, (alpha, subset index) pairs referring to ``subsets``.
-    It holds no reduction: :func:`carried_kernels` drops each once read."""
+    It holds no reduction: from b = 2 none is formed (:func:`_carry`)."""
 
     field: FiniteField
     subsets: Tuple[Tuple[int, ...], ...]
@@ -119,8 +120,10 @@ def _carry(mac: md.MacaulayMatrix, affine: np.ndarray, prev: Kernel) -> Kernel:
     has degree below b, so row x^alpha f meets it only through f's affine
     part, a row of ``affine``, at x^alpha c_t: E_old K^T is ``affine`` times
     K's columns x^alpha c_t, stacked over alpha (zero where one is not in C).
-    ``mac`` is dropped before the reduction, so a caller that holds no other
-    reference to it frees it.
+    E_new's leading columns hold one nonzero per row, so
+    :func:`ranklab.matlin.kernel` reduces only their Schur complement.
+    ``mac`` is dropped first, so a caller that holds no other reference to
+    it frees it.
     """
     fld = mac.field
     pos = {lab: i for i, lab in enumerate(prev.cols)}
@@ -135,8 +138,7 @@ def _carry(mac: md.MacaulayMatrix, affine: np.ndarray, prev: Kernel) -> Kernel:
     stack = np.concatenate([mac.arr[:, ~old], carried.reshape(len(alphas) * npolys, dim)],
                            axis=1)
     del mac, carried
-    res = ml.echelonize(fld, stack)
-    ker = ml.kernel_from_rref(fld, res.rref, res.pivots)
+    ker = ml.kernel(fld, stack)
     nnew = len(cols) - len(prev.cols)
     basis = np.concatenate([ml.matmul(fld, ker[:, nnew:], prev.basis), ker[:, :nnew]], axis=1)
     return Kernel(fld, prev.subsets, cols, basis)
@@ -145,10 +147,10 @@ def _carry(mac: md.MacaulayMatrix, affine: np.ndarray, prev: Kernel) -> Kernel:
 def carried_kernels(sys: md.BilinearSystem, b_max: int) -> Iterator[Kernel]:
     """ker M_b for b = 1, ..., b_max, each carried into the next.
 
-    Each is ``kernel_from_rref`` of one reduction, not kept.  From b = 2
-    the rows multiplied are a row basis of ``sys`` read from the reduction
-    of M_1: the same polynomials in rank(M_1) rows.  A Macaulay matrix over
-    the cell budget raises ``MonomialBudgetError`` in place of its kernel.
+    ker M_1 is ``kernel_from_rref`` of M_1's RREF, which also gives the rows
+    multiplied from b = 2, a row basis of ``sys``; :func:`_carry` makes the
+    later ones.  A Macaulay matrix over the cell budget raises
+    ``MonomialBudgetError`` in place of its kernel.
     """
     fld, mac = sys.field, md.macaulay(sys, 1)
     res = ml.echelonize(fld, mac.arr)
@@ -525,7 +527,8 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
     path; intended for desk-scale oracles only.
     ``stop_after`` returns early once more than that many distinct errors
     are known (uniqueness screening).  A consistent support whose solution
-    family has more than ``cap`` members raises ValueError.
+    family has more than ``cap`` members raises ValueError; under
+    ``stop_after`` its first stop_after + 1 members settle the screening.
     """
     fld = rd.field
     base = fld.base
@@ -540,7 +543,7 @@ def rd_solutions_brute(rd: RdInstance, cap: int = 64,
              else _subspace_bases(base.order, fld.degree, r))
     for basis, rref, pivots in _consistent_systems(fld, parity, synd, bases):
         s = np.array([fld.from_coeffs(row) for row in basis.tolist()], dtype=np.int64)
-        for vec in _solution_family(base, rref, pivots, cap):
+        for vec in _solution_family(base, rref, pivots, cap, stop_after):
             e = ml.matmul(fld, s[None, :], vec.reshape(r, n))[0]
             found.setdefault(tuple(int(v) for v in e), e)
         if stop_after is not None and len(found) > stop_after:
@@ -623,16 +626,19 @@ def _consistent_systems(fld: FiniteField, parity: np.ndarray, synd: np.ndarray, 
             yield basis, res.rref, list(res.pivots)
 
 
-def _solution_family(base: FiniteField, rref: np.ndarray, pivots: List[int], cap: int
-                     ) -> np.ndarray:
+def _solution_family(base: FiniteField, rref: np.ndarray, pivots: List[int], cap: int,
+                     stop_after: Optional[int]) -> np.ndarray:
     """Every solution of a consistent system, from the RREF of [A | b]: the
     kernel row of the free column b is (-v, 1), v the solution with free
     coordinates zero, and the others, zero at b, span ker A.  v plus each
-    combination of them, one per row in ``itertools.product`` order."""
+    combination of them, one per row in ``itertools.product`` order; of one
+    above ``cap``, the first stop_after + 1, else ValueError."""
     kernel = ml.kernel_from_rref(base, rref, pivots)[:, :-1]
     d = kernel.shape[0] - 1
-    if base.order ** d > cap:
+    size = base.order ** d
+    if size > cap and stop_after is None:
         raise ValueError("solution family too large to enumerate")
-    grid = np.array(list(itertools.product(range(base.order), repeat=d)),
-                    dtype=np.int64).reshape(base.order ** d, d)
+    size = size if size <= cap else min(size, stop_after + 1)
+    grid = itertools.islice(itertools.product(range(base.order), repeat=d), size)
+    grid = np.array(list(grid), dtype=np.int64).reshape(size, d)
     return base.sub_arr(ml.matmul(base, grid, kernel[:-1]), kernel[-1])

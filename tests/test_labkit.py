@@ -431,6 +431,23 @@ CANONICAL_FORM_PROPERTIES = ["nb-rank", "q0-span", "lt-independence", "q1-corres
      "could not hit the generic instance envelope"),
     (["verify", "--property", "mm-rank", "--params", "2,3,5,3,2", "--trials", "2"],
      "could not hit the unique-decoding envelope"),
+    # every draw has a solution family above the oracle's cap: several
+    # decodings, so each draw is rejected, not a traceback
+    (["gen", "rd", "--q", "3", "--m", "2", "--n", "6", "--k", "2", "--r", "2", "--unique-envelope"],
+     "could not hit the generic instance envelope"),
+    (["verify", "--property", "mm-rank", "--params", "3,2,6,2,2", "--trials", "2"],
+     "could not hit the unique-decoding envelope"),
+    (["verify", "--property", "syzygy-count", "--params", "3,2,6,2,2", "--trials", "2"],
+     "could not hit the generic instance envelope"),
+    # options that the run would ignore
+    (["gen", "minrank", "--q", "2", "--m", "3", "--n", "4", "--K", "3", "--r", "1",
+      "--unique-envelope"], "--unique-envelope applies to rd instances, not to minrank"),
+    (["gen", "rd", "--q", "2", "--m", "7", "--n", "8", "--k", "3", "--K", "9", "--r", "2"],
+     "--K applies to minrank instances, not to rd"),
+    (["gen", "rd", "--q", "2", "--m", "7", "--n", "8", "--k", "3", "--K", "0", "--r", "2"],
+     "--K applies to minrank instances, not to rd"),
+    (["gen", "minrank", "--q", "2", "--m", "3", "--n", "4", "--K", "3", "--k", "2", "--r", "1"],
+     "--k applies to rd instances, not to minrank"),
 ] + [
     # at r = 0 the received word is a codeword, which has no canonical form
     (["verify", "--property", prop, "--params", "2,3,5,2,0"], f"{prop} needs r >= 1, got r = 0")
@@ -438,7 +455,9 @@ CANONICAL_FORM_PROPERTIES = ["nb-rank", "q0-span", "lt-independence", "q1-corres
 ], ids=["short-params", "non-integer", "no-trials", "syzygy-overdetermined",
         "minrank-K", "gen-k-above-n", "gen-q6", "gen-minrank-r", "negative-seed",
         "gen-negative-seed", "gen-envelope-r0", "gen-envelope-miss", "hybrid-guess-wide",
-        "minrank-guess-wide", "verify-envelope-miss", "verify-unique-miss"]
+        "minrank-guess-wide", "verify-envelope-miss", "verify-unique-miss",
+        "gen-envelope-cap", "verify-unique-cap", "verify-envelope-cap",
+        "gen-minrank-envelope", "gen-rd-K", "gen-rd-K0", "gen-minrank-k"]
    + [f"verify-r0-{prop}" for prop in CANONICAL_FORM_PROPERTIES])
 def test_cli_rejects_bad_arguments(tmp_path, argv, reason):
     # rejected in one line, like an attack on a malformed file: bad arguments
@@ -474,10 +493,11 @@ def test_cli_verify_counts_unsolved_driver_as_failed_trial(capsys, prop, params)
     ("minrank", ["--b-max", "2"], "--b-max applies to rd decoding, not to a minrank"),
     ("rd", ["--probabilistic"], "--probabilistic applies to guessing runs, which need --a >= 1"),
     ("minrank", ["--seed", "3"], "--seed applies to guessing runs, which need --a >= 1"),
+    ("rd", ["--seed", "0"], "--seed applies to guessing runs, which need --a >= 1"),
     ("minrank", ["--a", "1", "--probabilistic", "--seed", "-2"], "need --seed >= 0, got -2"),
 ], ids=["b-max-0", "b-max-negative", "a-negative", "modeling-with-a", "b-max-with-a",
         "modeling-minrank", "b-max-minrank", "probabilistic-without-a", "seed-without-a",
-        "seed-negative"])
+        "seed-0-without-a", "seed-negative"])
 def test_cli_attack_rejects_options_the_run_would_ignore(tmp_path, capsys, kind, extra, reason):
     # each is refused in one line before any work, not run with the option dropped
     path = str(tmp_path / "i.inst")
@@ -511,8 +531,20 @@ def test_cli_attack_rejects_options_the_run_would_ignore(tmp_path, capsys, kind,
      "--r must be >= 1, got 0"),
     (["--preset", "new2rollo-i-128", "--omega", "nan"], "need 2 <= --omega <= 3, got nan"),
     (["--preset", "new2rollo-i-128", "--omega", "3.5"], "need 2 <= --omega <= 3, got 3.5"),
+    # options that the run would ignore
+    (["--preset", "new2rollo-i-128", "--q", "3"],
+     "--q applies to a custom parameter set, not with --preset"),
+    (["--preset", "minrank-sig-128", "--kind", "minrank"],
+     "--kind applies to a custom parameter set, not with --preset"),
+    (["--kind", "minrank", "--q", "16", "--m", "16", "--n", "16", "--K", "142", "--r", "4",
+      "--d", "3"], "--d applies to rd parameters, not to minrank"),
+    (["--kind", "rd", "--q", "2", "--m", "31", "--n", "33", "--k", "15", "--r", "5", "--K", "5"],
+     "--K applies to minrank parameters, not to rd"),
+    (["--q", "2", "--m", "31", "--n", "33", "--k", "15", "--r", "5", "--K", "5"],
+     "--K applies to minrank parameters, not to rd"),
 ], ids=["unknown", "kernel-on-rd", "mm-on-minrank", "k-above-n", "minrank-r", "q6",
-        "rd-d0", "rd-r0", "rd-r0-default-d", "omega-nan", "omega-above-3"])
+        "rd-d0", "rd-r0", "rd-r0-default-d", "omega-nan", "omega-above-3",
+        "preset-q", "preset-kind", "minrank-d", "rd-K", "default-kind-K"])
 def test_cli_estimate_rejects_bad_arguments(capsys, argv, reason):
     with pytest.raises(SystemExit) as exc:
         main(["estimate", *argv])

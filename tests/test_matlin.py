@@ -271,29 +271,45 @@ def _one_nonzero_prefix(fld, rng, nrows, ncols, width):
     return a[rng.permutation(nrows)]
 
 
-@pytest.mark.parametrize("fld", [make_base_field(3), make_ext_field(2, 9), make_ext_field(4, 5), F2],
-                         ids=["F3", "F2^9", "F4^5", "F2-forced"])
+def assert_matches_scalar_gauss_jordan(fld, a):
+    """Both eliminators give the scalar RREF, and ``kernel`` its kernel."""
+    rref, pivots, ker = _rref_scalar(fld, a)
+    for res in (ml.echelonize(fld, a), generic_echelon(fld, a)):
+        assert (res.rref == rref).all() and res.pivots == pivots
+    got = ml.kernel(fld, a)
+    assert got.shape == ker.shape and (got == ker).all()
+
+
+PREFIX_FIELDS = pytest.mark.parametrize(
+    "fld", [make_base_field(3), make_ext_field(2, 9), make_ext_field(4, 5), F2],
+    ids=["F3", "F2^9", "F4^5", "F2-forced"])
+
+
+@PREFIX_FIELDS
 @pytest.mark.parametrize("nrows,ncols,width", [
-    (14, 18, 3), (14, 18, ml._PREFIX_MIN - 1), (14, 18, ml._PREFIX_MIN), (14, 18, 12),
-    (6, 20, 14), (12, 9, 9)])
-def test_prefix_step_matches_scalar_gauss_jordan(monkeypatch, fld, nrows, ncols, width):
-    # below the break-even the column loop runs alone; from it the leading
-    # one-nonzero columns are reduced in one step, the last case covering
-    # every column; the result must be the same RREF either way
-    steps = []
-    reduce_prefix = ml._reduce_prefix
-    monkeypatch.setattr(ml, "_reduce_prefix", lambda *args: steps.append(args[2])
-                        or reduce_prefix(*args))
+    (14, 18, 3), (14, 18, 7), (14, 18, 8), (14, 18, 12), (6, 20, 14), (12, 9, 9)])
+def test_prefix_step_matches_scalar_gauss_jordan(fld, nrows, ncols, width):
+    # kernel clears the leading one-nonzero columns in one step and reduces
+    # only the rest; the last case has no column after the prefix
     rng = np.random.default_rng(nrows * ncols + width)
     for _ in range(4):
         a = _one_nonzero_prefix(fld, rng, nrows, ncols, width)
-        taken = width if width >= ml._PREFIX_MIN else 0
-        assert ml._prefix_length(a) == taken
-        res = generic_echelon(fld, a)
-        rref, pivots, ker = _rref_scalar(fld, a)
-        assert (res.rref == rref).all() and res.pivots == pivots
-        assert kernel(fld, res).shape == ker.shape and (kernel(fld, res) == ker).all()
-    assert steps == ([width] * 4 if taken else [])
+        assert ml._prefix_length(a) == width
+        assert_matches_scalar_gauss_jordan(fld, a)
+
+
+@PREFIX_FIELDS
+@pytest.mark.parametrize("shape,width", [((5, 7), 1), ((0, 6), 6), ((4, 0), 0), ((4, 6), 6)],
+                         ids=["dense", "no-rows", "no-columns", "all-zero"])
+def test_prefix_step_edge_cases(fld, shape, width):
+    # one column never holds two nonzeros of a row, so L = 0 only without
+    # columns, and a dense matrix has the shortest prefix, L = 1
+    a = np.zeros(shape, dtype=np.int64)
+    if shape == (5, 7):
+        a[:] = fld.rand_elements(np.random.default_rng(5), shape)
+        a[0, :2] = 1                                  # column 1 ends the prefix
+    assert ml._prefix_length(a) == width
+    assert_matches_scalar_gauss_jordan(fld, a)
 
 
 def test_rank_invariance_under_transforms():

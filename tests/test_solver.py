@@ -226,6 +226,25 @@ def test_carried_kernel_edge_cases(bil, aff):
     check_carried_kernels(hand_system(fld, bil, aff), 3)
 
 
+def test_carried_step_reduces_only_its_schur_complement(monkeypatch):
+    # at b = 2 on (2,9,10,4,3) the carried matrix is 460 x 335, of which 283
+    # leading columns hold one nonzero per row: only the 177 x 52 rest is
+    # reduced, and the full matrix never reaches echelonize
+    can = inst.canonicalize(inst.gen_rd(2, 9, 10, 4, 3, seed=1))
+    elim = md.eliminate_minors(md.build_mm_fq(md.build_mm_fqm(can)))
+    plus = md.reduce_sm_plus(*md.build_sm_fqm(can), elim)
+    reduced, carried = [], []
+    echelonize, kernel = ml.echelonize, ml.kernel
+    monkeypatch.setattr(ml, "echelonize",
+                        lambda fld, mat: reduced.append(mat.shape) or echelonize(fld, mat))
+    monkeypatch.setattr(ml, "kernel",
+                        lambda fld, mat: carried.append(mat.shape) or kernel(fld, mat))
+    kernels = list(sv.carried_kernels(plus, 2))
+    assert [ker.basis.shape[0] for ker in kernels] == [35, 1]
+    assert carried == [(460, 335)]
+    assert reduced == [(155, 150), (177, 52)]
+
+
 def test_seed_7_runaway_ends_with_kernel_dimension_2():
     # one decoding's worth of rank is missing at every b: the carried kernel
     # keeps dimension 2 from b = 2 on, as the whole Macaulay matrix did
@@ -523,6 +542,20 @@ def test_oracle_matches_codeword_enumeration(params, seed, count):
 def test_oracle_cap_on_solution_family(params, cap):
     with pytest.raises(ValueError, match="too large"):
         sv.rd_solutions_brute(inst.gen_rd(*params, seed=1), cap=cap)
+
+
+@pytest.mark.parametrize("stop_after", [1, 3])
+def test_oracle_screening_stops_at_a_family_above_the_cap(stop_after):
+    # a family above the cap holds several decodings: screening returns
+    # stop_after + 1 of them, real ones, where the full enumeration raises
+    rd = inst.gen_rd(3, 2, 6, 2, 2, seed=1)
+    with pytest.raises(ValueError, match="too large"):
+        sv.rd_solutions_brute(rd)
+    first = {tuple(int(v) for v in e) for e in sv.rd_solutions_brute(rd, stop_after=stop_after)}
+    assert len(first) == stop_after + 1
+    assert first <= decodings_by_codewords(rd)
+    with pytest.raises(sv.EnvelopeMissed, match="unique-decoding"):
+        sv.gen_rd_unique(3, 2, 6, 2, 2, seed=1)
 
 
 def lane_sweep_against_echelonize(rd):
